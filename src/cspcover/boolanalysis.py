@@ -8,7 +8,9 @@ coordinate i.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .errors import PreconditionError
 
@@ -18,7 +20,7 @@ MAX_TABLE = 1 << 24
 class ProductDomain:
     """Finite product of coordinate spaces with exact per-coordinate measures."""
 
-    __slots__ = ("sizes", "measures", "_strides", "size")
+    __slots__ = ("sizes", "measures", "_strides", "size", "_weights")
 
     def __init__(self, sizes, measures=None):
         sizes = tuple(int(s) for s in sizes)
@@ -55,6 +57,7 @@ class ProductDomain:
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_weights", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductDomain is immutable")
@@ -93,6 +96,18 @@ class ProductDomain:
             w *= coord[index % s]
             index //= s
         return w
+
+    def point_weights(self):
+        """Every point's weight as integers over one common denominator,
+        computed once per domain: (weights in index order, denominator)."""
+        if self._weights is None:
+            weights, den = [1], 1
+            for coord in self.measures:
+                ints, d = _scaled(coord)
+                weights = [a * b for b in ints for a in weights]
+                den *= d
+            object.__setattr__(self, "_weights", (weights, den))
+        return self._weights
 
     def is_binary_uniform(self):
         return all(s == 2 for s in self.sizes) and all(
@@ -139,21 +154,17 @@ class TabulatedFunction:
         return self.values[self.domain.index(point)]
 
     def expectation(self):
-        return sum(
-            (self.domain.weight(i) * v for i, v in enumerate(self.values)),
-            Fraction(0),
-        )
+        weights, den = self.domain.point_weights()
+        ints, d = _scaled(self.values)
+        return Fraction(sum(map(mul, weights, ints)), den * d)
 
     def inner(self, other):
         if self.domain != other.domain:
             raise PreconditionError("functions live on different domains")
-        return sum(
-            (
-                self.domain.weight(i) * a * b
-                for i, (a, b) in enumerate(zip(self.values, other.values))
-            ),
-            Fraction(0),
-        )
+        weights, den = self.domain.point_weights()
+        a, da = _scaled(self.values)
+        b, db = _scaled(other.values)
+        return Fraction(sum(map(mul, map(mul, weights, a), b)), den * da * db)
 
     def norm_sq(self):
         return self.inner(self)
@@ -172,26 +183,19 @@ class TabulatedFunction:
         c = Fraction(c)
         return TabulatedFunction(self.domain, (c * v for v in self.values))
 
-    def add(self, other):
+    def _pointwise(self, op, other):
         if self.domain != other.domain:
             raise PreconditionError("functions live on different domains")
-        return TabulatedFunction(
-            self.domain, (a + b for a, b in zip(self.values, other.values))
-        )
+        return TabulatedFunction(self.domain, map(op, self.values, other.values))
+
+    def add(self, other):
+        return self._pointwise(add, other)
 
     def sub(self, other):
-        if self.domain != other.domain:
-            raise PreconditionError("functions live on different domains")
-        return TabulatedFunction(
-            self.domain, (a - b for a, b in zip(self.values, other.values))
-        )
+        return self._pointwise(sub, other)
 
     def mul(self, other):
-        if self.domain != other.domain:
-            raise PreconditionError("functions live on different domains")
-        return TabulatedFunction(
-            self.domain, (a * b for a, b in zip(self.values, other.values))
-        )
+        return self._pointwise(mul, other)
 
     def __eq__(self, other):
         if not isinstance(other, TabulatedFunction):
@@ -203,6 +207,13 @@ class TabulatedFunction:
 
     def __repr__(self):
         return "TabulatedFunction(%r, %d values)" % (self.domain, len(self.values))
+
+
+def _scaled(values):
+    """Fractions as integers over their least common denominator:
+    (integers, denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def wht(values):
@@ -303,13 +314,9 @@ def fourier(f):
         raise PreconditionError("fourier requires a binary uniform domain")
     n = f.domain.n
     # Integer-scale so the butterfly runs over ints, then divide once.
-    denom_lcm = 1
-    for v in f.values:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in f.values]
-    transformed = wht(ints)
-    scale = denom_lcm << n
-    return FourierTable(n, (Fraction(t, scale) for t in transformed))
+    ints, den = _scaled(f.values)
+    scale = den << n
+    return FourierTable(n, (Fraction(t, scale) for t in wht(ints)))
 
 
 def noise(f, gamma):
@@ -340,48 +347,20 @@ def _normalize_blocks(domain, blocks):
     return blocks
 
 
-def _average_out(values, domain, coord):
-    """Replace coordinate `coord` by its mean; table keeps full size."""
-    s = domain.sizes[coord]
-    mu = domain.measures[coord]
-    stride = domain.stride(coord)
-    out = list(values)
-    size = domain.size
-    block = stride * s
-    for base in range(0, size, block):
-        for off in range(stride):
-            start = base + off
-            mean = sum(
-                (mu[v] * values[start + v * stride] for v in range(s)),
-                Fraction(0),
-            )
-            for v in range(s):
-                out[start + v * stride] = mean
-    return out
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class EfronSteinDecomposition:
     """Orthogonal components f_beta indexed by subsets of the blocks."""
 
-    __slots__ = ("domain", "blocks", "components")
-
-    def __init__(self, domain, blocks, components):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "components", dict(components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EfronSteinDecomposition is immutable")
+    domain: ProductDomain
+    blocks: tuple
+    components: dict
 
     def component(self, beta):
         return self.components[frozenset(beta)]
 
     def total(self):
-        acc = [Fraction(0)] * self.domain.size
-        for comp in self.components.values():
-            for i, v in enumerate(comp.values):
-                acc[i] += v
-        return TabulatedFunction(self.domain, acc)
+        tables = (comp.values for comp in self.components.values())
+        return TabulatedFunction(self.domain, map(sum, zip(*tables)))
 
     def norms_sq(self):
         return {beta: comp.norm_sq() for beta, comp in self.components.items()}
@@ -390,47 +369,94 @@ class EfronSteinDecomposition:
         return "EfronSteinDecomposition(%d blocks)" % len(self.blocks)
 
 
-def efron_stein(f, blocks=None):
-    """Decompose f into mean-zero components via conditional expectations.
+def _sum_out(values, stride, weights):
+    """Replace one coordinate by its weighted sum under integer weights; the
+    coordinate has the given stride and len(weights) values, and the table
+    keeps its full size."""
+    s = len(weights)
+    out = []
+    for base in range(0, len(values), stride * s):
+        rows = [values[base + v * stride:base + (v + 1) * stride]
+                for v in range(s)]
+        out += [sum(map(mul, weights, col)) for col in zip(*rows)] * s
+    return out
 
-    Component f_beta is the inclusion-exclusion (Moebius) sum of E[f | x on
-    the blocks of beta'] over beta' contained in beta. The per-coordinate
-    measure structure makes the underlying measure a product measure by
-    construction.
+
+def _split(ints, domain, blocks):
+    """(block mask, table) for every Efron-Stein component of an integer
+    table, depth first.
+
+    Each partial table t is split at block b into E_b t and t - E_b t, where
+    E_b averages out the block's coordinates. The projections run over
+    integers, so each yielded table is its component times the product of
+    every coordinate's measure denominator.
+    """
+    measures = [_scaled(m) for m in domain.measures]
+    stack = [(0, 0, ints)]
+    while stack:
+        b, mask, t = stack.pop()
+        if b == len(blocks):
+            yield mask, t
+            continue
+        mean, scale = t, 1
+        for coord in blocks[b]:
+            weights, d = measures[coord]
+            mean = _sum_out(mean, domain.stride(coord), weights)
+            scale *= d
+        stack.append((b + 1, mask | 1 << b,
+                      [scale * x - y for x, y in zip(t, mean)]))
+        stack.append((b + 1, mask, mean))
+
+
+def _members(mask, nb):
+    return frozenset(b for b in range(nb) if (mask >> b) & 1)
+
+
+def efron_stein(f, blocks=None):
+    """Decompose f into orthogonal mean-zero components, one per block set.
+
+    Component f_beta is the product over blocks of I - E_b (b in beta) or E_b
+    (b not in beta) applied to f, with E_b the conditional expectation that
+    averages out block b; built by splitting block by block in
+    O(2^nb * |dom|) integer operations. The per-coordinate measure structure
+    makes the underlying measure a product measure by construction.
     """
     domain = f.domain
     blocks = _normalize_blocks(domain, blocks)
-    nb = len(blocks)
-    # cond[m] = table of E[f | coordinates in the blocks of m], full-size.
-    cond = {}
-    full = (1 << nb) - 1
-    cond[full] = list(f.values)
-    for m in range(full - 1, -1, -1):
-        missing = next(b for b in range(nb) if not (m >> b) & 1)
-        src = cond[m | (1 << missing)]
-        vals = src
-        for coord in blocks[missing]:
-            vals = _average_out(vals, domain, coord)
-        cond[m] = vals
-    components = {}
-    for m in range(full + 1):
-        acc = [Fraction(0)] * domain.size
-        sub = m
-        while True:
-            sign = 1 if (_popcount(m) - _popcount(sub)) % 2 == 0 else -1
-            table = cond[sub]
-            if sign == 1:
-                for i in range(domain.size):
-                    acc[i] += table[i]
-            else:
-                for i in range(domain.size):
-                    acc[i] -= table[i]
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        beta = frozenset(b for b in range(nb) if (m >> b) & 1)
-        components[beta] = TabulatedFunction(domain, acc)
+    ints, den = _scaled(f.values)
+    scale = den * domain.point_weights()[1]
+    tables = dict(_split(ints, domain, blocks))
+    components = {
+        _members(m, len(blocks)): TabulatedFunction(
+            domain, (Fraction(x, scale) for x in tables[m]))
+        for m in range(1 << len(blocks))
+    }
     return EfronSteinDecomposition(domain, blocks, components)
+
+
+def _influences(f, blocks, d=None):
+    """Influence of every block: the sum of E[f_beta^2] over the component
+    sets beta that contain it and have at most d blocks (any size when d is
+    None)."""
+    blocks = _normalize_blocks(f.domain, blocks)
+    weights, wden = f.domain.point_weights()
+    ints, den = _scaled(f.values)
+    scale = den * wden
+    out = [0] * len(blocks)
+    for m, t in _split(ints, f.domain, blocks):
+        members = _members(m, len(blocks))
+        if d is None or len(members) <= d:
+            nsq = sum(map(mul, map(mul, weights, t), t))
+            for b in members:
+                out[b] += nsq
+    return [Fraction(x, wden * scale * scale) for x in out]
+
+
+def _block_index(i, nblocks):
+    i = int(i)
+    if i < 0 or i >= nblocks:
+        raise PreconditionError("block index out of range")
+    return i
 
 
 def influence(f, i, blocks=None):
@@ -439,74 +465,42 @@ def influence(f, i, blocks=None):
     With the default singleton blocks this is the usual coordinate influence
     E[Var_{x_i} f].
     """
-    dec = efron_stein(f, blocks)
-    i = int(i)
-    if i < 0 or i >= len(dec.blocks):
-        raise PreconditionError("block index out of range")
-    return sum(
-        (comp.norm_sq() for beta, comp in dec.components.items() if i in beta),
-        Fraction(0),
-    )
+    out = _influences(f, blocks)
+    return out[_block_index(i, len(out))]
 
 
 def degree_d_influence(f, i, d, blocks=None):
     """Like influence, restricted to component sets of size at most d."""
-    dec = efron_stein(f, blocks)
-    i = int(i)
-    if i < 0 or i >= len(dec.blocks):
-        raise PreconditionError("block index out of range")
-    d = int(d)
-    return sum(
-        (
-            comp.norm_sq()
-            for beta, comp in dec.components.items()
-            if i in beta and len(beta) <= d
-        ),
-        Fraction(0),
-    )
+    out = _influences(f, blocks, int(d))
+    return out[_block_index(i, len(out))]
 
 
 def influence_variance(f, i, blocks=None):
-    """The variance form: E over the other coordinates of Var over block i."""
+    """The variance form: E over the other coordinates of Var over block i,
+    that is E[E_i(f^2) - (E_i f)^2], with no Efron-Stein components."""
     domain = f.domain
     blocks = _normalize_blocks(domain, blocks)
-    i = int(i)
-    if i < 0 or i >= len(blocks):
-        raise PreconditionError("block index out of range")
-    sq = f.mul(f)
-    mean_vals = list(f.values)
-    meansq_vals = list(sq.values)
+    i = _block_index(i, len(blocks))
+    mean, den = _scaled(f.values)
+    meansq, scale = [x * x for x in mean], 1
     for coord in blocks[i]:
-        mean_vals = _average_out(mean_vals, domain, coord)
-        meansq_vals = _average_out(meansq_vals, domain, coord)
-    var = TabulatedFunction(
-        domain, (b - a * a for a, b in zip(mean_vals, meansq_vals))
-    )
-    return var.expectation()
+        weights, d = _scaled(domain.measures[coord])
+        mean = _sum_out(mean, domain.stride(coord), weights)
+        meansq = _sum_out(meansq, domain.stride(coord), weights)
+        scale *= d
+    # mean is scale * den * E_i f and meansq is scale * den^2 * E_i(f^2).
+    var = [scale * b - a * a for a, b in zip(mean, meansq)]
+    weights, wden = domain.point_weights()
+    return Fraction(sum(map(mul, weights, var)), wden * (scale * den) ** 2)
 
 
 def all_influences(f, blocks=None):
-    """Influence of every block from a single decomposition."""
-    dec = efron_stein(f, blocks)
-    out = [Fraction(0)] * len(dec.blocks)
-    for beta, comp in dec.components.items():
-        nsq = comp.norm_sq()
-        for b in beta:
-            out[b] += nsq
-    return out
+    """Influence of every block from a single split."""
+    return _influences(f, blocks)
 
 
 def all_degree_d_influences(f, d, blocks=None):
-    dec = efron_stein(f, blocks)
-    d = int(d)
-    out = [Fraction(0)] * len(dec.blocks)
-    for beta, comp in dec.components.items():
-        if len(beta) > d:
-            continue
-        nsq = comp.norm_sq()
-        for b in beta:
-            out[b] += nsq
-    return out
+    return _influences(f, blocks, int(d))
 
 
 def block_image(alpha, blocks, n):

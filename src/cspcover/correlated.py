@@ -10,11 +10,17 @@ algebra at stated tolerances; everything else is exact.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
-import numpy as np
-
-from .boolanalysis import ProductDomain, TabulatedFunction, efron_stein, influence
+from .boolanalysis import (
+    ProductDomain,
+    TabulatedFunction,
+    _scaled,
+    all_influences,
+    efron_stein,
+)
 from .errors import PreconditionError, as_budget
 
 
@@ -79,16 +85,10 @@ class CorrelatedSpace:
         return CorrelatedSpace(mu)
 
     def left_marginal_domain(self):
-        return ProductDomain(
-            (len(self.left_atoms),),
-            ((tuple(self.marginal_left[a] for a in self.left_atoms)),),
-        )
+        return _blocks_domain([self], "left")
 
     def right_marginal_domain(self):
-        return ProductDomain(
-            (len(self.right_atoms),),
-            ((tuple(self.marginal_right[a] for a in self.right_atoms)),),
-        )
+        return _blocks_domain([self], "right")
 
     def single_coordinate_marginal(self, side, coord):
         """Distribution of one coordinate of one side, as a symbol -> mass map."""
@@ -182,6 +182,8 @@ def pairwise_product_check(space):
 
 
 def _normalized_joint_matrix(space):
+    import numpy as np
+
     sp = space.drop_zero_atoms()
     nl, nr = len(sp.left_atoms), len(sp.right_atoms)
     m1 = [float(sp.marginal_left[a]) for a in sp.left_atoms]
@@ -203,6 +205,8 @@ def correlation_rho(space, tol=1e-9):
     path (maximizing the conditional-expectation norm over mean-zero g) must
     agree to 1e-8. Zero-probability atoms are dropped first.
     """
+    import numpy as np
+
     sp, mat, m2 = _normalized_joint_matrix(space)
     if len(sp.left_atoms) < 2 or len(sp.right_atoms) < 2:
         return 0.0
@@ -226,19 +230,16 @@ def correlation_rho(space, tol=1e-9):
 class MarkovOperator:
     """Conditional expectation onto the left side: (Ug)(x) = E[g(Y) | X=x].
 
-    Defined on the positive-marginal atoms; rows of the conditional table sum
-    to one, so the constant-1 function maps to constant 1.
+    Defined on the positive-marginal atoms; rows of the conditional matrix
+    sum to one, so the constant-1 function maps to constant 1.
     """
 
-    __slots__ = ("space", "cond")
+    __slots__ = ("space", "matrix")
 
     def __init__(self, space):
         sp = space.drop_zero_atoms()
-        cond = {}
-        for (la, ra), w in sp.mu.items():
-            cond.setdefault(la, {})[ra] = w / sp.marginal_left[la]
         object.__setattr__(self, "space", sp)
-        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "matrix", _block_matrix(sp))
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkovOperator is immutable")
@@ -246,16 +247,8 @@ class MarkovOperator:
     def apply(self, g):
         sp = self.space
         values = _right_values(sp, g)
-        out = []
-        for la in sp.left_atoms:
-            row = self.cond[la]
-            out.append(
-                sum(
-                    (p * values[ra] for ra, p in row.items()),
-                    Fraction(0),
-                )
-            )
-        return TabulatedFunction(sp.left_marginal_domain(), out)
+        return TabulatedFunction(sp.left_marginal_domain(), _apply_blocks(
+            [self.matrix], [values[ra] for ra in sp.right_atoms]))
 
 
 def _right_values(space, g):
@@ -279,25 +272,56 @@ def markov_apply(op, g):
     return op.apply(g)
 
 
+def _blocks_domain(blocks, side):
+    """Product domain with one coordinate per zero-free block, carrying the
+    marginal of the given side."""
+    atoms = [getattr(b, side + "_atoms") for b in blocks]
+    margs = [getattr(b, "marginal_" + side) for b in blocks]
+    return ProductDomain(
+        tuple(len(a) for a in atoms),
+        tuple(tuple(m[x] for x in a) for a, m in zip(atoms, margs)),
+    )
+
+
 def blocks_right_domain(blocks):
     """Product domain with one coordinate per block, right marginals."""
-    blocks = [b.drop_zero_atoms() for b in blocks]
-    return ProductDomain(
-        tuple(len(b.right_atoms) for b in blocks),
-        tuple(
-            tuple(b.marginal_right[a] for a in b.right_atoms) for b in blocks
-        ),
-    )
+    return _blocks_domain([b.drop_zero_atoms() for b in blocks], "right")
 
 
 def blocks_left_domain(blocks):
+    return _blocks_domain([b.drop_zero_atoms() for b in blocks], "left")
+
+
+def _block_matrix(b):
+    """A zero-free block's conditional matrix P[x][y] = mu(x, y) / mu(x)
+    over its sorted atoms, as integer rows over one denominator."""
+    flat, den = _scaled([
+        b.mu.get((la, ra), Fraction(0)) / b.marginal_left[la]
+        for la in b.left_atoms for ra in b.right_atoms
+    ])
+    width = len(b.right_atoms)
+    return [flat[i:i + width] for i in range(0, len(flat), width)], den
+
+
+def _apply_blocks(matrices, values):
+    """Apply the per-block matrices to a table over the right product
+    domain, one coordinate at a time, over integers; exact."""
+    vals, den = _scaled(values)
+    sizes = [len(rows[0]) for rows, _d in matrices]
+    for j, (rows, d) in enumerate(matrices):
+        vals, sizes = _contract_coordinate(vals, sizes, j, rows)
+        den *= d
+    return [Fraction(v, den) for v in vals]
+
+
+def _checked_blocks(blocks, g):
+    """The blocks without zero atoms, with g checked to live on their right
+    product domain."""
     blocks = [b.drop_zero_atoms() for b in blocks]
-    return ProductDomain(
-        tuple(len(b.left_atoms) for b in blocks),
-        tuple(
-            tuple(b.marginal_left[a] for a in b.left_atoms) for b in blocks
-        ),
-    )
+    if (not isinstance(g, TabulatedFunction)
+            or g.domain != _blocks_domain(blocks, "right")):
+        raise PreconditionError("g must live on the blocks' right product domain")
+    return blocks
 
 
 def markov_apply_blocks(blocks, g):
@@ -306,63 +330,41 @@ def markov_apply_blocks(blocks, g):
     g lives on the product of the blocks' right sides (one coordinate per
     block); the result lives on the product of the left sides.
     """
-    blocks = [b.drop_zero_atoms() for b in blocks]
-    domain = blocks_right_domain(blocks)
-    if not isinstance(g, TabulatedFunction) or g.domain != domain:
-        raise PreconditionError("g must live on the blocks' right product domain")
-    vals = list(g.values)
-    sizes = [len(b.right_atoms) for b in blocks]
-    for j, b in enumerate(blocks):
-        cond = MarkovOperator(b).cond
-        matrix = [
-            [cond[la].get(ra, Fraction(0)) for ra in b.right_atoms]
-            for la in b.left_atoms
-        ]
-        vals, sizes = _contract_coordinate(vals, sizes, j, matrix)
-    return TabulatedFunction(blocks_left_domain(blocks), vals)
+    blocks = _checked_blocks(blocks, g)
+    return TabulatedFunction(
+        _blocks_domain(blocks, "left"),
+        _apply_blocks([_block_matrix(b) for b in blocks], g.values),
+    )
 
 
 def _contract_coordinate(vals, sizes, j, matrix):
     """Replace coordinate j by matrix-weighted sums; sizes may change."""
     old = sizes[j]
     new = len(matrix)
-    stride = math.prod(sizes[:j]) if j else 1
-    outer = math.prod(sizes[j + 1:]) if j + 1 < len(sizes) else 1
+    stride = math.prod(sizes[:j])
+    outer = math.prod(sizes[j + 1:])
     new_sizes = list(sizes)
     new_sizes[j] = new
-    out = [Fraction(0)] * (stride * new * outer)
+    out = [0] * (stride * new * outer)
     in_block = stride * old
     out_block = stride * new
     for o in range(outer):
         for off in range(stride):
             base_in = o * in_block + off
             base_out = o * out_block + off
-            col = [vals[base_in + y * stride] for y in range(old)]
+            col = vals[base_in:base_in + in_block:stride]
             for x in range(new):
-                row = matrix[x]
-                out[base_out + x * stride] = sum(
-                    (row[y] * col[y] for y in range(old)), Fraction(0)
-                )
+                out[base_out + x * stride] = sum(map(mul, matrix[x], col))
     return out, new_sizes
 
 
+@dataclass(frozen=True, slots=True)
 class CommuteResult:
-    __slots__ = ("ok", "worst_deviation")
-
-    def __init__(self, ok, worst_deviation):
-        object.__setattr__(self, "ok", bool(ok))
-        object.__setattr__(self, "worst_deviation", float(worst_deviation))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CommuteResult is immutable")
+    ok: bool
+    worst_deviation: float
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        return "CommuteResult(ok=%r, worst_deviation=%g)" % (
-            self.ok, self.worst_deviation,
-        )
 
 
 def commute_check(blocks, g, tol=1e-9):
@@ -372,44 +374,36 @@ def commute_check(blocks, g, tol=1e-9):
     applied to the S-component of g. Both sides are computed independently
     and exactly; the worst pointwise deviation is reported against tol.
     """
-    blocks = [b.drop_zero_atoms() for b in blocks]
-    domain = blocks_right_domain(blocks)
-    if not isinstance(g, TabulatedFunction) or g.domain != domain:
-        raise PreconditionError("g must live on the blocks' right product domain")
-    ug = markov_apply_blocks(blocks, g)
+    blocks = _checked_blocks(blocks, g)
+    matrices = [_block_matrix(b) for b in blocks]
+    ug = TabulatedFunction(
+        _blocks_domain(blocks, "left"), _apply_blocks(matrices, g.values)
+    )
     dec_g = efron_stein(g)
     dec_ug = efron_stein(ug)
     worst = Fraction(0)
     for beta, comp in dec_g.components.items():
         lhs = dec_ug.components[beta]
-        rhs = markov_apply_blocks(blocks, comp)
-        for a, b in zip(lhs.values, rhs.values):
+        rhs = _apply_blocks(matrices, comp.values)
+        for a, b in zip(lhs.values, rhs):
             dev = abs(a - b)
             if dev > worst:
                 worst = dev
     return CommuteResult(float(worst) <= tol, float(worst))
 
 
+@dataclass(frozen=True, slots=True)
 class InvarianceGap:
     """Gap and bound from the product-vs-coupled comparison; iterates as
     (gap, bound) for tuple unpacking."""
 
-    __slots__ = ("gap", "bound", "tau", "gamma")
-
-    def __init__(self, gap, bound, tau, gamma):
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "bound", float(bound))
-        object.__setattr__(self, "tau", float(tau))
-        object.__setattr__(self, "gamma", float(gamma))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvarianceGap is immutable")
+    gap: Fraction
+    bound: float
+    tau: float
+    gamma: float
 
     def __iter__(self):
         return iter((self.gap, self.bound))
-
-    def __repr__(self):
-        return "InvarianceGap(gap=%s, bound=%g)" % (self.gap, self.bound)
 
 
 def _symbol_axis(space, side):
@@ -460,52 +454,52 @@ def invariance_gap(space, nblocks, f, g, budget=None):
         raise PreconditionError("f and g must be bounded in [-1, 1]")
     left_index = {s: i for i, s in enumerate(left_sym)}
     right_index = {s: i for i, s in enumerate(right_sym)}
-    support = space.support()
 
-    def coupled_expectation():
-        total = Fraction(0)
-        for cols in itertools.product(support, repeat=nblocks):
-            budget.spend()
-            w = Fraction(1)
-            for la, ra in cols:
-                w *= space.mu[(la, ra)]
-            term = Fraction(1)
-            for row in range(k):
-                fx = f.values[fdom.index(
-                    tuple(left_index[cols[c][0][row]] for c in range(nblocks))
-                )]
-                gy = g.values[gdom.index(
-                    tuple(right_index[cols[c][1][row]] for c in range(nblocks))
-                )]
-                term *= fx * gy
-            total += w * term
-        return total
+    def expectation(measure, indexes, tables):
+        """E over nblocks independent columns, each an atom of `measure` (one
+        symbol row per side), of the product over sides and rows of the
+        side's table at the row's word; summed over integers, divided once."""
+        atoms = [a for a, w in measure.items() if w > 0]
+        weights, den = _scaled([measure[a] for a in atoms])
+        den **= nblocks
+        values, base = [], ()
+        for ints, t_den in tables:
+            base += (len(values),) * k
+            values += ints
+            den *= t_den ** k
+        # Per column, each atom's weight and its per-row table offsets.
+        *outer, last = [
+            [(w, tuple(index[part[row]] * len(index) ** c
+                       for part, index in zip(atom, indexes)
+                       for row in range(k)))
+             for w, atom in zip(weights, atoms)]
+            for c in range(nblocks)
+        ]
+        total = 0
+        for combo in itertools.product(*outer):
+            start = base
+            for _w, offs in combo:
+                start = tuple(map(add, start, offs))
+            total += math.prod(w for w, _offs in combo) * sum(
+                w * math.prod(map(values.__getitem__, map(add, start, offs)))
+                for w, offs in last
+            )
+        return Fraction(total, den)
 
-    def one_side_expectation(side, fn, dom, sym_index):
-        marg = (
-            space.marginal_left if side == "left" else space.marginal_right
-        )
-        atoms = [(a, w) for a, w in marg.items() if w > 0]
-        total = Fraction(0)
-        for cols in itertools.product(atoms, repeat=nblocks):
-            budget.spend()
-            w = Fraction(1)
-            for _a, wa in cols:
-                w *= wa
-            term = Fraction(1)
-            for row in range(k):
-                term *= fn.values[dom.index(
-                    tuple(sym_index[cols[c][0][row]] for c in range(nblocks))
-                )]
-            total += w * term
-        return total
-
-    coupled = coupled_expectation()
-    left_only = one_side_expectation("left", f, fdom, left_index)
-    right_only = one_side_expectation("right", g, gdom, right_index)
+    left = {(a,): w for a, w in space.marginal_left.items()}
+    right = {(a,): w for a, w in space.marginal_right.items()}
+    budget.spend(sum(
+        sum(1 for w in m.values() if w > 0) ** nblocks
+        for m in (space.mu, left, right)
+    ))
+    f_ints, g_ints = _scaled(f.values), _scaled(g.values)
+    coupled = expectation(space.mu, (left_index, right_index),
+                          (f_ints, g_ints))
+    left_only = expectation(left, (left_index,), (f_ints,))
+    right_only = expectation(right, (right_index,), (g_ints,))
     gap = abs(coupled - left_only * right_only)
-    inf_f = [influence(f, i) for i in range(nblocks)]
-    inf_g = [influence(g, i) for i in range(nblocks)]
+    inf_f = all_influences(f)
+    inf_g = all_influences(g)
     tau = math.sqrt(float(sum(a * b for a, b in zip(inf_f, inf_g))))
     gamma = math.sqrt(max(float(sum(inf_f)), float(sum(inf_g))))
     bound = float(2 ** (4 * k + 1)) * gamma * tau
@@ -514,3 +508,4 @@ def invariance_gap(space, nblocks, f, g, budget=None):
             "gap %s exceeded its bound %g" % (float(gap), bound)
         )
     return InvarianceGap(gap, bound, tau, gamma)
+

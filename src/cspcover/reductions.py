@@ -10,8 +10,8 @@ need them.
 """
 
 import itertools
-import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from .boolanalysis import (
@@ -26,7 +26,7 @@ from .correlated import CorrelatedSpace
 from .csp import Assignment, CoverSet, CspInstance, covered_fraction
 from .errors import BudgetExceededError, PreconditionError, as_budget
 from .labelcover import Labeling, satisfied_fraction
-from .predicate import add_tuples, lin, nae, translate_orbit
+from .predicate import lin, nae, translate_orbit
 
 DEFAULT_SUPPORT_CAP = 4_000_000
 
@@ -1085,16 +1085,17 @@ def sample_t1(params, n, seed):
     return CspInstance(params.predicate, variables, constraints)
 
 
-def _weighted_choice(rng, items):
-    r = rng.random()
-    acc = 0.0
-    last = None
-    for key, weight in items:
-        acc += float(weight)
-        last = key
-        if r < acc:
-            return key
-    return last
+def _cumulative(items):
+    """Keys and float running sums of (key, weight) pairs, in order."""
+    keys, weights = zip(*items)
+    return keys, list(itertools.accumulate(float(w) for w in weights))
+
+
+def _weighted_choice(rng, table):
+    """The first key whose running sum exceeds a uniform draw, or the last
+    key when rounding leaves the draw above every sum."""
+    keys, sums = table
+    return keys[min(bisect_right(sums, rng.random()), len(keys) - 1)]
 
 
 def sample_t2(params, n, seed):
@@ -1107,7 +1108,7 @@ def sample_t2(params, n, seed):
     k, d = params.k, params.d
     L = g.nlabels_u
     R = g.nlabels_v
-    block = list(t2_block_table(params).items())
+    block = _cumulative(t2_block_table(params).items())
     dom, variables, var_index = _grid_variables(g, 2, 2 * R)
     zeros = (0,) * (2 * k)
     w = Fraction(1, n)
@@ -1157,9 +1158,9 @@ def sample_t3(params, n, seed):
         ev = eids[rng.randrange(len(eids))]
         ew = eids[rng.randrange(len(eids))]
         if (ev, ew) not in deltas:
-            deltas[(ev, ew)] = sorted(
+            deltas[(ev, ew)] = _cumulative(sorted(
                 t3_delta_table(g, ev, ew, params.eps).items()
-            )
+            ))
         dv, dw = _weighted_choice(rng, deltas[(ev, ew)])
         x = tuple(rng.randrange(2) for _ in range(2 * R))
         xp = tuple(rng.randrange(2) for _ in range(2 * R))

@@ -193,3 +193,139 @@ def petersen_edges():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return outer + spokes + inner
+
+
+def _average_out(values, sizes, measures, coord):
+    """Replace coordinate `coord` by its mean under its measure; the table
+    keeps its full size."""
+    s = sizes[coord]
+    stride = 1
+    for c in range(coord):
+        stride *= sizes[c]
+    out = list(values)
+    for base in range(0, len(values), stride * s):
+        for start in range(base, base + stride):
+            mean = sum(
+                (measures[coord][v] * values[start + v * stride]
+                 for v in range(s)),
+                Fraction(0),
+            )
+            for v in range(s):
+                out[start + v * stride] = mean
+    return out
+
+
+def moebius_efron_stein(values, sizes, measures, blocks):
+    """Efron-Stein components by block mask, as the Moebius (inclusion-
+    exclusion) sum of the conditional expectations E[f | blocks of m'] over
+    m' contained in m."""
+    nb = len(blocks)
+    full = (1 << nb) - 1
+    cond = {full: [Fraction(v) for v in values]}
+    for m in range(full - 1, -1, -1):
+        missing = next(b for b in range(nb) if not (m >> b) & 1)
+        vals = cond[m | (1 << missing)]
+        for coord in blocks[missing]:
+            vals = _average_out(vals, sizes, measures, coord)
+        cond[m] = vals
+    components = {}
+    for m in range(full + 1):
+        acc = [Fraction(0)] * len(values)
+        sub = m
+        while True:
+            sign = -1 if bin(m ^ sub).count("1") % 2 else 1
+            for i, v in enumerate(cond[sub]):
+                acc[i] += sign * v
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+        components[m] = acc
+    return components
+
+
+def point_weight(sizes, measures, index):
+    w = Fraction(1)
+    for s, coord in zip(sizes, measures):
+        w *= coord[index % s]
+        index //= s
+    return w
+
+
+def moebius_influences(values, sizes, measures, blocks, d=None):
+    """Influence of every block, summed over Moebius components of at most
+    d blocks (every component when d is None)."""
+    out = [Fraction(0)] * len(blocks)
+    for m, comp in moebius_efron_stein(values, sizes, measures, blocks).items():
+        members = [b for b in range(len(blocks)) if (m >> b) & 1]
+        if d is not None and len(members) > d:
+            continue
+        nsq = sum(
+            (point_weight(sizes, measures, i) * v * v
+             for i, v in enumerate(comp)),
+            Fraction(0),
+        )
+        for b in members:
+            out[b] += nsq
+    return out
+
+
+def invariance_gap_reference(space, nblocks, f, g):
+    """The coupled and product expectations of the invariance gap, term by
+    term in Fraction arithmetic, with the influence quantities from Moebius
+    decompositions.
+
+    Returns (gap, tau, gamma, terms): terms is the number of column tuples
+    enumerated over the three sums.
+    """
+    import math
+
+    k = space.k_left
+    fdom, gdom = f.domain, g.domain
+    left_sym = sorted({la[r] for (la, _ra) in space.mu for r in range(k)})
+    right_sym = sorted({ra[r] for (_la, ra) in space.mu for r in range(k)})
+    left_index = {s: i for i, s in enumerate(left_sym)}
+    right_index = {s: i for i, s in enumerate(right_sym)}
+    support = [key for key, w in sorted(space.mu.items()) if w > 0]
+    terms = 0
+
+    def row_index(dom, sym_index, cols, side, row):
+        return dom.index(
+            tuple(sym_index[cols[c][side][row]] for c in range(nblocks))
+        )
+
+    coupled = Fraction(0)
+    for cols in itertools.product(support, repeat=nblocks):
+        terms += 1
+        w = Fraction(1)
+        for key in cols:
+            w *= space.mu[key]
+        term = Fraction(1)
+        for row in range(k):
+            term *= f.values[row_index(fdom, left_index, cols, 0, row)]
+            term *= g.values[row_index(gdom, right_index, cols, 1, row)]
+        coupled += w * term
+
+    def one_side(marg, fn, dom, sym_index):
+        nonlocal terms
+        atoms = [(a, w) for a, w in sorted(marg.items()) if w > 0]
+        total = Fraction(0)
+        for cols in itertools.product(atoms, repeat=nblocks):
+            terms += 1
+            w = Fraction(1)
+            for _a, wa in cols:
+                w *= wa
+            term = Fraction(1)
+            for row in range(k):
+                term *= fn.values[row_index(dom, sym_index, cols, 0, row)]
+            total += w * term
+        return total
+
+    left_only = one_side(space.marginal_left, f, fdom, left_index)
+    right_only = one_side(space.marginal_right, g, gdom, right_index)
+    gap = abs(coupled - left_only * right_only)
+    singletons = [(i,) for i in range(nblocks)]
+    inf_f = moebius_influences(f.values, fdom.sizes, fdom.measures, singletons)
+    inf_g = moebius_influences(g.values, gdom.sizes, gdom.measures, singletons)
+    tau = math.sqrt(float(sum(a * b for a, b in zip(inf_f, inf_g))))
+    gamma = math.sqrt(max(float(sum(inf_f)), float(sum(inf_g))))
+    return gap, tau, gamma, terms

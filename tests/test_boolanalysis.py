@@ -442,3 +442,86 @@ class TestFourierTableType:
         assert isinstance(d, EfronSteinDecomposition)
         with pytest.raises(AttributeError):
             d.blocks = ()
+
+
+@st.composite
+def grouped_tables(draw):
+    """A rational table on a random product domain (sizes 1-3, nonnegative
+    integer masses, some zero) with a random grouping into blocks."""
+    n = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n)]
+    measures = []
+    for s in sizes:
+        masses = draw(st.lists(st.integers(0, 3), min_size=s, max_size=s)
+                      .filter(any))
+        measures.append(tuple(Fraction(m, sum(masses)) for m in masses))
+    size = 1
+    for s in sizes:
+        size *= s
+    values = draw(st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        min_size=size, max_size=size,
+    ))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    blocks = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    return TabulatedFunction(ProductDomain(sizes, measures), values), blocks
+
+
+class TestSplitAgainstMoebius:
+    """The block-by-block split equals the Moebius construction exactly."""
+
+    @given(grouped_tables())
+    def test_components_match(self, case):
+        f, blocks = case
+        dom = f.domain
+        ref = oracles.moebius_efron_stein(
+            f.values, dom.sizes, dom.measures, [sorted(b) for b in blocks]
+        )
+        dec = efron_stein(f, blocks=blocks)
+        assert len(dec.components) == len(ref)
+        for m, comp in ref.items():
+            beta = [b for b in range(len(blocks)) if (m >> b) & 1]
+            assert list(dec.component(beta).values) == comp
+
+    @given(grouped_tables())
+    def test_influence_wrappers_match(self, case):
+        f, blocks = case
+        dom = f.domain
+        sorted_blocks = [sorted(b) for b in blocks]
+
+        def ref(d=None):
+            return oracles.moebius_influences(
+                f.values, dom.sizes, dom.measures, sorted_blocks, d
+            )
+
+        assert all_influences(f, blocks=blocks) == ref()
+        for i, want in enumerate(ref()):
+            assert influence(f, i, blocks=blocks) == want
+            assert influence_variance(f, i, blocks=blocks) == want
+        for d in range(len(blocks) + 1):
+            assert all_degree_d_influences(f, d, blocks=blocks) == ref(d)
+            for i, want in enumerate(ref(d)):
+                assert degree_d_influence(f, i, d, blocks=blocks) == want
+
+    @given(grouped_tables())
+    def test_point_weights_match_measures(self, case):
+        f, _blocks = case
+        dom = f.domain
+        weights = [oracles.point_weight(dom.sizes, dom.measures, i)
+                   for i in range(dom.size)]
+        ints, den = dom.point_weights()
+        assert [Fraction(w, den) for w in ints] == weights
+        assert f.expectation() == sum(
+            (w * v for w, v in zip(weights, f.values)), Fraction(0)
+        )
+        assert f.norm_sq() == sum(
+            (w * v * v for w, v in zip(weights, f.values)), Fraction(0)
+        )
+
+    def test_rejects_block_index_out_of_range(self):
+        for call in (lambda: influence(MAJORITY3, 3),
+                     lambda: degree_d_influence(MAJORITY3, -1, 2),
+                     lambda: influence_variance(MAJORITY3, 3)):
+            with pytest.raises(PreconditionError):
+                call()

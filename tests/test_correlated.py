@@ -1,11 +1,15 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cspcover import (
+    Budget,
+    BudgetExceededError,
     CorrelatedSpace,
     Edge,
     LabelCoverInstance,
@@ -29,6 +33,7 @@ from cspcover import (
     t1_connect_atoms,
     t2_block_space,
 )
+from cspcover import correlated
 
 import oracles
 
@@ -353,3 +358,130 @@ class TestInvarianceGap:
         f = TabulatedFunction(ProductDomain.binary_uniform(2), [1, -1, 1, -1])
         with pytest.raises(PreconditionError):
             invariance_gap(sp, 1, f, f)
+
+
+def pairwise_space(p, lam, zero_atom=False, swap=False):
+    """Two rows per side: x1, x2 independent with P(x = 1) = p, a uniform
+    bit z, and y = (x1 ^ z, x2 ^ z), mixed with weight 1 - lam with the
+    product of its two marginals. Pairwise marginals factorize for every
+    lam; the left side is non-uniform unless p = 1/2. zero_atom adds a
+    zero-mass atom with a third symbol on both sides; swap exchanges the
+    sides."""
+    pm = (1 - p, p)
+    coupled = {}
+    for x1, x2, z in itertools.product((0, 1), repeat=3):
+        key = ((x1, x2), (x1 ^ z, x2 ^ z))
+        coupled[key] = coupled.get(key, 0) + pm[x1] * pm[x2] / 2
+    left, right = {}, {}
+    for (la, ra), w in coupled.items():
+        left[la] = left.get(la, 0) + w
+        right[ra] = right.get(ra, 0) + w
+    mu = {}
+    for la, wl in left.items():
+        for ra, wr in right.items():
+            w = lam * coupled.get((la, ra), 0) + (1 - lam) * wl * wr
+            mu[(ra, la) if swap else (la, ra)] = w
+    if zero_atom:
+        mu[((2, 2), (2, 2))] = Fraction(0)
+    return CorrelatedSpace(mu)
+
+
+def side_domains(space, nblocks):
+    out = []
+    for side in ("left", "right"):
+        marg = space.single_coordinate_marginal(side, 0)
+        measure = tuple(marg[s] for s in sorted(marg))
+        out.append(ProductDomain((len(measure),) * nblocks,
+                                 (measure,) * nblocks))
+    return out
+
+
+def assert_matches_reference(space, nblocks, f, g):
+    """Gap, tau, Gamma, bound and budget equal the Fraction reference."""
+    budget = Budget(10**9)
+    res = invariance_gap(space, nblocks, f, g, budget=budget)
+    gap, tau, gamma, terms = oracles.invariance_gap_reference(
+        space, nblocks, f, g
+    )
+    assert res.gap == gap
+    assert res.tau == tau and res.gamma == gamma
+    assert res.bound == float(2 ** (4 * space.k_left + 1)) * gamma * tau
+    assert budget.used == terms
+    return res
+
+
+GAP_VALUES = (-1, Fraction(-1, 2), Fraction(-1, 3), 0, Fraction(2, 3), 1)
+
+
+class TestInvarianceGapAgainstReference:
+    def test_block_space_family(self):
+        rng = random.Random(909)
+        sp = t2_block_space(t2_params(Fraction(1, 4)))
+        fdom, gdom = side_domains(sp, 2)
+        f = TabulatedFunction(fdom, [rng.choice(GAP_VALUES)
+                                     for _ in range(fdom.size)])
+        g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
+                                     for _ in range(gdom.size)])
+        assert_matches_reference(sp, 2, f, g)
+
+    def test_product_family(self):
+        rng = random.Random(910)
+        for _ in range(6):
+            pm = (Fraction(rng.randrange(1, 4), 4),)
+            qm = (Fraction(rng.randrange(1, 4), 4),)
+            pm, qm = (1 - pm[0], pm[0]), (1 - qm[0], qm[0])
+            pairs = list(itertools.product((0, 1), repeat=2))
+            sp = product_space({t: pm[t[0]] * pm[t[1]] for t in pairs},
+                               {t: qm[t[0]] * qm[t[1]] for t in pairs})
+            fdom, gdom = side_domains(sp, 2)
+            f = TabulatedFunction(fdom, [rng.choice(GAP_VALUES)
+                                         for _ in range(4)])
+            g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
+                                         for _ in range(4)])
+            assert assert_matches_reference(sp, 2, f, g).gap == 0
+
+    def test_random_small_spaces(self):
+        rng = random.Random(911)
+        for case in range(18):
+            sp = pairwise_space(
+                Fraction(rng.randrange(1, 4), 4),
+                Fraction(rng.randrange(0, 5), 4),
+                zero_atom=case % 3 == 0,
+                swap=case % 2 == 1,
+            )
+            nblocks = 1 + case % 3
+            fdom, gdom = side_domains(sp, nblocks)
+            f = TabulatedFunction(fdom, [rng.choice(GAP_VALUES)
+                                         for _ in range(fdom.size)])
+            g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
+                                         for _ in range(gdom.size)])
+            assert_matches_reference(sp, nblocks, f, g)
+
+    def test_budget_is_checked_before_summing(self):
+        sp = pairwise_space(Fraction(1, 4), Fraction(1, 2))
+        fdom, gdom = side_domains(sp, 2)
+        f = TabulatedFunction(fdom, [1] * fdom.size)
+        g = TabulatedFunction(gdom, [1] * gdom.size)
+        with pytest.raises(BudgetExceededError):
+            invariance_gap(sp, 2, f, g, budget=Budget(10))
+
+    def test_gap_above_bound_raises(self, monkeypatch):
+        sp = pairwise_space(Fraction(1, 2), Fraction(1))
+        fdom, gdom = side_domains(sp, 1)
+        f = TabulatedFunction(fdom, [1, -1])
+        g = TabulatedFunction(gdom, [1, -1])
+        assert invariance_gap(sp, 1, f, g).gap > 0
+        monkeypatch.setattr(correlated, "all_influences",
+                            lambda fn: [Fraction(0)] * fn.domain.n)
+        with pytest.raises(ArithmeticError):
+            invariance_gap(sp, 1, f, g)
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is imported by the correlation code on first use only."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cspcover; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
