@@ -7,10 +7,11 @@ predicate, coordinatewise mod q. Covering semantics ignore weights (every
 positive-weight constraint must be hit); fraction semantics use weights.
 """
 
+import math
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PreconditionError, as_budget
-from .predicate import add_tuples, constant_tuple, is_odd, is_shift_closed
+from .errors import PreconditionError, as_budget
+from .predicate import add_tuples, is_odd, is_shift_closed, sub_tuples
 
 
 class Constraint:
@@ -113,7 +114,7 @@ class Assignment:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(int(x) for x in values))
+        object.__setattr__(self, "values", tuple(map(int, values)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Assignment is immutable")
@@ -220,68 +221,163 @@ def trivial_odd_cover(inst, a):
     return CoverSet(translate_assignment(a, b, q) for b in range(q))
 
 
-def _coverage_masks(inst, budget):
-    """Deduplicated (mask, assignment) pairs over positive-weight constraints.
+def _bit_indices(m):
+    """Indices of the set bits of m, ascending."""
+    return [j for j, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]
 
-    Fixes the leading variable to 0 when the predicate is closed under global
-    translation; translates then produce identical masks, so nothing is lost.
+
+def _coverage_masks(inst, budget):
+    """Undominated (mask, assignment) pairs over positive-weight constraints,
+    and per constraint j the set of indices of the pairs whose mask holds j,
+    as a bitset.
+
+    Only variables in some positive-weight scope are enumerated, in index
+    order and lexicographically, so each mask keeps its lex-least assignment:
+    untouched variables are 0. When the predicate is closed under global
+    translation the first touched variable is fixed to 0; translates then
+    produce identical masks, so nothing is lost.
+
+    The constraints on one variable set share a table attached to the depth
+    of the set's last variable. Row i of the table, for the earlier variables'
+    values read as base-q digits, packs the constraints satisfied under each
+    value v of the last variable at bit offset v * len(cons), so one OR per
+    table and tree node yields the masks of all of a node's children.
     """
     q = inst.predicate.q
-    n = inst.nvars
-    pred = inst.predicate
     cons = [c for c in inst.constraints if c.weight > 0]
-    seen = {}
-    order = []
-    first_range = range(1) if (n > 0 and is_shift_closed(pred)) else range(q)
-    stack_values = [0] * n
+    touched = sorted({v for c in cons for v in c.vars})
+    t = len(touched)
+    if t == 0:
+        return [], []
+    radix = [q] * t
+    if is_shift_closed(inst.predicate):
+        radix[0] = 1
+    width = len(cons)
+    budget.spend(width * math.prod(radix))
 
-    def emit(values):
-        budget.spend(len(cons))
-        mask = 0
-        for j, c in enumerate(cons):
-            vals = tuple(values[v] for v in c.vars)
-            if add_tuples(vals, c.literals, q) in pred:
-                mask |= 1 << j
-        if mask and mask not in seen:
-            seen[mask] = Assignment(values)
-            order.append(mask)
+    depth = {v: d for d, v in enumerate(touched)}
+    members = inst.predicate.members
+    tables = {}
+    cells = {}
+    for j, c in enumerate(cons):
+        scope = sorted(set(c.vars))
+        digit = tuple(scope.index(v) for v in c.vars)
+        key = (digit, c.literals)
+        if key not in cells:
+            # (row, offset) of each member minus the literals, read on the
+            # scope's distinct variables; repeated variables must agree.
+            cell = []
+            for p in members:
+                x = [None] * len(scope)
+                for i, xi in zip(digit, sub_tuples(p, c.literals, q)):
+                    if x[i] is None:
+                        x[i] = xi
+                    elif x[i] != xi:
+                        break
+                else:
+                    row = 0
+                    for xi in x[:-1]:
+                        row = row * q + xi
+                    cell.append((row, x[-1] * width))
+            cells[key] = cell
+        scope = tuple(scope)
+        rows = tables.get(scope)
+        if rows is None:
+            rows = tables[scope] = [0] * q ** (len(scope) - 1)
+        for row, offset in cells[key]:
+            rows[row] |= 1 << (offset + j)
+    attached = [[] for _ in range(t)]
+    for scope, rows in tables.items():
+        attached[depth[scope[-1]]].append((rows, [depth[v] for v in scope[:-1]]))
+    spread = sum(1 << (v * width) for v in range(q))
+    full = (1 << width) - 1
+    vals = [0] * t
 
-    def rec(pos):
-        if pos == n:
-            emit(stack_values)
-            return
-        rng = first_range if pos == 0 else range(q)
-        for val in rng:
-            stack_values[pos] = val
-            rec(pos + 1)
+    def expand(d, m):
+        """Masks of the children of a depth-d node with prefix mask m."""
+        p = m * spread
+        for rows, earlier in attached[d]:
+            i = 0
+            for e in earlier:
+                i = i * q + vals[e]
+            p |= rows[i]
+        return [(p >> s) & full for s in range(0, radix[d] * width, width)]
 
-    if n == 0:
-        return [], cons
-    rec(0)
+    # Iterative depth-first walk; kids[d] holds the child masks of the
+    # current node at depth d, vals[d] the value taken at depth d.
+    last = t - 1
+    kids = [None] * t
+    kids[0] = expand(0, 0)
+    first = {}
+    leaf = 0
+    d = 0
+    while True:
+        while d < last:
+            m = kids[d][vals[d]]
+            d += 1
+            vals[d] = 0
+            kids[d] = expand(d, m)
+        for m in kids[last]:
+            if m not in first:
+                first[m] = leaf
+            leaf += 1
+        d = last - 1
+        while d >= 0 and vals[d] + 1 == radix[d]:
+            d -= 1
+        if d < 0:
+            break
+        vals[d] += 1
+    first.pop(0, None)
+
     # Drop masks dominated by a superset mask; lossless for minimum covers.
-    masks = sorted(order, key=lambda m: -bin(m).count("1"))
+    # holders[j] has bit r set when kept mask r contains constraint j, so a
+    # mask is dominated iff the AND of holders over its bits is nonzero.
+    holders = [0] * width
     kept = []
-    for m in masks:
-        if not any((m | k) == k for k in kept):
-            kept.append(m)
-    return [(m, seen[m]) for m in kept], cons
+    for m in sorted(first, key=int.bit_count, reverse=True):
+        bits = _bit_indices(m)
+        common = -1
+        for j in bits:
+            common &= holders[j]
+            if not common:
+                break
+        if common:
+            continue
+        flag = 1 << len(kept)
+        for j in bits:
+            holders[j] |= flag
+        kept.append(m)
+
+    # Decode the kept masks' first leaves digit by digit, one column per
+    # touched variable; untouched variables stay 0.
+    index = [first[m] for m in kept]
+    columns = [[0] * len(kept)] * inst.nvars
+    for d in range(last, -1, -1):
+        r = radix[d]
+        columns[touched[d]] = [i % r for i in index]
+        index = [i // r for i in index]
+    return list(zip(kept, map(Assignment, zip(*columns)))), holders
 
 
 def _cover_search(inst, max_c, budget):
     """Smallest cover of size <= max_c, or None. Exact."""
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
-    positive = [c for c in inst.constraints if c.weight > 0]
-    if not positive:
+    if not any(c.weight > 0 for c in inst.constraints):
         return 0, CoverSet([Assignment([0] * inst.nvars)]) if inst.nvars else None
-    pairs, cons = _coverage_masks(inst, budget)
-    full_mask = (1 << len(cons)) - 1
-    union_all = 0
-    for m, _ in pairs:
-        union_all |= m
-    if union_all != full_mask:
+    pairs, holders = _coverage_masks(inst, budget)
+    full_mask = (1 << len(holders)) - 1
+    if not all(holders):
         return None, None
     masks = [m for m, _ in pairs]
+    counts = [h.bit_count() for h in holders]
+    candidates = {}
+
+    def options(j):
+        """The masks holding constraint j, in the order of `masks`."""
+        if j not in candidates:
+            candidates[j] = [masks[r] for r in _bit_indices(holders[j])]
+        return candidates[j]
 
     def search(covered, chosen, remaining):
         budget.spend()
@@ -290,19 +386,17 @@ def _cover_search(inst, max_c, budget):
         if remaining == 0:
             return None
         # Branch on the uncovered constraint with the fewest candidate masks.
-        uncovered = (~covered) & full_mask
-        bit = uncovered & (-uncovered)
-        best_bit, best_opts = None, None
-        scan = uncovered
+        scan = (~covered) & full_mask
+        best = None
         while scan:
             b = scan & (-scan)
-            opts = [m for m in masks if m & b]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_bit, best_opts = b, opts
-                if len(opts) <= 1:
+            j = b.bit_length() - 1
+            if best is None or counts[j] < counts[best]:
+                best = j
+                if counts[j] <= 1:
                     break
             scan ^= b
-        for m in best_opts:
+        for m in options(best):
             chosen.append(m)
             found = search(covered | m, chosen, remaining - 1)
             chosen.pop()
@@ -330,10 +424,7 @@ def covering_number(inst, max_c, budget=None):
 
 def find_cover(inst, max_c, budget=None):
     """A witness CoverSet of minimum size <= max_c, or None."""
-    c, cover = _cover_search(inst, max_c, as_budget(budget))
-    if c == 0 or c is None:
-        return cover
-    return cover
+    return _cover_search(inst, max_c, as_budget(budget))[1]
 
 
 def max_independent_set(inst, budget=None):
@@ -343,12 +434,9 @@ def max_independent_set(inst, budget=None):
     """
     budget = as_budget(budget)
     n = inst.nvars
-    cons = []
-    for c in inst.constraints:
-        if c.weight > 0:
-            s = frozenset(c.vars)
-            cons.append(s)
-    cons = sorted(set(cons), key=lambda s: sorted(s))
+    cons = sorted(
+        {frozenset(c.vars) for c in inst.constraints if c.weight > 0}, key=sorted
+    )
     # Constraints touching each variable, for incremental violation counts.
     touching = [[] for _ in range(n)]
     for j, s in enumerate(cons):
@@ -356,32 +444,37 @@ def max_independent_set(inst, budget=None):
             touching[v].append(j)
     need = [len(s) for s in cons]
     inside = [0] * len(cons)
-    best = {"size": -1, "set": ()}
+    best_size, best_set = -1, ()
     chosen = []
-
-    def rec(v):
-        budget.spend()
-        if len(chosen) + (n - v) <= best["size"]:
-            return
-        if v == n:
-            if len(chosen) > best["size"]:
-                best["size"] = len(chosen)
-                best["set"] = tuple(chosen)
-            return
-        blocked = any(inside[j] == need[j] - 1 for j in touching[v] if need[j] >= 1)
-        fully = any(need[j] == 1 for j in touching[v])
-        if not blocked and not fully:
-            chosen.append(v)
-            for j in touching[v]:
-                inside[j] += 1
-            rec(v + 1)
+    # Explicit stack: v enters the node for variable v (include v, then
+    # exclude it); ~v undoes the inclusion of v and enters the exclude branch.
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            v = ~v
             for j in touching[v]:
                 inside[j] -= 1
             chosen.pop()
-        rec(v + 1)
-
-    rec(0)
-    return best["size"], best["set"]
+            stack.append(v + 1)
+            continue
+        budget.spend()
+        if len(chosen) + (n - v) <= best_size:
+            continue
+        if v == n:
+            if len(chosen) > best_size:
+                best_size, best_set = len(chosen), tuple(chosen)
+            continue
+        # v would complete a constraint whose other variables are all chosen.
+        if any(inside[j] == need[j] - 1 for j in touching[v]):
+            stack.append(v + 1)
+            continue
+        chosen.append(v)
+        for j in touching[v]:
+            inside[j] += 1
+        stack.append(~v)
+        stack.append(v + 1)
+    return best_size, best_set
 
 
 def cover_to_coloring(cs, inst):

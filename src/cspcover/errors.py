@@ -36,9 +36,17 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise BudgetExceededError(
-                "enumeration budget exceeded (%d > %d candidate evaluations)"
-                % (self.used, self.limit)
+                "enumeration budget exceeded (%s > %d candidate evaluations)"
+                % (_magnitude(self.used), self.limit)
             )
+
+
+def _magnitude(n):
+    """n in decimal, or a power-of-two floor when it is too long to print; a
+    bulk spend can be as large as q^nvars."""
+    if n.bit_length() <= 64:
+        return "%d" % n
+    return "at least 2^%d" % (n.bit_length() - 1)
 
 
 def as_budget(budget):

@@ -8,6 +8,9 @@ second, structurally different derivation.
 import itertools
 from fractions import Fraction
 
+from cspcover.csp import Assignment
+from cspcover.predicate import add_tuples, is_shift_closed
+
 
 def brute_chromatic_number(nvertices, edges):
     """Smallest t admitting a proper coloring, by backtracking."""
@@ -96,6 +99,97 @@ def brute_max_independent_set(inst):
         if all(not t <= chosen for t in tuples):
             best = len(chosen)
     return best
+
+
+def reference_coverage_masks(inst, budget):
+    """Undominated (mask, assignment) pairs by enumerating every variable.
+
+    The original search: a recursion over all q^n assignments (variable 0
+    fixed to 0 under shift-closure), one membership test per constraint per
+    leaf, and a quadratic dominance scan.
+    """
+    q = inst.predicate.q
+    n = inst.nvars
+    pred = inst.predicate
+    cons = [c for c in inst.constraints if c.weight > 0]
+    seen = {}
+    order = []
+    first_range = range(1) if (n > 0 and is_shift_closed(pred)) else range(q)
+    stack_values = [0] * n
+
+    def emit(values):
+        budget.spend(len(cons))
+        mask = 0
+        for j, c in enumerate(cons):
+            vals = tuple(values[v] for v in c.vars)
+            if add_tuples(vals, c.literals, q) in pred:
+                mask |= 1 << j
+        if mask and mask not in seen:
+            seen[mask] = Assignment(values)
+            order.append(mask)
+
+    def rec(pos):
+        if pos == n:
+            emit(stack_values)
+            return
+        rng = first_range if pos == 0 else range(q)
+        for val in rng:
+            stack_values[pos] = val
+            rec(pos + 1)
+
+    if n == 0:
+        return [], cons
+    rec(0)
+    masks = sorted(order, key=lambda m: -bin(m).count("1"))
+    kept = []
+    for m in masks:
+        if not any((m | k) == k for k in kept):
+            kept.append(m)
+    return [(m, seen[m]) for m in kept], cons
+
+
+def reference_max_independent_set(inst, budget):
+    """The original recursive maximum independent set search: (size,
+    witness), spending one budget unit per node."""
+    n = inst.nvars
+    cons = []
+    for c in inst.constraints:
+        if c.weight > 0:
+            s = frozenset(c.vars)
+            cons.append(s)
+    cons = sorted(set(cons), key=lambda s: sorted(s))
+    touching = [[] for _ in range(n)]
+    for j, s in enumerate(cons):
+        for v in s:
+            touching[v].append(j)
+    need = [len(s) for s in cons]
+    inside = [0] * len(cons)
+    best = {"size": -1, "set": ()}
+    chosen = []
+
+    def rec(v):
+        budget.spend()
+        if len(chosen) + (n - v) <= best["size"]:
+            return
+        if v == n:
+            if len(chosen) > best["size"]:
+                best["size"] = len(chosen)
+                best["set"] = tuple(chosen)
+            return
+        blocked = any(inside[j] == need[j] - 1 for j in touching[v] if need[j] >= 1)
+        fully = any(need[j] == 1 for j in touching[v])
+        if not blocked and not fully:
+            chosen.append(v)
+            for j in touching[v]:
+                inside[j] += 1
+            rec(v + 1)
+            for j in touching[v]:
+                inside[j] -= 1
+            chosen.pop()
+        rec(v + 1)
+
+    rec(0)
+    return best["size"], best["set"]
 
 
 def count_satisfied_edges(g, left, right):

@@ -208,6 +208,15 @@ class TestCoveringCommands:
         assert value_of(out, "size") == "1"
         assert value_of(out, "witness") in {"0", "1", "2"}
 
+    def test_mis_on_many_variables(self, tmp_path, capsys):
+        pred = nae(2, 2)
+        inst = CspInstance(pred, range(1500), [((0, 1), (0, 0), 1)])
+        path = write(tmp_path / "wide.csp", textio.format_instance(inst))
+        pred_path = write(tmp_path / "nae22.pred", textio.format_predicate(pred))
+        code, out, _ = run(capsys, "mis", path, "--predicate", pred_path)
+        assert code == 0
+        assert value_of(out, "size") == "1499"
+
     def test_fraction_of_a_written_cover_is_one(self, tmp_path, capsys):
         inst, pred = triangle_files(tmp_path)
         cover_path = str(tmp_path / "cover.assign")

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from cspcover import (
     Assignment,
+    Budget,
     BudgetExceededError,
     CoverSet,
     CspInstance,
@@ -31,6 +34,8 @@ from cspcover import (
     trivial_odd_cover,
     weaken_predicate,
 )
+from cspcover.csp import _coverage_masks
+from cspcover.predicate import add_tuples
 
 import oracles
 
@@ -215,6 +220,83 @@ class TestCoveringNumber:
         assert covering_number(inst, 2) == 1
 
 
+@st.composite
+def small_instances(draw):
+    """Instances over q, k in {2, 3} with random literals, repeated scopes
+    (and repeated variables within a scope), zero weights, and predicates
+    that are shift-closed (a union of translate orbits) or arbitrary."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if q == 2 else 4))
+    tuples = list(itertools.product(range(q), repeat=k))
+    pick = st.sampled_from(tuples)
+    if draw(st.booleans()):
+        seeds = draw(st.lists(pick, min_size=1, max_size=3))
+        members = {add_tuples(t, (b,) * k, q) for t in seeds for b in range(q)}
+    else:
+        members = draw(st.sets(pick, min_size=1))
+    scope = st.tuples(*[st.integers(0, n - 1)] * k)
+    cons = draw(st.lists(
+        st.tuples(scope, pick, st.sampled_from((0, 1, 2))),
+        min_size=1, max_size=6,
+    ))
+    if draw(st.booleans()):
+        cons.append((cons[0][0], draw(pick), 1))
+    if all(w == 0 for _, _, w in cons):
+        cons[0] = (cons[0][0], cons[0][1], 1)
+    return CspInstance(Predicate(q, k, members), range(n), cons)
+
+
+def touches_every_variable(inst):
+    touched = {v for c in inst.constraints if c.weight > 0 for v in c.vars}
+    return len(touched) == inst.nvars
+
+
+class TestCoverageMasks:
+    @given(small_instances())
+    def test_matches_the_full_enumeration(self, inst):
+        fast, slow = Budget(10**7), Budget(10**7)
+        pairs, holders = _coverage_masks(inst, fast)
+        ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
+        assert pairs == ref_pairs
+        assert holders == [
+            sum(1 << i for i, (m, _) in enumerate(pairs) if m >> j & 1)
+            for j in range(len(cons))
+        ]
+        if touches_every_variable(inst):
+            assert fast.used == slow.used
+
+    def test_single_constraint_among_many_variables(self):
+        inst = graph_instance(18, [(0, 1)])
+        assert covering_number(inst, 2, budget=Budget(10**5)) == 1
+        (a,) = find_cover(inst, 2, budget=Budget(10**5)).assignments
+        assert a.values == (0, 1) + (0,) * 16
+
+    def test_untouched_leading_variable_stays_zero(self):
+        inst = CspInstance(
+            nae(3, 2), range(6), [((2, 4), (0, 1), 1), ((4, 5), (2, 0), 1)]
+        )
+        cover = find_cover(inst, 3)
+        assert covered_fraction(cover, inst) == 1
+        for a in cover.assignments:
+            assert [a.values[v] for v in (0, 1, 3)] == [0, 0, 0]
+            assert a.values[2] == 0  # first touched variable, shift-closed
+
+    def test_astronomical_enumeration_exceeds_the_budget(self):
+        # 2^15999 assignments: the cost has too many digits to print.
+        inst = graph_instance(16000, [(v, v + 1) for v in range(0, 16000, 2)])
+        with pytest.raises(BudgetExceededError, match="at least 2"):
+            covering_number(inst, 2)
+
+    def test_budget_is_spent_before_enumerating(self):
+        # 3 constraints on 2^2 assignments (first variable fixed) = 12.
+        with pytest.raises(BudgetExceededError):
+            _coverage_masks(TRIANGLE, Budget(11))
+        budget = Budget(12)
+        _coverage_masks(TRIANGLE, budget)
+        assert budget.used == 12
+
+
 class TestTrivialOddCover:
     def test_parity_instance_covered_by_translate_pair(self):
         inst = CspInstance(
@@ -292,6 +374,20 @@ class TestMaxIndependentSet:
         inst = graph_instance(10, oracles.petersen_edges())
         with pytest.raises(BudgetExceededError):
             max_independent_set(inst, budget=2)
+
+    def test_many_variables_one_constraint(self):
+        inst = graph_instance(1500, [(0, 1)])
+        size, witness = max_independent_set(inst, budget=Budget(10**5))
+        assert size == 1499
+        assert witness == (0,) + tuple(range(2, 1500))
+
+    @given(small_instances())
+    def test_matches_the_recursive_search(self, inst):
+        fast, slow = Budget(10**7), Budget(10**7)
+        assert max_independent_set(inst, fast) == (
+            oracles.reference_max_independent_set(inst, slow)
+        )
+        assert fast.used == slow.used
 
 
 class TestCoverToColoring:
@@ -403,3 +499,23 @@ class TestAssignmentContainers:
     def test_translate_round_trip(self, values):
         a = Assignment(values)
         assert translate_assignment(translate_assignment(a, 1, 2), 1, 2) == a
+
+
+def test_searches_leave_numpy_unloaded():
+    """The cover and independent-set searches run without numpy."""
+    script = (
+        "import sys\n"
+        "from cspcover import *\n"
+        "inst = CspInstance(nae(2, 2), range(4), "
+        "[((0, 1), (0, 0), 1), ((1, 2), (0, 0), 1), ((0, 2), (0, 0), 1)])\n"
+        "assert covering_number(inst, 3) == 2\n"
+        "cover = find_cover(inst, 3)\n"
+        "assert covered_fraction(cover, inst) == 1\n"
+        "assert max_independent_set(inst)[0] == 2\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
