@@ -52,6 +52,7 @@ from .csp import (
     apply_literal_shift,
     cover_to_coloring,
     covered_fraction,
+    covered_fractions,
     covering_number,
     covers_constraint,
     find_cover,

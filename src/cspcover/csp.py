@@ -8,47 +8,43 @@ positive-weight constraint must be hit); fraction semantics use weights.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import PreconditionError, as_budget
 from .predicate import add_tuples, is_odd, is_shift_closed, sub_tuples
 
 
-class Constraint:
-    __slots__ = ("vars", "literals", "weight")
+class Constraint(namedtuple("Constraint", ("vars", "literals", "weight"))):
+    """Variable indices, literal vector and exact weight; an immutable tuple."""
 
-    def __init__(self, vars, literals, weight):
-        object.__setattr__(self, "vars", tuple(int(v) for v in vars))
-        object.__setattr__(self, "literals", tuple(int(x) for x in literals))
-        object.__setattr__(self, "weight", Fraction(weight))
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Constraint is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Constraint):
-            return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.literals == other.literals
-            and self.weight == other.weight
+    def __new__(cls, vars, literals, weight):
+        if type(weight) is not Fraction:
+            weight = Fraction(weight)
+        return tuple.__new__(
+            cls, (tuple(map(int, vars)), tuple(map(int, literals)), weight)
         )
 
-    def __hash__(self):
-        return hash((self.vars, self.literals, self.weight))
-
     def __repr__(self):
-        return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
+        return "Constraint(%r, %r, %s)" % self
 
 
 class CspInstance:
     """Predicate, variables, and weighted constraints with literal vectors.
 
     `variables` is a sequence of hashable labels; constraints reference them by
-    index. Duplicate (vars, literals) pairs are merged by summing weights.
+    index. Duplicate (vars, literals) pairs are merged by summing weights, in
+    first-occurrence order. Every weight is held as an integer numerator over
+    one common denominator, `denominator` (the lcm of the given weights'
+    denominators): `numerators[i]` goes with `constraints[i]`.
     """
 
-    __slots__ = ("predicate", "variables", "constraints", "_index")
+    __slots__ = (
+        "predicate", "variables", "constraints", "denominator", "numerators",
+        "_index",
+    )
 
     def __init__(self, predicate, variables, constraints):
         variables = tuple(variables)
@@ -57,33 +53,52 @@ class CspInstance:
             if v in index:
                 raise PreconditionError("duplicate variable label %r" % (v,))
             index[v] = i
-        merged = {}
-        order = []
-        for c in constraints:
-            if not isinstance(c, Constraint):
-                c = Constraint(*c)
-            if len(c.vars) != predicate.k or len(c.literals) != predicate.k:
-                raise PreconditionError(
-                    "constraint %r does not match arity %d" % (c, predicate.k)
-                )
-            if any(v < 0 or v >= len(variables) for v in c.vars):
-                raise PreconditionError("constraint %r references unknown variables" % (c,))
-            if any(x < 0 or x >= predicate.q for x in c.literals):
-                raise PreconditionError("constraint %r has literals outside [q]" % (c,))
-            if c.weight < 0:
-                raise PreconditionError("constraint weights must be nonnegative")
-            key = (c.vars, c.literals)
-            if key in merged:
-                merged[key] = merged[key] + c.weight
+        k, q, n = predicate.k, predicate.q, len(variables)
+        # Literal vectors and weights repeat across constraints: each distinct
+        # one is converted and checked once. Weights are numbered in `exact`.
+        literal_vectors = {}
+        weight_ids = {}
+        exact = []
+        atoms = []
+        for vars_, lits, w in constraints:
+            vars_ = tuple(map(int, vars_))
+            lits = literal_vectors.get(tuple(lits)) or tuple(map(int, lits))
+            if len(vars_) != k or len(lits) != k:
+                problem = "does not match arity %d" % k
+            elif min(vars_) < 0 or max(vars_) >= n:
+                problem = "references unknown variables"
+            elif lits not in literal_vectors and any(x < 0 or x >= q for x in lits):
+                problem = "has literals outside [q]"
             else:
-                merged[key] = c.weight
-                order.append(key)
-        cons = tuple(Constraint(v, l, merged[(v, l)]) for v, l in order)
-        if cons and sum(c.weight for c in cons) == 0:
+                problem = None
+            if problem:
+                raise PreconditionError(
+                    "constraint %r %s" % (Constraint(vars_, lits, w), problem)
+                )
+            literal_vectors[lits] = lits
+            j = weight_ids.get(w)
+            if j is None:
+                f = Fraction(w)
+                if f < 0:
+                    raise PreconditionError("constraint weights must be nonnegative")
+                j = weight_ids[w] = len(exact)
+                exact.append(f)
+            atoms.append(((vars_, lits), j))
+        den = math.lcm(*(f.denominator for f in exact))
+        scaled = [f.numerator * (den // f.denominator) for f in exact]
+        merged = {}
+        for key, j in atoms:
+            merged[key] = merged.get(key, 0) + scaled[j]
+        if merged and not any(merged.values()):
             raise PreconditionError("total constraint weight must be positive")
+        weights = {m: Fraction(m, den) for m in set(merged.values())}
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "constraints", tuple(
+            Constraint(v, l, weights[m]) for (v, l), m in merged.items()
+        ))
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerators", tuple(merged.values()))
         object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
@@ -97,7 +112,7 @@ class CspInstance:
         return self._index[label]
 
     def total_weight(self):
-        return sum((c.weight for c in self.constraints), Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     def __repr__(self):
         return "CspInstance(q=%d, k=%d, %d vars, %d constraints)" % (
@@ -185,26 +200,47 @@ def covers_constraint(a, inst, idx):
     return add_tuples(vals, c.literals, q) in inst.predicate
 
 
+def covered_fractions(assignments, inst):
+    """Covered weight fraction of each assignment and of their union, in one
+    pass over the constraints: (list of fractions, union fraction).
+
+    An empty constraint list counts as fully covered. Membership is tested
+    against the predicate minus each distinct literal vector.
+    """
+    assignments = list(assignments)
+    if not inst.constraints:
+        return [Fraction(1)] * len(assignments), Fraction(1)
+    for a in assignments:
+        _check_assignment(a, inst)
+    rows = [a.values for a in assignments]
+    q = inst.predicate.q
+    members = inst.predicate.members
+    accepted = {}
+    hits = [0] * len(rows)
+    union = 0
+    for c, w in zip(inst.constraints, inst.numerators):
+        accept = accepted.get(c.literals)
+        if accept is None:
+            accept = accepted[c.literals] = frozenset(
+                sub_tuples(p, c.literals, q) for p in members
+            )
+        covered = False
+        for i, values in enumerate(rows):
+            if tuple(map(values.__getitem__, c.vars)) in accept:
+                hits[i] += w
+                covered = True
+        if covered:
+            union += w
+    total = sum(inst.numerators)
+    return [Fraction(h, total) for h in hits], Fraction(union, total)
+
+
 def covered_fraction(cs, inst):
     """Weight fraction of constraints covered by at least one assignment in cs.
 
     An empty constraint list counts as fully covered.
     """
-    if not inst.constraints:
-        return Fraction(1)
-    for a in cs:
-        _check_assignment(a, inst)
-    total = inst.total_weight()
-    hit = Fraction(0)
-    q = inst.predicate.q
-    pred = inst.predicate
-    for c in inst.constraints:
-        for a in cs:
-            vals = tuple(a.values[v] for v in c.vars)
-            if add_tuples(vals, c.literals, q) in pred:
-                hit += c.weight
-                break
-    return hit / total
+    return covered_fractions(cs, inst)[1]
 
 
 def translate_assignment(a, b, q):
@@ -244,7 +280,7 @@ def _coverage_masks(inst, budget):
     table and tree node yields the masks of all of a node's children.
     """
     q = inst.predicate.q
-    cons = [c for c in inst.constraints if c.weight > 0]
+    cons = [c for c, m in zip(inst.constraints, inst.numerators) if m]
     touched = sorted({v for c in cons for v in c.vars})
     t = len(touched)
     if t == 0:
@@ -363,7 +399,7 @@ def _cover_search(inst, max_c, budget):
     """Smallest cover of size <= max_c, or None. Exact."""
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
-    if not any(c.weight > 0 for c in inst.constraints):
+    if not any(inst.numerators):
         return 0, CoverSet([Assignment([0] * inst.nvars)]) if inst.nvars else None
     pairs, holders = _coverage_masks(inst, budget)
     full_mask = (1 << len(holders)) - 1
@@ -435,7 +471,8 @@ def max_independent_set(inst, budget=None):
     budget = as_budget(budget)
     n = inst.nvars
     cons = sorted(
-        {frozenset(c.vars) for c in inst.constraints if c.weight > 0}, key=sorted
+        {frozenset(c.vars) for c, m in zip(inst.constraints, inst.numerators) if m},
+        key=sorted,
     )
     # Constraints touching each variable, for incremental violation counts.
     touching = [[] for _ in range(n)]

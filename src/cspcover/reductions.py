@@ -10,6 +10,7 @@ need them.
 """
 
 import itertools
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -23,7 +24,9 @@ from .boolanalysis import (
     pi_tilde,
 )
 from .correlated import CorrelatedSpace
-from .csp import Assignment, CoverSet, CspInstance, covered_fraction
+from .csp import (
+    Assignment, CoverSet, CspInstance, covered_fraction, covered_fractions,
+)
 from .errors import BudgetExceededError, PreconditionError, as_budget
 from .labelcover import Labeling, satisfied_fraction
 from .predicate import lin, nae, translate_orbit
@@ -194,6 +197,10 @@ def _to_pm_values(f):
     raise PreconditionError("table values must be bits or signs")
 
 
+def _as_labeling(lab):
+    return lab if isinstance(lab, Labeling) else Labeling(*lab)
+
+
 def _check_cap(count, support_cap):
     cap = DEFAULT_SUPPORT_CAP if support_cap is None else int(support_cap)
     if count > cap:
@@ -254,6 +261,7 @@ def generate_t1(params, budget=None, support_cap=None):
     S = t1_column_support(q, k, params.a)
     sl = len(S)
     dom, variables, var_index = _grid_variables(g, q, 2 * R)
+    query = _t1_query(g, S, var_index)
     zeros = (0,) * k
     constraints = []
     for u in range(g.nu):
@@ -264,21 +272,25 @@ def generate_t1(params, budget=None, support_cap=None):
             * Fraction(1, sl) ** L
         )
         for combo in itertools.product(eids, repeat=k):
-            projs = [g.edges[e].proj for e in combo]
-            targets = [g.edges[e].v for e in combo]
             for spick in itertools.product(range(sl), repeat=L):
                 budget.spend()
-                vars_ = []
-                for j in range(k):
-                    xj = [0] * (2 * L)
-                    for i, si in enumerate(spick):
-                        y, yp = S[si]
-                        xj[i] = y[j]
-                        xj[L + i] = yp[j]
-                    composed = compose_projection(tuple(xj), projs[j])
-                    vars_.append(var_index[(targets[j], composed)])
-                constraints.append((tuple(vars_), zeros, wu))
+                constraints.append((query(combo, spick), zeros, wu))
     return CspInstance(pred, variables, constraints)
+
+
+def _t1_query(g, S, var_index):
+    """The map from a neighbor sequence and one column pair of S per left
+    label to the queried variables."""
+
+    def query(combo, spick):
+        vars_ = []
+        for j, e in enumerate(combo):
+            x = tuple(S[s][0][j] for s in spick) + tuple(S[s][1][j] for s in spick)
+            edge = g.edges[e]
+            vars_.append(var_index[(edge.v, compose_projection(x, edge.proj))])
+        return tuple(vars_)
+
+    return query
 
 
 def _check_labelings_cover(g, labelings):
@@ -304,41 +316,83 @@ def t1_completeness_witness(params, labelings, inst=None):
     """Two assignments per covering labeling: first-half and second-half
     half-dictators. Their union covers every generated constraint exactly."""
     g = params.source
-    labelings = [
-        lab if isinstance(lab, Labeling) else Labeling(*lab) for lab in labelings
-    ]
+    labelings = [_as_labeling(lab) for lab in labelings]
     _check_labelings_cover(g, labelings)
     if inst is None:
         inst = generate_t1(params)
-    R = g.nlabels_v
     assignments = []
     for lab in labelings:
-        f_vals = []
-        g_vals = []
-        for (v, x) in inst.variables:
-            f_vals.append(x[lab.right[v]])
-            g_vals.append(x[R + lab.right[v]])
-        assignments.append(Assignment(f_vals))
-        assignments.append(Assignment(g_vals))
-    cover = CoverSet(assignments)
-    if covered_fraction(cover, inst) != 1:
+        assignments.extend(_half_dictators(inst, g.nlabels_v, lab))
+    if covered_fraction(assignments, inst) != 1:
         raise ArithmeticError("witness failed to cover the generated instance")
-    return cover
+    return CoverSet(assignments)
+
+
+def _half_dictators(inst, R, labeling):
+    """The assignments x -> x[label(v)] and x -> x[R + label(v)]."""
+    right = labeling.right
+    return (
+        Assignment([x[right[v]] for v, x in inst.variables]),
+        Assignment([x[R + right[v]] for v, x in inst.variables]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Test 2
 
 
-def _half_products(dist, d):
-    """Product weights of d independent columns from dist, by column tuple."""
-    out = {}
-    for cols in itertools.product(sorted(dist), repeat=d):
-        w = Fraction(1)
-        for c in cols:
-            w *= dist[c]
-        out[cols] = w
-    return out
+def _half_products(dist, d, scale):
+    """Integer product weights, over scale^d, of d independent columns from
+    dist, in column-tuple order."""
+    ints = {c: w.numerator * (scale // w.denominator) for c, w in dist.items()}
+    return [
+        (cols, math.prod(ints[c] for c in cols))
+        for cols in itertools.product(sorted(dist), repeat=d)
+    ]
+
+
+def _t2_block_numerators(params):
+    """The block table over integers: sorted (key, numerator) pairs and their
+    common denominator."""
+    k, d, eps = params.k, params.d, params.eps
+    scale = math.lcm(
+        *(w.denominator for p in (params.p0, params.p1) for w in p.values())
+    )
+    e, E = eps.numerator, eps.denominator
+    unif = 4 ** (k * d)
+    unif_cols = list(itertools.product(itertools.product((0, 1), repeat=k), repeat=d))
+    # Every term over 2 * E * scale^(4d) * unif, with eps = e / E: a term
+    # keeping both halves has numerator (E - 2e) * unif times its four column
+    # products, a term refreshing one half e * scale^(2d) times its two.
+    stay = (E - 2 * e) * unif
+    refresh = e * scale ** (2 * d)
+    table = {}
+
+    def add(key, w):
+        if w:
+            table[key] = table.get(key, 0) + w
+
+    for px, py in ((params.p0, params.p1), (params.p1, params.p0)):
+        hx = _half_products(px, d, scale)
+        hy = _half_products(py, d, scale)
+        for xu, wxu in hx:
+            for xp, wxp in hx:
+                for yu, wyu in hy:
+                    for yp, wyp in hy:
+                        add((xu + xp, yu + yp), stay * wxu * wxp * wyu * wyp)
+        for xu, wxu in hx:
+            for yu, wyu in hy:
+                base = refresh * wxu * wyu
+                for xr in unif_cols:
+                    for yr in unif_cols:
+                        add((xu + xr, yu + yr), base)
+        for xp, wxp in hx:
+            for yp, wyp in hy:
+                base = refresh * wxp * wyp
+                for xr in unif_cols:
+                    for yr in unif_cols:
+                        add((xr + xp, yr + yp), base)
+    return sorted(table.items()), 2 * E * scale ** (4 * d) * unif
 
 
 def t2_block_table(params):
@@ -348,68 +402,34 @@ def t2_block_table(params):
     first d on the plain fiber, the last d on the shifted copy); values are
     exact probabilities summing to 1.
     """
-    k, d, eps = params.k, params.d, params.eps
-    half = Fraction(1, 2)
-    stay = 1 - 2 * eps
-    unif_cols = list(itertools.product(itertools.product((0, 1), repeat=k), repeat=d))
-    kdu = Fraction(1, 2 ** (k * d))
-    table = {}
-
-    def add(key, w):
-        if w:
-            table[key] = table.get(key, Fraction(0)) + w
-
-    for c1 in (0, 1):
-        px = params.p0 if c1 == 0 else params.p1
-        py = params.p1 if c1 == 0 else params.p0
-        hx = sorted(_half_products(px, d).items())
-        hy = sorted(_half_products(py, d).items())
-        for xu, wxu in hx:
-            for xp, wxp in hx:
-                for yu, wyu in hy:
-                    for yp, wyp in hy:
-                        add((xu + xp, yu + yp), half * stay * wxu * wxp * wyu * wyp)
-        for xu, wxu in hx:
-            for yu, wyu in hy:
-                base = half * eps * wxu * wyu * kdu * kdu
-                for xr in unif_cols:
-                    for yr in unif_cols:
-                        add((xu + xr, yu + yr), base)
-        for xp, wxp in hx:
-            for yp, wyp in hy:
-                base = half * eps * wxp * wyp * kdu * kdu
-                for xr in unif_cols:
-                    for yr in unif_cols:
-                        add((xr + xp, yr + yp), base)
-    return dict(sorted(table.items()))
+    pairs, den = _t2_block_numerators(params)
+    return {key: Fraction(n, den) for key, n in pairs}
 
 
 def _cols_to_rows(cols, k):
     return tuple(tuple(col[j] for col in cols) for j in range(k))
 
 
+def _t2_row_space(params, split):
+    """The block distribution over row tuples, each side split by `split`
+    from the k X-rows and the k Y-rows."""
+    mu = {}
+    for (xcols, ycols), w in t2_block_table(params).items():
+        key = split(_cols_to_rows(xcols, params.k), _cols_to_rows(ycols, params.k))
+        mu[key] = mu.get(key, Fraction(0)) + w
+    return CorrelatedSpace(mu)
+
+
 def t2_block_space(params):
     """The block distribution as a correlated space of row tuples: left atoms
     are the k X-rows, right atoms the k Y-rows (each row 2d bits)."""
-    k = params.k
-    mu = {}
-    for (xcols, ycols), w in t2_block_table(params).items():
-        key = (_cols_to_rows(xcols, k), _cols_to_rows(ycols, k))
-        mu[key] = mu.get(key, Fraction(0)) + w
-    return CorrelatedSpace(mu)
+    return _t2_row_space(params, lambda x, y: (x, y))
 
 
 def t2_block_last_row_space(params):
     """The same block split for the correlation bound: everything except the
     last Y-row on the left, the last Y-row alone on the right."""
-    k = params.k
-    mu = {}
-    for (xcols, ycols), w in t2_block_table(params).items():
-        xrows = _cols_to_rows(xcols, k)
-        yrows = _cols_to_rows(ycols, k)
-        key = (xrows + yrows[:-1], (yrows[-1],))
-        mu[key] = mu.get(key, Fraction(0)) + w
-    return CorrelatedSpace(mu)
+    return _t2_row_space(params, lambda x, y: (x + y[:-1], (y[-1],)))
 
 
 def _edge_fibers(g, eid):
@@ -431,6 +451,39 @@ def _t2_atom_count(params, block_size):
     return count
 
 
+def _t2_queries(params):
+    """The block table as (key, numerator) pairs with their common
+    denominator, and the map from an edge pair and one block pick per left
+    label to the 2k queried variables."""
+    g, k = params.source, params.k
+    R = g.nlabels_v
+    block, den = _t2_block_numerators(params)
+    memo = {}
+
+    def rows(e, i, cols):
+        """The point-index contribution of 2d columns laid on fiber i of
+        edge e (positions fiber + (R + fiber)) to each of the k rows."""
+        key = (e, i, cols)
+        if key not in memo:
+            fiber = _edge_fibers(g, e)[i]
+            shifts = fiber + [R + j for j in fiber]
+            memo[key] = tuple(
+                sum(col[j] << s for col, s in zip(cols, shifts))
+                for j in range(k)
+            )
+        return memo[key]
+
+    def query(ev, ew, picks):
+        vars_ = [g.edges[ev].v << 2 * R] * k + [g.edges[ew].v << 2 * R] * k
+        for i, b in enumerate(picks):
+            xcols, ycols = block[b][0]
+            for j, o in enumerate(rows(ev, i, xcols) + rows(ew, i, ycols)):
+                vars_[j] += o
+        return tuple(vars_)
+
+    return block, den, query
+
+
 def generate_t2(params, budget=None, support_cap=None):
     """Exact weighted instance of the second test over the d-to-1 source.
 
@@ -440,56 +493,50 @@ def generate_t2(params, budget=None, support_cap=None):
     """
     budget = as_budget(budget)
     g = params.source
-    k = params.k
-    d = params.d
     L = g.nlabels_u
-    R = g.nlabels_v
-    block = list(t2_block_table(params).items())
+    block, scale, query = _t2_queries(params)
     _check_cap(_t2_atom_count(params, len(block)), support_cap)
-    dom, variables, var_index = _grid_variables(g, 2, 2 * R)
-    zeros = (0,) * (2 * k)
+    _, variables, _ = _grid_variables(g, 2, 2 * g.nlabels_v)
+    zeros = (0,) * (2 * params.k)
     constraints = []
     for u in range(g.nu):
         eids = _incident_or_error(g, u)
-        wu = Fraction(1, g.nu) * Fraction(1, len(eids)) ** 2
+        den = g.nu * len(eids) ** 2 * scale ** L
+        weights = {}
         for ev in eids:
-            fv = _edge_fibers(g, ev)
-            tv = g.edges[ev].v
             for ew in eids:
-                fw = _edge_fibers(g, ew)
-                tw = g.edges[ew].v
                 for picks in itertools.product(range(len(block)), repeat=L):
                     budget.spend()
-                    w = wu
-                    xcol = [None] * (2 * R)
-                    ycol = [None] * (2 * R)
-                    for i in range(L):
-                        (xc, yc), bw = block[picks[i]]
-                        w *= bw
-                        for t, j in enumerate(fv[i]):
-                            xcol[j] = xc[t]
-                            xcol[R + j] = xc[d + t]
-                        for t, j in enumerate(fw[i]):
-                            ycol[j] = yc[t]
-                            ycol[R + j] = yc[d + t]
-                    vars_ = []
-                    for j in range(k):
-                        row = tuple(xcol[c][j] for c in range(2 * R))
-                        vars_.append(var_index[(tv, row)])
-                    for j in range(k):
-                        row = tuple(ycol[c][j] for c in range(2 * R))
-                        vars_.append(var_index[(tw, row)])
-                    constraints.append((tuple(vars_), zeros, w))
+                    num = math.prod(block[b][1] for b in picks)
+                    if num not in weights:
+                        weights[num] = Fraction(num, den)
+                    constraints.append((query(ev, ew, picks), zeros, weights[num]))
     return CspInstance(params.predicate, variables, constraints)
 
 
 def _check_labeling_satisfies(g, labeling):
-    labeling = (
-        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
-    )
+    labeling = _as_labeling(labeling)
     if satisfied_fraction(g, labeling) != 1:
         raise PreconditionError("labeling does not satisfy every edge")
     return labeling
+
+
+def _half_dictator_witness(params, labeling, inst, generate):
+    """The t2 and t3 completeness witness; `generate` builds the instance
+    when none is given."""
+    labeling = _check_labeling_satisfies(params.source, labeling)
+    if inst is None:
+        inst = generate(params)
+    f, h = _half_dictators(inst, params.source.nlabels_v, labeling)
+    (cf, ch), union = covered_fractions([f, h], inst)
+    need = 1 - params.eps
+    if cf < need:
+        raise ArithmeticError("first witness covers less than 1-eps")
+    if ch < need:
+        raise ArithmeticError("second witness covers less than 1-eps")
+    if union != 1:
+        raise ArithmeticError("witness pair failed to cover the instance")
+    return f, h
 
 
 def t2_completeness_witness(params, labeling, inst=None):
@@ -498,27 +545,7 @@ def t2_completeness_witness(params, labeling, inst=None):
     Each covers at least a 1-eps weight fraction (exactly computed) and
     together they cover everything; both facts are asserted.
     """
-    g = params.source
-    labeling = _check_labeling_satisfies(g, labeling)
-    if inst is None:
-        inst = generate_t2(params)
-    R = g.nlabels_v
-    f_vals = []
-    g_vals = []
-    for (v, x) in inst.variables:
-        f_vals.append(x[labeling.right[v]])
-        g_vals.append(x[R + labeling.right[v]])
-    f = Assignment(f_vals)
-    h = Assignment(g_vals)
-    one = Fraction(1)
-    need = 1 - params.eps
-    if covered_fraction(CoverSet([f]), inst) < need:
-        raise ArithmeticError("first witness covers less than 1-eps")
-    if covered_fraction(CoverSet([h]), inst) < need:
-        raise ArithmeticError("second witness covers less than 1-eps")
-    if covered_fraction(CoverSet([f, h]), inst) != one:
-        raise ArithmeticError("witness pair failed to cover the instance")
-    return f, h
+    return _half_dictator_witness(params, labeling, inst, generate_t2)
 
 
 # ---------------------------------------------------------------------------
@@ -575,32 +602,25 @@ def rejection_identity_check(assignments, inst, budget=None):
         if any(v not in (0, 1) for v in a.values):
             raise PreconditionError("assignments must be binary")
         rows.append(a.values)
-    total = inst.total_weight()
-    lhs = Fraction(0)
-    sums = {
-        s: Fraction(0)
-        for r in range(1, t + 1)
-        for s in itertools.combinations(range(t), r)
-    }
-    for c in inst.constraints:
+    # by_parity[m]: weight of the constraints on which assignment i has odd
+    # parity exactly for the bits i set in m.
+    by_parity = [0] * (1 << t)
+    for c, w in zip(inst.constraints, inst.numerators):
         budget.spend()
-        if c.weight == 0:
-            continue
-        signs = []
-        for i in range(t):
-            parity = 0
-            for v in c.vars:
-                parity ^= rows[i][v]
-            signs.append(1 if parity == 0 else -1)
-        if all(s == 1 for s in signs):
-            lhs += c.weight
-        for s in sums:
-            prod = 1
-            for i in s:
-                prod *= signs[i]
-            sums[s] += c.weight * prod
-    lhs /= total
-    correlations = {s: v / total for s, v in sums.items()}
+        m = 0
+        for i, row in enumerate(rows):
+            m |= (sum(map(row.__getitem__, c.vars)) & 1) << i
+        by_parity[m] += w
+    total = sum(inst.numerators)
+    correlations = {}
+    for r in range(1, t + 1):
+        for s in itertools.combinations(range(t), r):
+            mask = sum(1 << i for i in s)
+            correlations[s] = Fraction(sum(
+                -w if (m & mask).bit_count() % 2 else w
+                for m, w in enumerate(by_parity)
+            ), total)
+    lhs = Fraction(by_parity[0], total)
     rhs = Fraction(1, 2 ** t) * (1 + sum(correlations.values()))
     return RejectionIdentityResult(t, lhs, rhs, correlations)
 
@@ -610,14 +630,7 @@ def rejection_identity_check(assignments, inst, budget=None):
 
 
 def _mask_bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _sample_mask(rng, masses):
@@ -629,6 +642,17 @@ def _sample_mask(rng, masses):
         if r < acc:
             return mask
     return None
+
+
+def _spectral_pick(rng, masses, R):
+    """A uniform member j of an index set drawn from masses, folded to j - R
+    when j >= R; None when the draw is empty or falls back."""
+    mask = _sample_mask(rng, masses)
+    if not mask:
+        return None
+    bits = _mask_bits(mask)
+    j = bits[rng.randrange(len(bits))]
+    return j if j < R else j - R
 
 
 def _fourier_masses(f, rate):
@@ -760,24 +784,14 @@ def decode_t2(tables, source, gamma, seed):
         masses[v], spectra[v] = _fourier_masses(tables[v], rate)
     right = []
     for v in range(source.nv):
-        mask = _sample_mask(rng, masses[v])
-        if not mask:
-            right.append(0)
-            continue
-        bits = _mask_bits(mask)
-        j = bits[rng.randrange(len(bits))]
-        right.append(j if j < R else j - R)
+        j = _spectral_pick(rng, masses[v], R)
+        right.append(0 if j is None else j)
     left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
         e = source.edges[eids[rng.randrange(len(eids))]]
-        mask = _sample_mask(rng, masses[e.v])
-        if not mask:
-            left.append(0)
-            continue
-        bits = _mask_bits(mask)
-        j = bits[rng.randrange(len(bits))]
-        left.append(e.proj[j if j < R else j - R])
+        j = _spectral_pick(rng, masses[e.v], R)
+        left.append(0 if j is None else e.proj[j])
     labeling = Labeling(left, right)
     value = satisfied_fraction(source, labeling)
     # Expectation bound: per (u, edge pair), sum over left labels of the
@@ -848,19 +862,26 @@ def decode_t3(tables, source, seed):
         left.append(image[rng.randrange(len(image))])
     right = []
     for v in range(source.nv):
-        mask = _sample_mask(rng, masses[v])
-        if not mask:
-            right.append(0)
-            continue
-        bits = _mask_bits(mask)
-        j = bits[rng.randrange(len(bits))]
-        right.append(j if j < R else j - R)
+        j = _spectral_pick(rng, masses[v], R)
+        right.append(0 if j is None else j)
     labeling = Labeling(left, right)
     return T3DecodeResult(labeling, satisfied_fraction(source, labeling))
 
 
 # ---------------------------------------------------------------------------
 # Test 3
+
+
+def _flips(base, support):
+    """base with each subset of the support positions flipped, one tuple per
+    subset; all distinct."""
+    out = []
+    for zbits in itertools.product((0, 1), repeat=len(support)):
+        flipped = list(base)
+        for j, b in zip(support, zbits):
+            flipped[j] ^= b
+        out.append(tuple(flipped))
+    return out
 
 
 def t3_delta_table(g, ev, ew, eps, budget=None):
@@ -884,44 +905,22 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
             wc *= case_weights[c]
         if not wc:
             continue
+        # The noise mask: case 1 marks position i, case 2 position L + i.
         eta = [0] * (2 * L)
-        etap = [0] * (2 * L)
         for i, c in enumerate(cases):
-            if c == 1:
-                eta[i] = 1
-                etap[i] = 1
-            elif c == 2:
-                eta[L + i] = 1
-                etap[L + i] = 1
+            if c:
+                eta[i if c == 1 else L + i] = 1
         mask_v = compose_projection(tuple(eta), pv)
-        mask_w = compose_projection(tuple(etap), pw)
+        mask_w = compose_projection(tuple(eta), pw)
         sup_v = [j for j in range(2 * R) if mask_v[j]]
         sup_w = [j for j in range(2 * R) if mask_w[j]]
+        w = wc * Fraction(1, 2 ** (2 * L + len(sup_v) + len(sup_w)))
         for y in itertools.product((0, 1), repeat=2 * L):
             budget.spend()
-            wy = wc * Fraction(1, 2 ** (2 * L))
-            base_v = compose_projection(y, pv)
-            base_w = compose_projection(y, pw)
-            deltas_v = {}
-            for zbits in itertools.product((0, 1), repeat=len(sup_v)):
-                dv = list(base_v)
-                for j, b in zip(sup_v, zbits):
-                    dv[j] ^= b
-                key = tuple(dv)
-                share = Fraction(1, 2 ** len(sup_v))
-                deltas_v[key] = deltas_v.get(key, Fraction(0)) + share
-            deltas_w = {}
-            for zbits in itertools.product((0, 1), repeat=len(sup_w)):
-                dw = list(base_w)
-                for j, b in zip(sup_w, zbits):
-                    dw[j] ^= b
-                key = tuple(dw)
-                share = Fraction(1, 2 ** len(sup_w))
-                deltas_w[key] = deltas_w.get(key, Fraction(0)) + share
-            for dv, wv in deltas_v.items():
-                for dw, ww in deltas_w.items():
-                    key = (dv, dw)
-                    out[key] = out.get(key, Fraction(0)) + wy * wv * ww
+            deltas_w = _flips(compose_projection(y, pw), sup_w)
+            for dv in _flips(compose_projection(y, pv), sup_v):
+                for dw in deltas_w:
+                    out[(dv, dw)] = out.get((dv, dw), Fraction(0)) + w
     return dict(sorted(out.items()))
 
 
@@ -951,62 +950,39 @@ def generate_t3(params, budget=None, support_cap=None):
             for ew in eids:
                 count += npoints * npoints * len(deltas[(ev, ew)])
     _check_cap(count, support_cap)
-    dom, variables, var_index = _grid_variables(g, 2, 2 * R)
-    pred = lin(4)
+    dom, variables, _ = _grid_variables(g, 2, 2 * R)
     literals = (0, 0, 0, 1)
     unif2 = Fraction(1, npoints * npoints)
-    constraints = {}
-    points = [dom.point(p) for p in range(dom.size)]
+    constraints = []
     for u in range(g.nu):
         eids = _incident_or_error(g, u)
         wu = Fraction(1, g.nu) * Fraction(1, len(eids)) ** 2
         for ev in eids:
-            tv = g.edges[ev].v
             for ew in eids:
-                tw = g.edges[ew].v
                 for (dv, dw), wdel in deltas[(ev, ew)].items():
                     w = wu * wdel * unif2
-                    for x in points:
-                        x2 = tuple(a ^ b for a, b in zip(x, dv))
-                        i1 = var_index[(tv, x)]
-                        i2 = var_index[(tv, x2)]
-                        for xp in points:
+                    mv, mw = dom.index(dv), dom.index(dw)
+                    for x in range(npoints):
+                        for xp in range(npoints):
                             budget.spend()
-                            x4 = tuple(a ^ b for a, b in zip(xp, dw))
-                            key = (
-                                (i1, i2, var_index[(tw, xp)], var_index[(tw, x4)]),
-                                literals,
+                            constraints.append(
+                                (_t3_query(g, ev, ew, mv, mw, x, xp), literals, w)
                             )
-                            constraints[key] = constraints.get(key, Fraction(0)) + w
-    return CspInstance(
-        pred,
-        variables,
-        ((vars_, lits, w) for (vars_, lits), w in constraints.items()),
-    )
+    return CspInstance(lin(4), variables, constraints)
+
+
+def _t3_query(g, ev, ew, mv, mw, x, xp):
+    """The four queried variables: points x and x + offset mv at the right
+    endpoint of ev, xp and xp + mw at that of ew. Points and offsets are
+    indices into [2]^2R, so adding an offset is XOR of indices."""
+    bv = g.edges[ev].v << 2 * g.nlabels_v
+    bw = g.edges[ew].v << 2 * g.nlabels_v
+    return (bv + x, bv + (x ^ mv), bw + xp, bw + (xp ^ mw))
 
 
 def t3_completeness_witness(params, labeling, inst=None):
     """Half-dictator pair for the third test; same contract as the second."""
-    g = params.source
-    labeling = _check_labeling_satisfies(g, labeling)
-    if inst is None:
-        inst = generate_t3(params)
-    R = g.nlabels_v
-    f_vals = []
-    g_vals = []
-    for (v, x) in inst.variables:
-        f_vals.append(x[labeling.right[v]])
-        g_vals.append(x[R + labeling.right[v]])
-    f = Assignment(f_vals)
-    h = Assignment(g_vals)
-    need = 1 - params.eps
-    if covered_fraction(CoverSet([f]), inst) < need:
-        raise ArithmeticError("first witness covers less than 1-eps")
-    if covered_fraction(CoverSet([h]), inst) < need:
-        raise ArithmeticError("second witness covers less than 1-eps")
-    if covered_fraction(CoverSet([f, h]), inst) != 1:
-        raise ArithmeticError("witness pair failed to cover the instance")
-    return f, h
+    return _half_dictator_witness(params, labeling, inst, generate_t3)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,9 +992,7 @@ def t3_completeness_witness(params, labeling, inst=None):
 def t1_dictator_tables(params, labeling):
     """Per-right-vertex tables x -> x[label(v)] over [q]^{2R}."""
     g = params.source
-    labeling = (
-        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
-    )
+    labeling = _as_labeling(labeling)
     q = params.predicate.q
     R = g.nlabels_v
     dom = _table_domain(q, 2 * R)
@@ -1033,9 +1007,7 @@ def t1_dictator_tables(params, labeling):
 
 def binary_dictator_tables(source, labeling, shifted=False):
     """Per-right-vertex bit tables x -> x[label(v)] (or x[R + label(v)])."""
-    labeling = (
-        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
-    )
+    labeling = _as_labeling(labeling)
     R = source.nlabels_v
     dom = ProductDomain.binary_uniform(2 * R)
     off = R if shifted else 0
@@ -1064,6 +1036,7 @@ def sample_t1(params, n, seed):
     R = g.nlabels_v
     S = t1_column_support(q, k, params.a)
     dom, variables, var_index = _grid_variables(g, q, 2 * R)
+    query = _t1_query(g, S, var_index)
     zeros = (0,) * k
     w = Fraction(1, n)
     constraints = []
@@ -1072,16 +1045,7 @@ def sample_t1(params, n, seed):
         eids = _incident_or_error(g, u)
         combo = [eids[rng.randrange(len(eids))] for _ in range(k)]
         spick = [rng.randrange(len(S)) for _ in range(L)]
-        vars_ = []
-        for j in range(k):
-            xj = [0] * (2 * L)
-            for i, si in enumerate(spick):
-                y, yp = S[si]
-                xj[i] = y[j]
-                xj[L + i] = yp[j]
-            e = g.edges[combo[j]]
-            vars_.append(var_index[(e.v, compose_projection(tuple(xj), e.proj))])
-        constraints.append((tuple(vars_), zeros, w))
+        constraints.append((query(combo, spick), zeros, w))
     return CspInstance(params.predicate, variables, constraints)
 
 
@@ -1105,12 +1069,10 @@ def sample_t2(params, n, seed):
         raise PreconditionError("need at least one sample")
     rng = random.Random(seed)
     g = params.source
-    k, d = params.k, params.d
-    L = g.nlabels_u
-    R = g.nlabels_v
-    block = _cumulative(t2_block_table(params).items())
-    dom, variables, var_index = _grid_variables(g, 2, 2 * R)
-    zeros = (0,) * (2 * k)
+    block, scale, query = _t2_queries(params)
+    table = _cumulative([(b, m / scale) for b, (_, m) in enumerate(block)])
+    _, variables, _ = _grid_variables(g, 2, 2 * g.nlabels_v)
+    zeros = (0,) * (2 * params.k)
     w = Fraction(1, n)
     constraints = []
     for _ in range(n):
@@ -1118,24 +1080,8 @@ def sample_t2(params, n, seed):
         eids = _incident_or_error(g, u)
         ev = eids[rng.randrange(len(eids))]
         ew = eids[rng.randrange(len(eids))]
-        fv, fw = _edge_fibers(g, ev), _edge_fibers(g, ew)
-        tv, tw = g.edges[ev].v, g.edges[ew].v
-        xcol = [None] * (2 * R)
-        ycol = [None] * (2 * R)
-        for i in range(L):
-            xc, yc = _weighted_choice(rng, block)
-            for t, j in enumerate(fv[i]):
-                xcol[j] = xc[t]
-                xcol[R + j] = xc[d + t]
-            for t, j in enumerate(fw[i]):
-                ycol[j] = yc[t]
-                ycol[R + j] = yc[d + t]
-        vars_ = []
-        for j in range(k):
-            vars_.append(var_index[(tv, tuple(xcol[c][j] for c in range(2 * R)))])
-        for j in range(k):
-            vars_.append(var_index[(tw, tuple(ycol[c][j] for c in range(2 * R)))])
-        constraints.append((tuple(vars_), zeros, w))
+        picks = [_weighted_choice(rng, table) for _ in range(g.nlabels_u)]
+        constraints.append((query(ev, ew, picks), zeros, w))
     return CspInstance(params.predicate, variables, constraints)
 
 
@@ -1147,7 +1093,7 @@ def sample_t3(params, n, seed):
     rng = random.Random(seed)
     g = params.source
     R = g.nlabels_v
-    dom, variables, var_index = _grid_variables(g, 2, 2 * R)
+    dom, variables, _ = _grid_variables(g, 2, 2 * R)
     literals = (0, 0, 0, 1)
     w = Fraction(1, n)
     deltas = {}
@@ -1161,20 +1107,10 @@ def sample_t3(params, n, seed):
             deltas[(ev, ew)] = _cumulative(sorted(
                 t3_delta_table(g, ev, ew, params.eps).items()
             ))
-        dv, dw = _weighted_choice(rng, deltas[(ev, ew)])
-        x = tuple(rng.randrange(2) for _ in range(2 * R))
-        xp = tuple(rng.randrange(2) for _ in range(2 * R))
-        x2 = tuple(a ^ b for a, b in zip(x, dv))
-        x4 = tuple(a ^ b for a, b in zip(xp, dw))
-        tv, tw = g.edges[ev].v, g.edges[ew].v
-        constraints.append((
-            (
-                var_index[(tv, x)],
-                var_index[(tv, x2)],
-                var_index[(tw, xp)],
-                var_index[(tw, x4)],
-            ),
-            literals,
-            w,
-        ))
+        mv, mw = map(dom.index, _weighted_choice(rng, deltas[(ev, ew)]))
+        x, xp = (
+            dom.index(tuple(rng.randrange(2) for _ in range(2 * R)))
+            for _ in range(2)
+        )
+        constraints.append((_t3_query(g, ev, ew, mv, mw, x, xp), literals, w))
     return CspInstance(lin(4), variables, constraints)

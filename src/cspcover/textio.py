@@ -4,6 +4,7 @@ Every parser raises FormatError with a line reference on malformed input;
 writers emit exactly what the parsers accept, so files round-trip.
 """
 
+import math
 from fractions import Fraction
 
 from .boolanalysis import ProductDomain, TabulatedFunction
@@ -36,7 +37,10 @@ def _ints(line, lineno, count=None):
 
 
 def _rational(token, lineno):
+    num, slash, den = token.partition("/")
     try:
+        if slash and num.isdecimal() and den.isdecimal():
+            return Fraction(int(num), int(den))
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise FormatError("line %d: bad rational %r" % (lineno, token))
@@ -108,6 +112,8 @@ def parse_instance(text, predicate):
             "expected %d constraints, found %d" % (ncons, len(lines) - 1)
         )
     constraints = []
+    literals = {}
+    weights = {}
     for lineno, line in lines[1:]:
         toks = line.split()
         if len(toks) != k + 2:
@@ -115,12 +121,15 @@ def parse_instance(text, predicate):
                 "line %d: expected %d tokens, got %d" % (lineno, k + 2, len(toks))
             )
         try:
-            vars_ = tuple(int(t) for t in toks[:k])
+            vars_ = tuple(map(int, toks[:k]))
         except ValueError:
             raise FormatError("line %d: bad variable indices" % lineno)
-        literals = _digits(toks[k], lineno, k, q)
-        weight = _rational(toks[k + 1], lineno)
-        constraints.append((vars_, literals, weight))
+        lits, w = toks[k:]
+        if lits not in literals:
+            literals[lits] = _digits(lits, lineno, k, q)
+        if w not in weights:
+            weights[w] = _rational(w, lineno)
+        constraints.append((vars_, literals[lits], weights[w]))
     return CspInstance(predicate, range(nvars), constraints)
 
 
@@ -129,13 +138,18 @@ def format_instance(inst):
     out = [
         "%d %d %d %d" % (pred.q, pred.k, inst.nvars, len(inst.constraints))
     ]
-    for c in inst.constraints:
+    den = inst.denominator
+    weights = {}
+    for c, m in zip(inst.constraints, inst.numerators):
+        if m not in weights:
+            g = math.gcd(m, den)
+            weights[m] = "%d/%d" % (m // g, den // g)
         out.append(
             "%s %s %s"
             % (
-                " ".join(str(v) for v in c.vars),
-                "".join(str(x) for x in c.literals),
-                format_rational(c.weight),
+                " ".join(map(str, c.vars)),
+                "".join(map(str, c.literals)),
+                weights[m],
             )
         )
     return "\n".join(out) + "\n"

@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 
 from cspcover.csp import Assignment
+from cspcover.errors import PreconditionError
 from cspcover.predicate import add_tuples, is_shift_closed
 
 
@@ -190,6 +191,82 @@ def reference_max_independent_set(inst, budget):
 
     rec(0)
     return best["size"], best["set"]
+
+
+def reference_merge(predicate, variables, constraints):
+    """The original `CspInstance` merge: every constraint validated one by
+    one, duplicate (vars, literals) keys merged by `Fraction` addition in
+    first-occurrence order. Returns (vars, literals, weight) triples."""
+    n = len(tuple(variables))
+    merged = {}
+    for vars_, lits, w in constraints:
+        vars_ = tuple(int(v) for v in vars_)
+        lits = tuple(int(x) for x in lits)
+        w = Fraction(w)
+        if len(vars_) != predicate.k or len(lits) != predicate.k:
+            raise PreconditionError("arity")
+        if any(v < 0 or v >= n for v in vars_):
+            raise PreconditionError("unknown variables")
+        if any(x < 0 or x >= predicate.q for x in lits):
+            raise PreconditionError("literals outside [q]")
+        if w < 0:
+            raise PreconditionError("negative weight")
+        merged[(vars_, lits)] = merged.get((vars_, lits), Fraction(0)) + w
+    if merged and sum(merged.values()) == 0:
+        raise PreconditionError("total constraint weight must be positive")
+    return [(v, l, w) for (v, l), w in merged.items()]
+
+
+def reference_covered_fraction(cs, inst):
+    """The original covered fraction: `Fraction` weights summed constraint by
+    constraint, membership tested by adding the literals to the values."""
+    if not inst.constraints:
+        return Fraction(1)
+    q = inst.predicate.q
+    total = Fraction(0)
+    hit = Fraction(0)
+    for c in inst.constraints:
+        total += c.weight
+        for a in cs:
+            vals = tuple(a.values[v] for v in c.vars)
+            if add_tuples(vals, c.literals, q) in inst.predicate:
+                hit += c.weight
+                break
+    return hit / total
+
+
+def reference_rejection_identity(assignments, inst, budget):
+    """The original parity rejection sums over `Fraction` weights, one budget
+    unit per constraint: (lhs, rhs, correlations by index set)."""
+    t = len(assignments)
+    rows = [a.values for a in assignments]
+    total = sum((c.weight for c in inst.constraints), Fraction(0))
+    lhs = Fraction(0)
+    sums = {
+        s: Fraction(0)
+        for r in range(1, t + 1)
+        for s in itertools.combinations(range(t), r)
+    }
+    for c in inst.constraints:
+        budget.spend()
+        if c.weight == 0:
+            continue
+        signs = []
+        for i in range(t):
+            parity = 0
+            for v in c.vars:
+                parity ^= rows[i][v]
+            signs.append(1 if parity == 0 else -1)
+        if all(s == 1 for s in signs):
+            lhs += c.weight
+        for s in sums:
+            prod = 1
+            for i in s:
+                prod *= signs[i]
+            sums[s] += c.weight * prod
+    correlations = {s: v / total for s, v in sums.items()}
+    rhs = Fraction(1, 2 ** t) * (1 + sum(correlations.values()))
+    return lhs / total, rhs, correlations
 
 
 def count_satisfied_edges(g, left, right):

@@ -500,6 +500,52 @@ class TestReductionCommands:
         assert err.startswith("error:")
 
 
+class TestWitnessChecksLabelingsFirst:
+    """Malformed labelings exit 3 before the instance is generated, so even
+    a budget far below the generator's cost does not turn them into exit 2."""
+
+    def files(self, tmp_path, game):
+        return (
+            game_file(tmp_path, game),
+            write(tmp_path / "p0.dist", "2\n00 1/2\n11 1/2\n"),
+            write(tmp_path / "p1.dist", "2\n01 1/2\n10 1/2\n"),
+            write(tmp_path / "nae22.pred", textio.format_predicate(nae(2, 2))),
+        )
+
+    def witness(self, capsys, test, game, p0, p1, pred, labs, budget):
+        extra = {
+            "t1": ["--predicate", pred, "--a", "01"],
+            "t2": ["--p0", p0, "--p1", p1, "--eps", "1/4"],
+            "t3": ["--eps", "1/4"],
+        }[test]
+        if budget:
+            extra += ["--budget", "10"]
+        return run(capsys, "witness", test, "--source", game,
+                   "--labelings", labs, *extra)
+
+    @pytest.mark.parametrize("budget", [False, True])
+    @pytest.mark.parametrize("test", ["t2", "t3"])
+    def test_two_labelings_exit_three(self, tmp_path, capsys, test, budget):
+        # The d = 2 source of the benchmark: 15,360 constraints for t2.
+        game = LabelCoverInstance(1, 1, 1, 2, [Edge(0, 0, (0, 0))])
+        files = self.files(tmp_path, game)
+        labs = write(tmp_path / "labs.txt", "0 0\n0 1\n")
+        code, _, err = self.witness(capsys, test, *files, labs, budget)
+        assert code == 3
+        assert "expected exactly one labeling" in err
+
+    @pytest.mark.parametrize("budget", [False, True])
+    @pytest.mark.parametrize("test", ["t1", "t2", "t3"])
+    def test_unsatisfying_labeling_exits_three(
+        self, tmp_path, capsys, test, budget
+    ):
+        files = self.files(tmp_path, identity_game(nlabels=2))
+        labs = write(tmp_path / "labs.txt", "0 1\n")
+        code, _, err = self.witness(capsys, test, *files, labs, budget)
+        assert code == 3
+        assert "labeling" in err and "budget" not in err
+
+
 class TestDecodeCommand:
     def planted_tables_file(self, tmp_path):
         game = identity_game(nlabels=2, nv=2)

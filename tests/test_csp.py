@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -16,10 +17,12 @@ from cspcover import (
     CspInstance,
     Predicate,
     PreconditionError,
+    RejectionIdentityResult,
     apply_literal_shift,
     cnf,
     cover_to_coloring,
     covered_fraction,
+    covered_fractions,
     covering_number,
     covers_constraint,
     find_cover,
@@ -28,6 +31,7 @@ from cspcover import (
     lin,
     max_independent_set,
     nae,
+    rejection_identity_check,
     shift,
     sub_tuples,
     translate_assignment,
@@ -295,6 +299,105 @@ class TestCoverageMasks:
         budget = Budget(12)
         _coverage_masks(TRIANGLE, budget)
         assert budget.used == 12
+
+
+# Weights with mixed denominators, given as ints, Fractions and strings.
+WEIGHTS = (0, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(5, 12),
+           Fraction(3, 7), "1/6", "3/4")
+
+
+@st.composite
+def weighted_instances(draw):
+    """(predicate, nvars, constraint triples) over q in {2, 3}, k in {2, 3}:
+    random literals, repeated keys, zero weights, mixed denominators."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5))
+    tuples = list(itertools.product(range(q), repeat=k))
+    members = draw(st.sets(st.sampled_from(tuples)))
+    keys = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, n - 1)] * k),
+                  st.sampled_from(tuples)),
+        min_size=1, max_size=6,
+    ))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=4))
+    cons = [(v, l, draw(st.sampled_from(WEIGHTS))) for v, l in keys]
+    if all(Fraction(w) == 0 for _, _, w in cons):
+        cons[0] = (cons[0][0], cons[0][1], 1)
+    return Predicate(q, k, members), n, cons
+
+
+def binary_assignments(n):
+    return st.lists(
+        st.tuples(*[st.integers(0, 1)] * n).map(Assignment),
+        min_size=1, max_size=3,
+    )
+
+
+class TestIntegerWeights:
+    """The integer numerators against the original `Fraction` code."""
+
+    @given(weighted_instances())
+    def test_merge_matches_the_fraction_merge(self, case):
+        pred, n, cons = case
+        inst = CspInstance(pred, range(n), cons)
+        assert [tuple(c) for c in inst.constraints] == oracles.reference_merge(
+            pred, range(n), cons
+        )
+        assert inst.denominator == math.lcm(
+            *(Fraction(w).denominator for _, _, w in cons)
+        )
+        assert [Fraction(m, inst.denominator) for m in inst.numerators] == [
+            c.weight for c in inst.constraints
+        ]
+        assert inst.total_weight() == sum(Fraction(w) for _, _, w in cons)
+
+    @given(weighted_instances(), st.data())
+    def test_covered_fractions_match_the_fraction_sums(self, case, data):
+        pred, n, cons = case
+        inst = CspInstance(pred, range(n), cons)
+        assignments = data.draw(st.lists(
+            st.tuples(*[st.integers(0, pred.q - 1)] * n).map(Assignment),
+            min_size=1, max_size=3,
+        ))
+        each, union = covered_fractions(assignments, inst)
+        assert each == [
+            oracles.reference_covered_fraction([a], inst) for a in assignments
+        ]
+        assert union == oracles.reference_covered_fraction(assignments, inst)
+        assert covered_fraction(CoverSet(assignments), inst) == union
+
+    @given(weighted_instances(), st.data())
+    def test_rejection_identity_matches_the_fraction_sums(self, case, data):
+        pred, n, cons = case
+        inst = CspInstance(pred, range(n), cons)
+        assignments = data.draw(binary_assignments(n))
+        fast, slow = Budget(10**6), Budget(10**6)
+        res = rejection_identity_check(assignments, inst, budget=fast)
+        lhs, rhs, correlations = oracles.reference_rejection_identity(
+            assignments, inst, slow
+        )
+        ref = RejectionIdentityResult(len(assignments), lhs, rhs, correlations)
+        for field in RejectionIdentityResult.__slots__:
+            assert getattr(res, field) == getattr(ref, field), field
+        assert fast.used == slow.used == len(inst.constraints)
+
+    def test_every_constraint_is_validated(self):
+        # Literal vectors and weights are checked once per distinct value;
+        # a bad one later in the list is still caught.
+        ok = ((0, 1), (0, 0), 1)
+        for bad in [((0, 1), (0, 2), 1), ((0, 3), (0, 0), 1),
+                    ((0, 1), (0, 0), -1), ((0, 1, 1), (0, 0), 1)]:
+            with pytest.raises(PreconditionError):
+                CspInstance(nae(2, 2), range(2), [ok, bad])
+
+    def test_empty_instance(self):
+        inst = CspInstance(nae(2, 2), range(2), [])
+        assert (inst.denominator, inst.numerators) == (1, ())
+        assert inst.total_weight() == 0
+        assert covered_fractions([Assignment((0, 0))], inst) == (
+            [Fraction(1)], Fraction(1)
+        )
 
 
 class TestTrivialOddCover:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cspcover import (
     Assignment,
@@ -97,6 +99,37 @@ class TestInstanceFormat:
             textio.parse_instance("2 2 3 1\n0 1 00 half\n", nae(2, 2))
         with pytest.raises(FormatError):
             textio.parse_instance("2 2 3 1\n0 1 00\n", nae(2, 2))
+
+
+    @given(st.text(alphabet="0123456789/+-_.e \u0663\uff10", max_size=9))
+    def test_weight_tokens_read_as_fraction_reads_them(self, token):
+        # `num/den` in decimal digits takes a fast path; every token must
+        # give the same value as Fraction(token), or FormatError where
+        # Fraction raises.
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(FormatError):
+                textio._rational(token, 1)
+        else:
+            assert textio._rational(token, 1) == want
+
+    def test_weights_in_other_spellings(self):
+        text = "2 2 3 4\n0 1 00 1/4\n1 2 01 0.25\n2 0 11 +1/4\n0 2 00 1_0/40\n"
+        inst = textio.parse_instance(text, nae(2, 2))
+        assert [c.weight for c in inst.constraints] == [Fraction(1, 4)] * 4
+        with pytest.raises(FormatError, match="line 2: bad rational"):
+            textio.parse_instance("2 2 3 1\n0 1 00 1/0\n", nae(2, 2))
+
+    def test_writes_reduced_weights_from_the_numerators(self):
+        inst = CspInstance(nae(2, 2), range(3), [
+            ((0, 1), (0, 0), Fraction(1, 6)), ((1, 2), (0, 0), Fraction(1, 3)),
+            ((0, 1), (0, 0), Fraction(1, 6)), ((0, 2), (0, 0), 0),
+        ])
+        assert inst.denominator == 6 and inst.numerators == (2, 2, 0)
+        assert textio.format_instance(inst).splitlines()[1:] == [
+            "0 1 00 1/3", "1 2 00 1/3", "0 2 00 0/1",
+        ]
 
 
 class TestLabelCoverFormat:
