@@ -105,6 +105,7 @@ from .reductions import (
     T3DecodeResult,
     T3Params,
     binary_dictator_tables,
+    completeness_witness,
     decode_t1,
     decode_t2,
     decode_t3,

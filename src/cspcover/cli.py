@@ -10,15 +10,14 @@ malformed input or violated preconditions (including missing seeds).
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
 from . import textio
 from .boolanalysis import ProductDomain, TabulatedFunction, all_influences, fourier
 from .correlated import correlation_rho, invariance_gap, is_connected
-from .csp import (
-    CoverSet, covered_fraction, covered_fractions, find_cover, max_independent_set,
-)
+from .csp import CoverSet, covered_fraction, find_cover, max_independent_set
 from .errors import BudgetExceededError, FormatError, PreconditionError
 from .labelcover import synthesize, is_c_coverable, max_satisfiable, smoothness_profile
 from .predicate import lin
@@ -26,8 +25,7 @@ from .reductions import (
     T1Params,
     T2Params,
     T3Params,
-    _check_labeling_satisfies,
-    _check_labelings_cover,
+    completeness_witness,
     decode_t1,
     decode_t2,
     decode_t3,
@@ -38,9 +36,6 @@ from .reductions import (
     sample_t1,
     sample_t2,
     sample_t3,
-    t1_completeness_witness,
-    t2_completeness_witness,
-    t3_completeness_witness,
 )
 
 
@@ -352,23 +347,11 @@ def cmd_witness(args, em):
     labs = textio.parse_labelings(_read(args.labelings), g.nu, g.nv)
     if not labs:
         raise FormatError("labelings file holds no labelings")
-    # Check the labelings first: a malformed file exits 3 without paying
-    # for, or running out of budget on, the instance.
-    if args.test == "t1":
-        _check_labelings_cover(g, labs)
-    elif len(labs) != 1:
-        raise FormatError("expected exactly one labeling")
-    else:
-        _check_labeling_satisfies(g, labs[0])
-    inst = _GENERATE[args.test](
-        params, budget=args.budget, support_cap=args.support_cap
+    # Built through `_GENERATE`, as `reduce` builds it, once the labelings pass.
+    generate = functools.partial(
+        _GENERATE[args.test], budget=args.budget, support_cap=args.support_cap
     )
-    if args.test == "t1":
-        assignments = list(t1_completeness_witness(params, labs, inst).assignments)
-    else:
-        fn = t2_completeness_witness if args.test == "t2" else t3_completeness_witness
-        assignments = list(fn(params, labs[0], inst))
-    fractions, union = covered_fractions(assignments, inst)
+    assignments, fractions, union = completeness_witness(params, labs, generate=generate)
     for i, fraction in enumerate(fractions):
         em.emit("fraction:%d" % i, fraction)
     em.emit("union", union)

@@ -8,27 +8,39 @@ positive-weight constraint must be hit); fraction semantics use weights.
 """
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .errors import PreconditionError, as_budget
 from .predicate import add_tuples, is_odd, is_shift_closed, sub_tuples
 
 
-class Constraint(namedtuple("Constraint", ("vars", "literals", "weight"))):
-    """Variable indices, literal vector and exact weight; an immutable tuple."""
+class Constraint:
+    __slots__ = ("vars", "literals", "weight")
 
-    __slots__ = ()
-
-    def __new__(cls, vars, literals, weight):
+    def __init__(self, vars, literals, weight):
+        object.__setattr__(self, "vars", tuple(map(int, vars)))
+        object.__setattr__(self, "literals", tuple(map(int, literals)))
         if type(weight) is not Fraction:
             weight = Fraction(weight)
-        return tuple.__new__(
-            cls, (tuple(map(int, vars)), tuple(map(int, literals)), weight)
+        object.__setattr__(self, "weight", weight)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Constraint is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return (
+            self.vars == other.vars
+            and self.literals == other.literals
+            and self.weight == other.weight
         )
 
+    def __hash__(self):
+        return hash((self.vars, self.literals, self.weight))
+
     def __repr__(self):
-        return "Constraint(%r, %r, %s)" % self
+        return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
 
 
 class CspInstance:
@@ -54,41 +66,33 @@ class CspInstance:
                 raise PreconditionError("duplicate variable label %r" % (v,))
             index[v] = i
         k, q, n = predicate.k, predicate.q, len(variables)
-        # Literal vectors and weights repeat across constraints: each distinct
-        # one is converted and checked once. Weights are numbered in `exact`.
-        literal_vectors = {}
-        weight_ids = {}
-        exact = []
         atoms = []
-        for vars_, lits, w in constraints:
+        for c in constraints:
+            vars_, lits, w = (
+                (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
+            )
             vars_ = tuple(map(int, vars_))
-            lits = literal_vectors.get(tuple(lits)) or tuple(map(int, lits))
+            lits = tuple(map(int, lits))
+            problem = None
             if len(vars_) != k or len(lits) != k:
                 problem = "does not match arity %d" % k
             elif min(vars_) < 0 or max(vars_) >= n:
                 problem = "references unknown variables"
-            elif lits not in literal_vectors and any(x < 0 or x >= q for x in lits):
+            elif min(lits) < 0 or max(lits) >= q:
                 problem = "has literals outside [q]"
-            else:
-                problem = None
             if problem:
                 raise PreconditionError(
                     "constraint %r %s" % (Constraint(vars_, lits, w), problem)
                 )
-            literal_vectors[lits] = lits
-            j = weight_ids.get(w)
-            if j is None:
-                f = Fraction(w)
-                if f < 0:
-                    raise PreconditionError("constraint weights must be nonnegative")
-                j = weight_ids[w] = len(exact)
-                exact.append(f)
-            atoms.append(((vars_, lits), j))
-        den = math.lcm(*(f.denominator for f in exact))
-        scaled = [f.numerator * (den // f.denominator) for f in exact]
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if w < 0:
+                raise PreconditionError("constraint weights must be nonnegative")
+            atoms.append(((vars_, lits), w))
+        den = math.lcm(*{w.denominator for _, w in atoms})
         merged = {}
-        for key, j in atoms:
-            merged[key] = merged.get(key, 0) + scaled[j]
+        for key, w in atoms:
+            merged[key] = merged.get(key, 0) + w.numerator * (den // w.denominator)
         if merged and not any(merged.values()):
             raise PreconditionError("total constraint weight must be positive")
         weights = {m: Fraction(m, den) for m in set(merged.values())}

@@ -24,9 +24,7 @@ from .boolanalysis import (
     pi_tilde,
 )
 from .correlated import CorrelatedSpace
-from .csp import (
-    Assignment, CoverSet, CspInstance, covered_fraction, covered_fractions,
-)
+from .csp import Assignment, CoverSet, CspInstance, covered_fractions
 from .errors import BudgetExceededError, PreconditionError, as_budget
 from .labelcover import Labeling, satisfied_fraction
 from .predicate import lin, nae, translate_orbit
@@ -197,10 +195,6 @@ def _to_pm_values(f):
     raise PreconditionError("table values must be bits or signs")
 
 
-def _as_labeling(lab):
-    return lab if isinstance(lab, Labeling) else Labeling(*lab)
-
-
 def _check_cap(count, support_cap):
     cap = DEFAULT_SUPPORT_CAP if support_cap is None else int(support_cap)
     if count > cap:
@@ -315,17 +309,7 @@ def _check_labelings_cover(g, labelings):
 def t1_completeness_witness(params, labelings, inst=None):
     """Two assignments per covering labeling: first-half and second-half
     half-dictators. Their union covers every generated constraint exactly."""
-    g = params.source
-    labelings = [_as_labeling(lab) for lab in labelings]
-    _check_labelings_cover(g, labelings)
-    if inst is None:
-        inst = generate_t1(params)
-    assignments = []
-    for lab in labelings:
-        assignments.extend(_half_dictators(inst, g.nlabels_v, lab))
-    if covered_fraction(assignments, inst) != 1:
-        raise ArithmeticError("witness failed to cover the generated instance")
-    return CoverSet(assignments)
+    return CoverSet(completeness_witness(params, labelings, inst, generate_t1)[0])
 
 
 def _half_dictators(inst, R, labeling):
@@ -410,26 +394,28 @@ def _cols_to_rows(cols, k):
     return tuple(tuple(col[j] for col in cols) for j in range(k))
 
 
-def _t2_row_space(params, split):
-    """The block distribution over row tuples, each side split by `split`
-    from the k X-rows and the k Y-rows."""
-    mu = {}
-    for (xcols, ycols), w in t2_block_table(params).items():
-        key = split(_cols_to_rows(xcols, params.k), _cols_to_rows(ycols, params.k))
-        mu[key] = mu.get(key, Fraction(0)) + w
-    return CorrelatedSpace(mu)
-
-
 def t2_block_space(params):
     """The block distribution as a correlated space of row tuples: left atoms
     are the k X-rows, right atoms the k Y-rows (each row 2d bits)."""
-    return _t2_row_space(params, lambda x, y: (x, y))
+    k = params.k
+    mu = {}
+    for (xcols, ycols), w in t2_block_table(params).items():
+        key = (_cols_to_rows(xcols, k), _cols_to_rows(ycols, k))
+        mu[key] = mu.get(key, Fraction(0)) + w
+    return CorrelatedSpace(mu)
 
 
 def t2_block_last_row_space(params):
     """The same block split for the correlation bound: everything except the
     last Y-row on the left, the last Y-row alone on the right."""
-    return _t2_row_space(params, lambda x, y: (x + y[:-1], (y[-1],)))
+    k = params.k
+    mu = {}
+    for (xcols, ycols), w in t2_block_table(params).items():
+        xrows = _cols_to_rows(xcols, k)
+        yrows = _cols_to_rows(ycols, k)
+        key = (xrows + yrows[:-1], (yrows[-1],))
+        mu[key] = mu.get(key, Fraction(0)) + w
+    return CorrelatedSpace(mu)
 
 
 def _edge_fibers(g, eid):
@@ -502,41 +488,13 @@ def generate_t2(params, budget=None, support_cap=None):
     for u in range(g.nu):
         eids = _incident_or_error(g, u)
         den = g.nu * len(eids) ** 2 * scale ** L
-        weights = {}
         for ev in eids:
             for ew in eids:
                 for picks in itertools.product(range(len(block)), repeat=L):
                     budget.spend()
-                    num = math.prod(block[b][1] for b in picks)
-                    if num not in weights:
-                        weights[num] = Fraction(num, den)
-                    constraints.append((query(ev, ew, picks), zeros, weights[num]))
+                    w = Fraction(math.prod(block[b][1] for b in picks), den)
+                    constraints.append((query(ev, ew, picks), zeros, w))
     return CspInstance(params.predicate, variables, constraints)
-
-
-def _check_labeling_satisfies(g, labeling):
-    labeling = _as_labeling(labeling)
-    if satisfied_fraction(g, labeling) != 1:
-        raise PreconditionError("labeling does not satisfy every edge")
-    return labeling
-
-
-def _half_dictator_witness(params, labeling, inst, generate):
-    """The t2 and t3 completeness witness; `generate` builds the instance
-    when none is given."""
-    labeling = _check_labeling_satisfies(params.source, labeling)
-    if inst is None:
-        inst = generate(params)
-    f, h = _half_dictators(inst, params.source.nlabels_v, labeling)
-    (cf, ch), union = covered_fractions([f, h], inst)
-    need = 1 - params.eps
-    if cf < need:
-        raise ArithmeticError("first witness covers less than 1-eps")
-    if ch < need:
-        raise ArithmeticError("second witness covers less than 1-eps")
-    if union != 1:
-        raise ArithmeticError("witness pair failed to cover the instance")
-    return f, h
 
 
 def t2_completeness_witness(params, labeling, inst=None):
@@ -545,7 +503,7 @@ def t2_completeness_witness(params, labeling, inst=None):
     Each covers at least a 1-eps weight fraction (exactly computed) and
     together they cover everything; both facts are asserted.
     """
-    return _half_dictator_witness(params, labeling, inst, generate_t2)
+    return tuple(completeness_witness(params, [labeling], inst, generate_t2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +588,14 @@ def rejection_identity_check(assignments, inst, budget=None):
 
 
 def _mask_bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
 
 
 def _sample_mask(rng, masses):
@@ -642,17 +607,6 @@ def _sample_mask(rng, masses):
         if r < acc:
             return mask
     return None
-
-
-def _spectral_pick(rng, masses, R):
-    """A uniform member j of an index set drawn from masses, folded to j - R
-    when j >= R; None when the draw is empty or falls back."""
-    mask = _sample_mask(rng, masses)
-    if not mask:
-        return None
-    bits = _mask_bits(mask)
-    j = bits[rng.randrange(len(bits))]
-    return j if j < R else j - R
 
 
 def _fourier_masses(f, rate):
@@ -784,14 +738,24 @@ def decode_t2(tables, source, gamma, seed):
         masses[v], spectra[v] = _fourier_masses(tables[v], rate)
     right = []
     for v in range(source.nv):
-        j = _spectral_pick(rng, masses[v], R)
-        right.append(0 if j is None else j)
+        mask = _sample_mask(rng, masses[v])
+        if not mask:
+            right.append(0)
+            continue
+        bits = _mask_bits(mask)
+        j = bits[rng.randrange(len(bits))]
+        right.append(j if j < R else j - R)
     left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
         e = source.edges[eids[rng.randrange(len(eids))]]
-        j = _spectral_pick(rng, masses[e.v], R)
-        left.append(0 if j is None else e.proj[j])
+        mask = _sample_mask(rng, masses[e.v])
+        if not mask:
+            left.append(0)
+            continue
+        bits = _mask_bits(mask)
+        j = bits[rng.randrange(len(bits))]
+        left.append(e.proj[j if j < R else j - R])
     labeling = Labeling(left, right)
     value = satisfied_fraction(source, labeling)
     # Expectation bound: per (u, edge pair), sum over left labels of the
@@ -862,8 +826,13 @@ def decode_t3(tables, source, seed):
         left.append(image[rng.randrange(len(image))])
     right = []
     for v in range(source.nv):
-        j = _spectral_pick(rng, masses[v], R)
-        right.append(0 if j is None else j)
+        mask = _sample_mask(rng, masses[v])
+        if not mask:
+            right.append(0)
+            continue
+        bits = _mask_bits(mask)
+        j = bits[rng.randrange(len(bits))]
+        right.append(j if j < R else j - R)
     labeling = Labeling(left, right)
     return T3DecodeResult(labeling, satisfied_fraction(source, labeling))
 
@@ -905,13 +874,17 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
             wc *= case_weights[c]
         if not wc:
             continue
-        # The noise mask: case 1 marks position i, case 2 position L + i.
         eta = [0] * (2 * L)
+        etap = [0] * (2 * L)
         for i, c in enumerate(cases):
-            if c:
-                eta[i if c == 1 else L + i] = 1
+            if c == 1:
+                eta[i] = 1
+                etap[i] = 1
+            elif c == 2:
+                eta[L + i] = 1
+                etap[L + i] = 1
         mask_v = compose_projection(tuple(eta), pv)
-        mask_w = compose_projection(tuple(eta), pw)
+        mask_w = compose_projection(tuple(etap), pw)
         sup_v = [j for j in range(2 * R) if mask_v[j]]
         sup_w = [j for j in range(2 * R) if mask_w[j]]
         w = wc * Fraction(1, 2 ** (2 * L + len(sup_v) + len(sup_w)))
@@ -982,7 +955,46 @@ def _t3_query(g, ev, ew, mv, mw, x, xp):
 
 def t3_completeness_witness(params, labeling, inst=None):
     """Half-dictator pair for the third test; same contract as the second."""
-    return _half_dictator_witness(params, labeling, inst, generate_t3)
+    return tuple(completeness_witness(params, [labeling], inst, generate_t3)[0])
+
+
+def completeness_witness(params, labelings, inst=None, generate=None):
+    """The half-dictator witness of the test of `params`: (assignments, the
+    covered fraction of each, that of their union), from one coverage pass.
+
+    The labelings are checked before anything is generated: for t1 they must
+    together cover every left vertex; for t2 and t3 there must be exactly one,
+    satisfying every edge. Then, when `inst` is None, `generate(params)` builds
+    the instance. Asserts that the union covers the instance and, for t2 and
+    t3, that each assignment covers at least 1 - eps.
+    """
+    g = params.source
+    labelings = [
+        lab if isinstance(lab, Labeling) else Labeling(*lab) for lab in labelings
+    ]
+    t1 = isinstance(params, T1Params)
+    if t1:
+        _check_labelings_cover(g, labelings)
+    elif len(labelings) != 1:
+        raise PreconditionError("expected exactly one labeling")
+    elif satisfied_fraction(g, labelings[0]) != 1:
+        raise PreconditionError("labeling does not satisfy every edge")
+    if inst is None:
+        inst = generate(params)
+    R = g.nlabels_v
+    assignments = [a for lab in labelings for a in _half_dictators(inst, R, lab)]
+    fractions, union = covered_fractions(assignments, inst)
+    if not t1:
+        if fractions[0] < 1 - params.eps:
+            raise ArithmeticError("first witness covers less than 1-eps")
+        if fractions[1] < 1 - params.eps:
+            raise ArithmeticError("second witness covers less than 1-eps")
+    if union != 1:
+        raise ArithmeticError(
+            "witness failed to cover the generated instance" if t1
+            else "witness pair failed to cover the instance"
+        )
+    return assignments, fractions, union
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +1004,9 @@ def t3_completeness_witness(params, labeling, inst=None):
 def t1_dictator_tables(params, labeling):
     """Per-right-vertex tables x -> x[label(v)] over [q]^{2R}."""
     g = params.source
-    labeling = _as_labeling(labeling)
+    labeling = (
+        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
+    )
     q = params.predicate.q
     R = g.nlabels_v
     dom = _table_domain(q, 2 * R)
@@ -1007,7 +1021,9 @@ def t1_dictator_tables(params, labeling):
 
 def binary_dictator_tables(source, labeling, shifted=False):
     """Per-right-vertex bit tables x -> x[label(v)] (or x[R + label(v)])."""
-    labeling = _as_labeling(labeling)
+    labeling = (
+        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
+    )
     R = source.nlabels_v
     dom = ProductDomain.binary_uniform(2 * R)
     off = R if shifted else 0

@@ -37,10 +37,7 @@ def _ints(line, lineno, count=None):
 
 
 def _rational(token, lineno):
-    num, slash, den = token.partition("/")
     try:
-        if slash and num.isdecimal() and den.isdecimal():
-            return Fraction(int(num), int(den))
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise FormatError("line %d: bad rational %r" % (lineno, token))
@@ -139,17 +136,14 @@ def format_instance(inst):
         "%d %d %d %d" % (pred.q, pred.k, inst.nvars, len(inst.constraints))
     ]
     den = inst.denominator
-    weights = {}
     for c, m in zip(inst.constraints, inst.numerators):
-        if m not in weights:
-            g = math.gcd(m, den)
-            weights[m] = "%d/%d" % (m // g, den // g)
+        g = math.gcd(m, den)
         out.append(
             "%s %s %s"
             % (
                 " ".join(map(str, c.vars)),
                 "".join(map(str, c.literals)),
-                weights[m],
+                "%d/%d" % (m // g, den // g),
             )
         )
     return "\n".join(out) + "\n"

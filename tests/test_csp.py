@@ -13,6 +13,7 @@ from cspcover import (
     Assignment,
     Budget,
     BudgetExceededError,
+    Constraint,
     CoverSet,
     CspInstance,
     Predicate,
@@ -341,9 +342,11 @@ class TestIntegerWeights:
     def test_merge_matches_the_fraction_merge(self, case):
         pred, n, cons = case
         inst = CspInstance(pred, range(n), cons)
-        assert [tuple(c) for c in inst.constraints] == oracles.reference_merge(
-            pred, range(n), cons
-        )
+        assert [
+            (c.vars, c.literals, c.weight) for c in inst.constraints
+        ] == oracles.reference_merge(pred, range(n), cons)
+        again = CspInstance(pred, range(n), [Constraint(*c) for c in cons])
+        assert again.constraints == inst.constraints
         assert inst.denominator == math.lcm(
             *(Fraction(w).denominator for _, _, w in cons)
         )
@@ -390,6 +393,11 @@ class TestIntegerWeights:
                     ((0, 1), (0, 0), -1), ((0, 1, 1), (0, 0), 1)]:
             with pytest.raises(PreconditionError):
                 CspInstance(nae(2, 2), range(2), [ok, bad])
+
+    def test_constraints_equal_only_constraints(self):
+        c = Constraint((0, 1), (0, 0), Fraction(1, 2))
+        assert c == Constraint([0, 1], "00", "1/2")
+        assert c != ((0, 1), (0, 0), Fraction(1, 2))
 
     def test_empty_instance(self):
         inst = CspInstance(nae(2, 2), range(2), [])

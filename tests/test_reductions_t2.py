@@ -6,6 +6,7 @@ import pytest
 
 from cspcover import (
     Assignment,
+    Budget,
     BudgetExceededError,
     CoverSet,
     Edge,
@@ -26,6 +27,7 @@ from cspcover import (
     t2_block_table,
     t2_completeness_witness,
     binary_dictator_tables,
+    completeness_witness,
 )
 
 HALF = Fraction(1, 2)
@@ -264,6 +266,35 @@ class TestCompletenessWitness:
         p = params(source=two_label_source())
         with pytest.raises(PreconditionError):
             t2_completeness_witness(p, Labeling((0,), (1,)))
+
+    def test_generates_with_fractions_from_one_pass(self):
+        p = params()
+        assignments, fractions, union = completeness_witness(
+            p, [Labeling((0,), (0,))], generate=generate_t2
+        )
+        inst = generate_t2(p)
+        assert tuple(assignments) == t2_completeness_witness(
+            p, Labeling((0,), (0,)), inst
+        )
+        assert fractions == [covered_fraction(CoverSet([a]), inst)
+                             for a in assignments]
+        assert union == 1
+
+    def test_checks_labelings_before_generating(self):
+        # Under a budget far below the generator's cost, malformed labelings
+        # still raise PreconditionError, not BudgetExceededError.
+        p = params(source=two_label_source())
+
+        def generate(p):
+            return generate_t2(p, budget=Budget(1))
+
+        ok, bad = Labeling((0,), (0,)), Labeling((0,), (1,))
+        for labelings, message in (([ok, ok], "exactly one"),
+                                   ([bad], "does not satisfy"), ([], "exactly one")):
+            with pytest.raises(PreconditionError, match=message):
+                completeness_witness(p, labelings, generate=generate)
+        with pytest.raises(BudgetExceededError):
+            completeness_witness(p, [ok], generate=generate)
 
 
 class TestRejectionIdentity:

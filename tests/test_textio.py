@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cspcover import (
     Assignment,
@@ -99,20 +97,6 @@ class TestInstanceFormat:
             textio.parse_instance("2 2 3 1\n0 1 00 half\n", nae(2, 2))
         with pytest.raises(FormatError):
             textio.parse_instance("2 2 3 1\n0 1 00\n", nae(2, 2))
-
-
-    @given(st.text(alphabet="0123456789/+-_.e \u0663\uff10", max_size=9))
-    def test_weight_tokens_read_as_fraction_reads_them(self, token):
-        # `num/den` in decimal digits takes a fast path; every token must
-        # give the same value as Fraction(token), or FormatError where
-        # Fraction raises.
-        try:
-            want = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            with pytest.raises(FormatError):
-                textio._rational(token, 1)
-        else:
-            assert textio._rational(token, 1) == want
 
     def test_weights_in_other_spellings(self):
         text = "2 2 3 4\n0 1 00 1/4\n1 2 01 0.25\n2 0 11 +1/4\n0 2 00 1_0/40\n"
