@@ -1,15 +1,22 @@
 """Golden outputs of the reduction commands, pinned byte for byte.
 
 The CLI promises byte-identical output for identical inputs, flags and seed.
-These tests run `reduce` (exact and sampled), `witness`, `fraction` and
-`reject-id` on two fixed sources and compare SHA-256 digests of every stdout
-and every written file against digests recorded before the instance layer
-moved to integer weights. A changed digest means changed output: if the
-change is intended, the new digest has to be recorded here on purpose.
+These tests run `reduce` (exact and sampled), `witness`, `fraction`,
+`reject-id` and `decode` on fixed sources and compare SHA-256 digests of
+every stdout and every written file against recorded digests. The `unique`
+and `dto1` digests were recorded before the instance layer moved to integer
+weights, the `unique_l2` and `decode` ones before the generators and
+samplers shared one definition per test. A changed digest means changed
+output: if the change is intended, the new digest has to be recorded here on
+purpose.
 
 The unique source has two left and two right vertices with one label each;
-the d = 2 source has one edge with one left and two right labels. Both are
-small enough that the whole file runs in a few seconds.
+the d = 2 source has one edge with one left and two right labels; the
+`unique_l2` source has one edge with two labels on each side and a swapping
+projection, so its samples draw over several labels; the decode source has
+two left and three right vertices with two labels each, and fixed random
+tables that are no dictators. All are small enough that the whole file runs
+in a few seconds.
 """
 
 import contextlib
@@ -25,12 +32,24 @@ DTO1_GAME = "1 1 1 2 0\n0 0 0 0\n"
 NAE22 = "2 2\n01\n10\n"
 P0 = "2\n00 1/2\n11 1/2\n"
 P1 = "2\n01 1/2\n10 1/2\n"
+UNIQUE_L2_GAME = "1 1 2 2 1\n0 0 1 0\n"
+DECODE_GAME = "2 3 2 2 1\n0 0 0 1\n0 1 1 0\n1 1 0 1\n1 2 1 0\n"
+DECODE_TABLES = (
+    "3 16 2\n0 1110010011000110\n1 0000000111001100\n2 1110110100010110\n"
+)
+PIPELINE = ("reduce", "sample", "witness", "fraction", "reject-id")
 
-# source name -> game text, labeling file, tests, eps per test (t2, t3)
+# source name -> game text, labeling or tables file, tests, eps per test
+# (t2, t3), commands
 SOURCES = {
     "unique": (UNIQUE_GAME, "0 0 0 0\n", ("t1", "t2", "t3"),
-               {"t2": "1/4", "t3": "1/3"}),
-    "dto1": (DTO1_GAME, "0 1\n", ("t2", "t3"), {"t2": "1/3", "t3": "1/4"}),
+               {"t2": "1/4", "t3": "1/3"}, PIPELINE),
+    "dto1": (DTO1_GAME, "0 1\n", ("t2", "t3"), {"t2": "1/3", "t3": "1/4"},
+             PIPELINE),
+    "unique_l2": (UNIQUE_L2_GAME, "0 0\n", ("t1", "t3"), {"t3": "1/4"},
+                  ("reduce", "sample")),
+    "decode": (DECODE_GAME, DECODE_TABLES, ("t1", "t2", "t3"), {},
+               ("decode",)),
 }
 
 
@@ -42,39 +61,48 @@ def _test_args(test, eps):
     return ["--eps", eps[test]]
 
 
-def _calls(tests, eps):
+DECODE_ARGS = {"t1": ["--tau", "1/4", "--d", "2"], "t2": ["--gamma", "1/3"],
+               "t3": []}
+
+
+def _call(cmd, t, eps):
+    """(argv, files written) of one command on test t."""
+    if cmd == "reduce":
+        return (["reduce", t, "--source", "game.lc", "--out", t + ".csp"]
+                + _test_args(t, eps), (t + ".csp", t + ".csp.pred"))
+    if cmd == "sample":
+        return (["reduce", t, "--source", "game.lc", "--sample", "40",
+                 "--seed", "5", "--out", t + ".sample.csp"]
+                + _test_args(t, eps),
+                (t + ".sample.csp", t + ".sample.csp.pred"))
+    if cmd == "witness":
+        return (["witness", t, "--source", "game.lc", "--labelings",
+                 "lab.txt", "--out", t + ".witness"] + _test_args(t, eps),
+                (t + ".witness",))
+    if cmd == "decode":
+        return (["decode", t, "--source", "game.lc", "--tables", "lab.txt",
+                 "--seed", "3", "--out", t + ".lab"] + DECODE_ARGS[t],
+                (t + ".lab",))
+    return ([cmd, t + ".csp", "--predicate", t + ".csp.pred",
+             "--assignments", t + ".witness"], ())
+
+
+def _calls(tests, eps, commands):
     """(call name, argv, files the call writes), in run order."""
-    out = []
-    for t in tests:
-        args = _test_args(t, eps)
-        out.append(("reduce %s" % t,
-                    ["reduce", t, "--source", "game.lc", "--out", t + ".csp"]
-                    + args, (t + ".csp", t + ".csp.pred")))
-        out.append(("sample %s" % t,
-                    ["reduce", t, "--source", "game.lc", "--sample", "40",
-                     "--seed", "5", "--out", t + ".sample.csp"] + args,
-                    (t + ".sample.csp", t + ".sample.csp.pred")))
-        out.append(("witness %s" % t,
-                    ["witness", t, "--source", "game.lc", "--labelings",
-                     "lab.txt", "--out", t + ".witness"] + args,
-                    (t + ".witness",)))
-        for cmd in ("fraction", "reject-id"):
-            out.append(("%s %s" % (cmd, t),
-                        [cmd, t + ".csp", "--predicate", t + ".csp.pred",
-                         "--assignments", t + ".witness"], ()))
-    return out
+    return [("%s %s" % (cmd, t),) + _call(cmd, t, eps)
+            for t in tests for cmd in commands]
 
 
 def golden_digests(name, workdir):
     """Digest of every stdout and written file of one source's calls, keyed
     `call stdout` or `call file`."""
-    game, labeling, tests, eps = SOURCES[name]
+    game, labeling, tests, eps, commands = SOURCES[name]
     for fname, text in (("game.lc", game), ("lab.txt", labeling),
                         ("nae22.pred", NAE22), ("p0.dist", P0),
                         ("p1.dist", P1)):
         (workdir / fname).write_text(text, encoding="utf-8")
     digests = {}
-    for call, argv, written in _calls(tests, eps):
+    for call, argv, written in _calls(tests, eps, commands):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -91,6 +119,46 @@ def _sha256(data):
 
 
 GOLDEN = {
+    'unique_l2': {
+        'reduce t1 stdout':
+            'f9b2f125817d42f2a9895ed8d1c985302ce46030e33bc087129c1ed9517198a4',
+        'reduce t1 t1.csp':
+            'f45a5843decdaeb7439225ed406fd9c13a619306ed4a6ac7a9c22aa1ce6830f1',
+        'reduce t1 t1.csp.pred':
+            '0141b9d9091ac9caf42810aa580352b9d13ce9e31b034e6cf8ab2a8f6ea5aec0',
+        'reduce t3 stdout':
+            '8b8433b6f616303c17cd27acde4d84d53e11950d0f86c12bf337d6b6c5f52002',
+        'reduce t3 t3.csp':
+            'd371064dea6aa7a188d724666a8affb4b1f19dcc873a0c6ebbff5c14c13a5f60',
+        'reduce t3 t3.csp.pred':
+            '384593a9d573ece83d1d68681f2a5a3b274f8881ada22688935290d9d0216de5',
+        'sample t1 stdout':
+            '1301ca5520920db5ebfc91575be37aded6814b19b10cb197596a3752f37ab965',
+        'sample t1 t1.sample.csp':
+            '173679191488d01cae9d7204d05e7dffc59d8833ef6669062d9547569640a931',
+        'sample t1 t1.sample.csp.pred':
+            '0141b9d9091ac9caf42810aa580352b9d13ce9e31b034e6cf8ab2a8f6ea5aec0',
+        'sample t3 stdout':
+            'eb1b9a6b81846d25ec87177984826b6a9cbdb57c6b49c8cf09b644a7c1025821',
+        'sample t3 t3.sample.csp':
+            '889b56a2d8e3de1e112a1ce4e9c408b63edffad2cd3d50b5cd2404976f4305cb',
+        'sample t3 t3.sample.csp.pred':
+            '384593a9d573ece83d1d68681f2a5a3b274f8881ada22688935290d9d0216de5',
+    },
+    'decode': {
+        'decode t1 stdout':
+            'bf4cafeac90dd720fe51e2e04fa4ba93c5ad010fbdb31c625cd0f52a7b289038',
+        'decode t1 t1.lab':
+            '1dfa227e4a458ad4048daa8124810eee153f6dec05ce40e600f83c37e297423a',
+        'decode t2 stdout':
+            '8ea0dd491f592949d40bb6db42d47550826c9daec248a91c91b7fb70ab6f903e',
+        'decode t2 t2.lab':
+            'bbc0d742c16a495ee6a5ba3a3b0ad00d0f18a42ba8b8d347fe983618822e4e26',
+        'decode t3 stdout':
+            '5306358836d69e54e2e646c5adad536dc02612f8bacd8e75bdc1d485534673de',
+        'decode t3 t3.lab':
+            '4940dffa4f2a7a7899794915ce5d6cca1bf6c61c5efe4c26787fdb285a3e807f',
+    },
     'dto1': {
         'fraction t2 stdout':
             '0b906e397df372cc0571103d0ca0da321719c54b109e182d67026c2d72b4df98',
