@@ -315,12 +315,6 @@ _GENERATE = {"t1": generate_t1, "t2": generate_t2, "t3": generate_t3}
 _SAMPLE = {"t1": sample_t1, "t2": sample_t2, "t3": sample_t3}
 
 
-def _params_predicate(params):
-    if isinstance(params, T3Params):
-        return lin(4)
-    return params.predicate
-
-
 def cmd_reduce(args, em):
     _check_seed(args.seed)
     params = _build_params(args)
@@ -334,7 +328,7 @@ def cmd_reduce(args, em):
         )
     _write(args.out, textio.format_instance(inst))
     pred_path = args.out_predicate or args.out + ".pred"
-    _write(pred_path, textio.format_predicate(_params_predicate(params)))
+    _write(pred_path, textio.format_predicate(inst.predicate))
     em.emit("nvars", inst.nvars)
     em.emit("nconstraints", len(inst.constraints))
     em.emit("predicate-file", pred_path)

@@ -2,17 +2,23 @@
 exact weighted-instance generators, completeness-witness constructors, the
 parity rejection arithmetization, and the randomized decoding procedures.
 
-All generators enumerate the full test support with exact rational weights
-and refuse (budget error) past a support cap; the sample_* variants draw a
-seeded multiset instead and are not exact. Tables are stored over {0,1} (or
-[q]); conversions to the +/-1 convention happen inside the operations that
-need them.
+Each test is defined once, as a `_Test`: how many edges it draws at a left
+vertex, its independent weighted picks for those edges, and the map from a
+draw to the queried variables. `_generate` enumerates the full support of a
+test with exact rational weights and refuses (budget error) past a support
+cap; `_sample` draws a seeded multiset from the same definition instead and
+is not exact. Tables are stored over {0,1} (or [q]); conversions to the +/-1
+convention happen inside the operations that need them.
 """
 
+import collections
+import functools
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .boolanalysis import (
@@ -26,25 +32,37 @@ from .boolanalysis import (
 from .correlated import CorrelatedSpace
 from .csp import Assignment, CoverSet, CspInstance, covered_fractions
 from .errors import BudgetExceededError, PreconditionError, as_budget
-from .labelcover import Labeling, satisfied_fraction
-from .predicate import lin, nae, translate_orbit
+from .labelcover import (
+    LabelCoverInstance,
+    Labeling,
+    edge_satisfied,
+    satisfied_fraction,
+)
+from .predicate import Predicate, lin, nae, translate_orbit
 
 DEFAULT_SUPPORT_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
-# Parameter bundles
+# Parameter bundles. The records of this module keep identity equality and
+# object's repr: generating those methods for all seven would add about 2 ms
+# to the start-up of every CLI call.
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class T1Params:
     """First test: predicate P between the translate closure of a and NAE,
     over a unique (bijective-projection) source."""
 
-    __slots__ = ("predicate", "a", "source", "strict")
+    predicate: Predicate
+    a: tuple
+    source: LabelCoverInstance
+    strict: bool = field(init=False)
 
-    def __init__(self, predicate, a, source):
+    def __post_init__(self):
+        predicate = self.predicate
         q, k = predicate.q, predicate.k
-        a = tuple(int(x) for x in a)
+        a = tuple(int(x) for x in self.a)
         if k < 2:
             raise PreconditionError("need arity at least 2")
         naepred = nae(q, k)
@@ -57,15 +75,10 @@ class T1Params:
                 )
         if not predicate.issubset(naepred):
             raise PreconditionError("predicate must avoid constant tuples")
-        if not source.unique:
+        if not self.source.unique:
             raise PreconditionError("source must have bijective projections")
-        object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "source", source)
         object.__setattr__(self, "strict", len(predicate) < len(naepred))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("T1Params is immutable")
 
 
 def _check_distribution(dist, k):
@@ -84,20 +97,28 @@ def _check_distribution(dist, k):
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class T2Params:
     """Second test: a 2k-ary parity-style predicate with a matched pair of
     column distributions and per-block noise, over a d-to-1 source."""
 
-    __slots__ = ("predicate", "p0", "p1", "eps", "source", "k", "d")
+    predicate: Predicate
+    p0: dict
+    p1: dict
+    eps: Fraction
+    source: LabelCoverInstance
+    k: int = field(init=False)
+    d: int = field(init=False)
 
-    def __init__(self, predicate, p0, p1, eps, source):
+    def __post_init__(self):
+        predicate, source = self.predicate, self.source
         if predicate.q != 2 or predicate.k % 2 != 0:
             raise PreconditionError("predicate must be binary with even arity")
         k = predicate.k // 2
         if not predicate.issubset(lin(2 * k)):
             raise PreconditionError("predicate must contain odd-parity tuples only")
-        p0 = _check_distribution(p0, k)
-        p1 = _check_distribution(p1, k)
+        p0 = _check_distribution(self.p0, k)
+        p1 = _check_distribution(self.p1, k)
         for dist, par in ((p0, 0), (p1, 1)):
             for key in dist:
                 if sum(key) % 2 != par:
@@ -116,7 +137,7 @@ class T2Params:
                     raise PreconditionError(
                         "both concatenation orders must satisfy the predicate"
                     )
-        eps = Fraction(eps)
+        eps = Fraction(self.eps)
         if not Fraction(0) < eps <= Fraction(1, 2):
             raise PreconditionError("noise rate must lie in (0, 1/2]")
         L, R = source.nlabels_u, source.nlabels_v
@@ -131,51 +152,36 @@ class T2Params:
                 raise PreconditionError(
                     "every projection fiber must have size exactly %d" % d
                 )
-        object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "source", source)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("T2Params is immutable")
 
-
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class T3Params:
     """Third test: plain noise rate over any projection-game source."""
 
-    __slots__ = ("eps", "source")
+    eps: Fraction
+    source: LabelCoverInstance
 
-    def __init__(self, eps, source):
-        eps = Fraction(eps)
+    def __post_init__(self):
+        eps = Fraction(self.eps)
         if not Fraction(0) < eps < Fraction(1):
             raise PreconditionError("noise rate must lie in (0, 1)")
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("T3Params is immutable")
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 
 
-def _table_domain(q, width):
-    return ProductDomain((q,) * width)
-
-
 def _grid_variables(g, q, width):
-    """Variable labels (v, point) for all right vertices over [q]^width."""
-    dom = _table_domain(q, width)
-    variables = []
-    for v in range(g.nv):
-        for p in range(dom.size):
-            variables.append((v, dom.point(p)))
-    index = {lab: i for i, lab in enumerate(variables)}
-    return dom, variables, index
+    """Variable labels (v, point) for all right vertices over [q]^width; the
+    label of point p at vertex v has index v * q^width + p."""
+    dom = ProductDomain((q,) * width)
+    return [(v, dom.point(p)) for v in range(g.nv) for p in range(dom.size)]
 
 
 def _incident_or_error(g, u):
@@ -183,6 +189,10 @@ def _incident_or_error(g, u):
     if not eids:
         raise PreconditionError("left vertex %d has no incident edges" % u)
     return eids
+
+
+def _as_labeling(lab):
+    return lab if isinstance(lab, Labeling) else Labeling(*lab)
 
 
 def _to_pm_values(f):
@@ -195,13 +205,110 @@ def _to_pm_values(f):
     raise PreconditionError("table values must be bits or signs")
 
 
-def _check_cap(count, support_cap):
+# ---------------------------------------------------------------------------
+# One definition per test
+
+
+# One independent pick of a test: its items with integer weights over `den`,
+# and the seeded draw of one item.
+_Pick = collections.namedtuple("_Pick", "items numerators den draw")
+
+
+def _uniform(n, draw=None):
+    """The indices of range(n), each of weight 1/n, drawn by `draw` or else
+    by randrange(n)."""
+    return _Pick(range(n), (1,) * n, n, draw or (lambda rng: rng.randrange(n)))
+
+
+def _weighted(pairs, den):
+    """(item, numerator) pairs over den, in order. A draw takes the first
+    item whose float running sum exceeds a uniform float, or the last item
+    when rounding leaves the draw above every sum."""
+    items, numerators = zip(*pairs)
+    sums = list(itertools.accumulate(m / den for m in numerators))
+    last = len(items) - 1
+    return _Pick(items, numerators, den, lambda rng: items[
+        min(bisect_right(sums, rng.random()), last)
+    ])
+
+
+# One long-code test, the single definition behind its generator and its
+# sampler. A draw takes a uniform left vertex, `draws` independent uniform
+# incident edges, and one item of each of its picks: the pick
+# `edge_pick(edges, budget)` of those edges first, when the test has one,
+# then each of `picks`. Its weight is the product of those probabilities. It
+# queries the variables `query(edges, items)` of the grid over [q]^2R, with q
+# the predicate's alphabet, under the literal vector `literals`.
+_Test = collections.namedtuple(
+    "_Test", "source draws edge_pick picks query predicate literals"
+)
+
+
+def _generate(test, budget, support_cap):
+    """The exact instance of a test: every draw in order, one budget unit
+    each, after the left vertices and the support size are checked."""
+    budget = as_budget(budget)
+    g = test.source
+    at_u = [_incident_or_error(g, u) for u in range(g.nu)]
+    size = math.prod(len(p.items) for p in test.picks)
+    edge_picks = {}
+    count = 0
+    for eids in at_u:
+        if test.edge_pick is None:
+            count += len(eids) ** test.draws * size
+            continue
+        for edges in itertools.product(eids, repeat=test.draws):
+            if edges not in edge_picks:
+                edge_picks[edges] = (test.edge_pick(edges, budget),)
+            count += len(edge_picks[edges][0].items) * size
     cap = DEFAULT_SUPPORT_CAP if support_cap is None else int(support_cap)
     if count > cap:
         raise BudgetExceededError(
             "test support has %d atoms, above the cap of %d; "
             "use the sampling mode instead" % (count, cap)
         )
+    variables = _grid_variables(g, test.predicate.q, 2 * g.nlabels_v)
+    query, literals = test.query, test.literals
+    constraints = []
+    for eids in at_u:
+        share = g.nu * len(eids) ** test.draws
+        for edges in itertools.product(eids, repeat=test.draws):
+            ps = edge_picks.get(edges, ()) + test.picks
+            den = share * math.prod(p.den for p in ps)
+            weights = {}
+            for items, m in zip(
+                itertools.product(*(p.items for p in ps)),
+                map(math.prod, itertools.product(*(p.numerators for p in ps))),
+            ):
+                budget.spend()
+                if m not in weights:
+                    weights[m] = Fraction(m, den)
+                constraints.append((query(edges, items), literals, weights[m]))
+    return CspInstance(test.predicate, variables, constraints)
+
+
+def _sample(test, n, seed):
+    """Multiset instance of n seeded draws of a test, each of weight 1/n.
+    Not exact. Every left vertex is checked before the first draw."""
+    n = int(n)
+    if n < 1:
+        raise PreconditionError("need at least one sample")
+    g = test.source
+    at_u = [_incident_or_error(g, u) for u in range(g.nu)]
+    variables = _grid_variables(g, test.predicate.q, 2 * g.nlabels_v)
+    rng = random.Random(seed)
+    edge_picks = {}
+    w = Fraction(1, n)
+    constraints = []
+    for _ in range(n):
+        eids = at_u[rng.randrange(g.nu)]
+        edges = tuple(eids[rng.randrange(len(eids))] for _ in range(test.draws))
+        if test.edge_pick is not None and edges not in edge_picks:
+            edge_picks[edges] = (test.edge_pick(edges, None),)
+        ps = edge_picks.get(edges, ()) + test.picks
+        items = tuple(p.draw(rng) for p in ps)
+        constraints.append((test.query(edges, items), test.literals, w))
+    return CspInstance(test.predicate, variables, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +336,26 @@ def t1_connect_atoms(q, k, a):
     )
 
 
-def _t1_atom_count(params):
-    g = params.source
-    sl = len(t1_column_support(params.predicate.q, params.predicate.k, params.a))
-    count = 0
-    for u in range(g.nu):
-        deg = len(g.edges_at_u(u))
-        count += deg ** params.predicate.k * sl ** g.nlabels_u
-    return count
+def _t1(params):
+    """The first test: k edges at the left vertex and one column pair of S
+    per left label; edge j queries the point read off row j of the columns."""
+    g, pred = params.source, params.predicate
+    q, R = pred.q, g.nlabels_v
+    S = t1_column_support(q, pred.k, params.a)
+    picks = (_uniform(len(S)),) * g.nlabels_u
+    # Point indices over [q]^2R, coordinate 0 lowest, as `_grid_variables`.
+    npoints, places = q ** (2 * R), [q ** i for i in range(2 * R)]
+
+    def query(combo, spick):
+        vars_ = []
+        for j, e in enumerate(combo):
+            x = tuple(S[s][0][j] for s in spick) + tuple(S[s][1][j] for s in spick)
+            edge = g.edges[e]
+            point = compose_projection(x, edge.proj)
+            vars_.append(edge.v * npoints + sum(map(operator.mul, point, places)))
+        return tuple(vars_)
+
+    return _Test(g, pred.k, None, picks, query, pred, (0,) * pred.k)
 
 
 def generate_t1(params, budget=None, support_cap=None):
@@ -245,46 +364,12 @@ def generate_t1(params, budget=None, support_cap=None):
     One constraint per (left vertex, neighbor sequence, column-pair matrix);
     weights are exact probabilities summing to 1; literals are all zero.
     """
-    budget = as_budget(budget)
-    g = params.source
-    pred = params.predicate
-    q, k = pred.q, pred.k
-    L = g.nlabels_u
-    R = g.nlabels_v
-    _check_cap(_t1_atom_count(params), support_cap)
-    S = t1_column_support(q, k, params.a)
-    sl = len(S)
-    dom, variables, var_index = _grid_variables(g, q, 2 * R)
-    query = _t1_query(g, S, var_index)
-    zeros = (0,) * k
-    constraints = []
-    for u in range(g.nu):
-        eids = _incident_or_error(g, u)
-        wu = (
-            Fraction(1, g.nu)
-            * Fraction(1, len(eids)) ** k
-            * Fraction(1, sl) ** L
-        )
-        for combo in itertools.product(eids, repeat=k):
-            for spick in itertools.product(range(sl), repeat=L):
-                budget.spend()
-                constraints.append((query(combo, spick), zeros, wu))
-    return CspInstance(pred, variables, constraints)
+    return _generate(_t1(params), budget, support_cap)
 
 
-def _t1_query(g, S, var_index):
-    """The map from a neighbor sequence and one column pair of S per left
-    label to the queried variables."""
-
-    def query(combo, spick):
-        vars_ = []
-        for j, e in enumerate(combo):
-            x = tuple(S[s][0][j] for s in spick) + tuple(S[s][1][j] for s in spick)
-            edge = g.edges[e]
-            vars_.append(var_index[(edge.v, compose_projection(x, edge.proj))])
-        return tuple(vars_)
-
-    return query
+def sample_t1(params, n, seed):
+    """Multiset instance of n sampled tests, each of weight 1/n. Not exact."""
+    return _sample(_t1(params), n, seed)
 
 
 def _check_labelings_cover(g, labelings):
@@ -292,15 +377,8 @@ def _check_labelings_cover(g, labelings):
         if len(lab.left) != g.nu or len(lab.right) != g.nv:
             raise PreconditionError("labeling does not match the source")
     for u in range(g.nu):
-        ok = False
-        for lab in labelings:
-            if all(
-                g.edges[i].proj[lab.right[g.edges[i].v]] == lab.left[g.edges[i].u]
-                for i in g.edges_at_u(u)
-            ):
-                ok = True
-                break
-        if not ok:
+        if not any(all(edge_satisfied(g, lab, i) for i in g.edges_at_u(u))
+                   for lab in labelings):
             raise PreconditionError(
                 "labelings do not cover left vertex %d" % u
             )
@@ -310,15 +388,6 @@ def t1_completeness_witness(params, labelings, inst=None):
     """Two assignments per covering labeling: first-half and second-half
     half-dictators. Their union covers every generated constraint exactly."""
     return CoverSet(completeness_witness(params, labelings, inst, generate_t1)[0])
-
-
-def _half_dictators(inst, R, labeling):
-    """The assignments x -> x[label(v)] and x -> x[R + label(v)]."""
-    right = labeling.right
-    return (
-        Assignment([x[right[v]] for v, x in inst.variables]),
-        Assignment([x[R + right[v]] for v, x in inst.variables]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +428,17 @@ def _t2_block_numerators(params):
     for px, py in ((params.p0, params.p1), (params.p1, params.p0)):
         hx = _half_products(px, d, scale)
         hy = _half_products(py, d, scale)
-        for xu, wxu in hx:
-            for xp, wxp in hx:
-                for yu, wyu in hy:
-                    for yp, wyp in hy:
-                        add((xu + xp, yu + yp), stay * wxu * wxp * wyu * wyp)
-        for xu, wxu in hx:
-            for yu, wyu in hy:
-                base = refresh * wxu * wyu
-                for xr in unif_cols:
-                    for yr in unif_cols:
-                        add((xu + xr, yu + yr), base)
-        for xp, wxp in hx:
-            for yp, wyp in hy:
-                base = refresh * wxp * wyp
-                for xr in unif_cols:
-                    for yr in unif_cols:
-                        add((xr + xp, yr + yp), base)
+        for (xu, wxu), (xp, wxp), (yu, wyu), (yp, wyp) in itertools.product(
+            hx, hx, hy, hy
+        ):
+            add((xu + xp, yu + yp), stay * wxu * wxp * wyu * wyp)
+        # One half kept, the other refreshed uniformly: the plain half kept
+        # first, then the shifted half (the order keeps the final sort fast).
+        for plain in (True, False):
+            for (xh, wxh), (yh, wyh) in itertools.product(hx, hy):
+                base = refresh * wxh * wyh
+                for xr, yr in itertools.product(unif_cols, unif_cols):
+                    add((xh + xr, yh + yr) if plain else (xr + xh, yr + yh), base)
     return sorted(table.items()), 2 * E * scale ** (4 * d) * unif
 
 
@@ -390,84 +453,60 @@ def t2_block_table(params):
     return {key: Fraction(n, den) for key, n in pairs}
 
 
-def _cols_to_rows(cols, k):
-    return tuple(tuple(col[j] for col in cols) for j in range(k))
+def _t2_row_space(params, split):
+    """The block distribution over row tuples (each row 2d bits), with the k
+    X-rows and k Y-rows divided between the two sides by `split`."""
+    k = params.k
+    mu = {}
+    for (xcols, ycols), w in t2_block_table(params).items():
+        xrows = tuple(tuple(col[j] for col in xcols) for j in range(k))
+        yrows = tuple(tuple(col[j] for col in ycols) for j in range(k))
+        key = split(xrows, yrows)
+        mu[key] = mu.get(key, Fraction(0)) + w
+    return CorrelatedSpace(mu)
 
 
 def t2_block_space(params):
     """The block distribution as a correlated space of row tuples: left atoms
     are the k X-rows, right atoms the k Y-rows (each row 2d bits)."""
-    k = params.k
-    mu = {}
-    for (xcols, ycols), w in t2_block_table(params).items():
-        key = (_cols_to_rows(xcols, k), _cols_to_rows(ycols, k))
-        mu[key] = mu.get(key, Fraction(0)) + w
-    return CorrelatedSpace(mu)
+    return _t2_row_space(params, lambda xrows, yrows: (xrows, yrows))
 
 
 def t2_block_last_row_space(params):
     """The same block split for the correlation bound: everything except the
     last Y-row on the left, the last Y-row alone on the right."""
-    k = params.k
-    mu = {}
-    for (xcols, ycols), w in t2_block_table(params).items():
-        xrows = _cols_to_rows(xcols, k)
-        yrows = _cols_to_rows(ycols, k)
-        key = (xrows + yrows[:-1], (yrows[-1],))
-        mu[key] = mu.get(key, Fraction(0)) + w
-    return CorrelatedSpace(mu)
+    return _t2_row_space(
+        params, lambda xrows, yrows: (xrows + yrows[:-1], (yrows[-1],))
+    )
 
 
-def _edge_fibers(g, eid):
-    R = g.nlabels_v
-    L = g.nlabels_u
-    proj = g.edges[eid].proj
-    fibers = [[] for _ in range(L)]
-    for j in range(R):
-        fibers[proj[j]].append(j)
-    return fibers
-
-
-def _t2_atom_count(params, block_size):
-    g = params.source
-    count = 0
-    for u in range(g.nu):
-        deg = len(g.edges_at_u(u))
-        count += deg * deg * block_size ** g.nlabels_u
-    return count
-
-
-def _t2_queries(params):
-    """The block table as (key, numerator) pairs with their common
-    denominator, and the map from an edge pair and one block pick per left
-    label to the 2k queried variables."""
+def _t2(params):
+    """The second test: an edge pair at the left vertex and one block of the
+    integer block table per left label; the first k queried variables belong
+    to the first edge's right endpoint, the last k to the second's."""
     g, k = params.source, params.k
     R = g.nlabels_v
-    block, den = _t2_block_numerators(params)
-    memo = {}
+    picks = (_weighted(*_t2_block_numerators(params)),) * g.nlabels_u
 
+    @functools.cache
     def rows(e, i, cols):
         """The point-index contribution of 2d columns laid on fiber i of
         edge e (positions fiber + (R + fiber)) to each of the k rows."""
-        key = (e, i, cols)
-        if key not in memo:
-            fiber = _edge_fibers(g, e)[i]
-            shifts = fiber + [R + j for j in fiber]
-            memo[key] = tuple(
-                sum(col[j] << s for col, s in zip(cols, shifts))
-                for j in range(k)
-            )
-        return memo[key]
+        fiber = [j for j in range(R) if g.edges[e].proj[j] == i]
+        shifts = fiber + [R + j for j in fiber]
+        return tuple(
+            sum(col[j] << s for col, s in zip(cols, shifts)) for j in range(k)
+        )
 
-    def query(ev, ew, picks):
+    def query(edges, blocks):
+        ev, ew = edges
         vars_ = [g.edges[ev].v << 2 * R] * k + [g.edges[ew].v << 2 * R] * k
-        for i, b in enumerate(picks):
-            xcols, ycols = block[b][0]
+        for i, (xcols, ycols) in enumerate(blocks):
             for j, o in enumerate(rows(ev, i, xcols) + rows(ew, i, ycols)):
                 vars_[j] += o
         return tuple(vars_)
 
-    return block, den, query
+    return _Test(g, 2, None, picks, query, params.predicate, (0,) * (2 * k))
 
 
 def generate_t2(params, budget=None, support_cap=None):
@@ -477,24 +516,12 @@ def generate_t2(params, budget=None, support_cap=None):
     the first k queried variables belong to the first endpoint, the last k
     to the second. Literals are all zero; weights sum to 1.
     """
-    budget = as_budget(budget)
-    g = params.source
-    L = g.nlabels_u
-    block, scale, query = _t2_queries(params)
-    _check_cap(_t2_atom_count(params, len(block)), support_cap)
-    _, variables, _ = _grid_variables(g, 2, 2 * g.nlabels_v)
-    zeros = (0,) * (2 * params.k)
-    constraints = []
-    for u in range(g.nu):
-        eids = _incident_or_error(g, u)
-        den = g.nu * len(eids) ** 2 * scale ** L
-        for ev in eids:
-            for ew in eids:
-                for picks in itertools.product(range(len(block)), repeat=L):
-                    budget.spend()
-                    w = Fraction(math.prod(block[b][1] for b in picks), den)
-                    constraints.append((query(ev, ew, picks), zeros, w))
-    return CspInstance(params.predicate, variables, constraints)
+    return _generate(_t2(params), budget, support_cap)
+
+
+def sample_t2(params, n, seed):
+    """Multiset instance of n sampled tests for the second test. Not exact."""
+    return _sample(_t2(params), n, seed)
 
 
 def t2_completeness_witness(params, labeling, inst=None):
@@ -510,28 +537,24 @@ def t2_completeness_witness(params, labeling, inst=None):
 # Rejection arithmetization
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RejectionIdentityResult:
-    __slots__ = ("t", "lhs", "rhs", "deviation", "correlations",
-                 "threshold", "witnesses")
+    t: int
+    lhs: Fraction
+    rhs: Fraction
+    deviation: Fraction = field(init=False)
+    correlations: dict
+    threshold: Fraction = field(init=False)
+    witnesses: tuple = field(init=False)
 
-    def __init__(self, t, lhs, rhs, correlations):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "deviation", lhs - rhs)
-        object.__setattr__(self, "correlations", dict(correlations))
-        threshold = Fraction(-1, 2 ** t - 1)
+    def __post_init__(self):
+        threshold = Fraction(-1, 2 ** self.t - 1)
+        object.__setattr__(self, "deviation", self.lhs - self.rhs)
+        object.__setattr__(self, "correlations", dict(self.correlations))
         object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(
-            self,
-            "witnesses",
-            tuple(
-                sorted(s for s, c in correlations.items() if c <= threshold)
-            ),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RejectionIdentityResult is immutable")
+        object.__setattr__(self, "witnesses", tuple(sorted(
+            s for s, c in self.correlations.items() if c <= threshold
+        )))
 
     def __repr__(self):
         return "RejectionIdentityResult(t=%d, deviation=%s)" % (
@@ -588,58 +611,59 @@ def rejection_identity_check(assignments, inst, budget=None):
 
 
 def _mask_bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _sample_mask(rng, masses):
-    """Walk the (mask, mass) list; anything left over selects the fallback."""
-    r = rng.random()
-    acc = 0.0
-    for mask, mass in masses:
-        acc += mass
-        if r < acc:
-            return mask
-    return None
+    """The first mask whose float running mass exceeds a uniform float, or
+    None (the fallback) when the draw is above the total mass."""
+    masks, sums = masses
+    i = bisect_right(sums, rng.random())
+    return masks[i] if i < len(masks) else None
 
 
-def _fourier_masses(f, rate):
-    """(mask, rate^|mask| * coefficient^2) pairs for sign-converted f."""
-    fh = fourier(_to_pm_values(f))
-    out = []
-    for mask, coeff in enumerate(fh.coefficients):
-        if coeff:
-            out.append(
-                (mask, float(Fraction(rate) ** bin(mask).count("1") * coeff * coeff))
-            )
-    return out, fh
+def _spectral_pick(rng, masses, R):
+    """A mask drawn by `_sample_mask`, then a uniform member of it folded
+    below R; None when the draw gives the empty mask or the fallback."""
+    mask = _sample_mask(rng, masses)
+    if not mask:
+        return None
+    bits = _mask_bits(mask)
+    j = bits[rng.randrange(len(bits))]
+    return j if j < R else j - R
 
 
+def _fourier_masses(tables, nv, rate):
+    """Per right vertex, the masks with a nonzero coefficient in its
+    sign-converted table beside the float running sums of their masses
+    rate^|mask| * coefficient^2, and the table's spectrum."""
+    masses, spectra = {}, {}
+    for v in range(nv):
+        fh = spectra[v] = fourier(_to_pm_values(tables[v]))
+        masks = [mask for mask, coeff in enumerate(fh.coefficients) if coeff]
+        masses[v] = masks, list(itertools.accumulate(
+            float(Fraction(rate) ** m.bit_count() * fh.coefficients[m] ** 2)
+            for m in masks
+        ))
+    return masses, spectra
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class T1DecodeResult:
-    __slots__ = ("labeling", "value", "lab_sizes_left", "lab_sizes_right",
-                 "size_bound", "sizes_ok")
+    labeling: Labeling
+    value: Fraction
+    lab_sizes_left: tuple
+    lab_sizes_right: tuple
+    size_bound: Fraction
+    sizes_ok: bool = field(init=False)
 
-    def __init__(self, labeling, value, lab_sizes_left, lab_sizes_right,
-                 size_bound):
-        object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "lab_sizes_left", tuple(lab_sizes_left))
-        object.__setattr__(self, "lab_sizes_right", tuple(lab_sizes_right))
-        object.__setattr__(self, "size_bound", size_bound)
-        ok = all(
-            s <= size_bound
-            for s in tuple(lab_sizes_left) + tuple(lab_sizes_right)
+    def __post_init__(self):
+        left, right = tuple(self.lab_sizes_left), tuple(self.lab_sizes_right)
+        object.__setattr__(self, "lab_sizes_left", left)
+        object.__setattr__(self, "lab_sizes_right", right)
+        object.__setattr__(
+            self, "sizes_ok", all(s <= self.size_bound for s in left + right)
         )
-        object.__setattr__(self, "sizes_ok", ok)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("T1DecodeResult is immutable")
 
 
 def decode_t1(tables, source, tau, d, seed):
@@ -660,13 +684,13 @@ def decode_t1(tables, source, tau, d, seed):
         raise PreconditionError("source must have bijective projections")
     rng = random.Random(seed)
     L = source.nlabels_u
-    R = source.nlabels_v
     blocks = [(i, L + i) for i in range(L)]
-    labs_right = []
-    for v in range(source.nv):
-        f = tables[v]
+
+    def labels(f, threshold):
         infl = all_degree_d_influences(f, d, blocks)
-        labs_right.append([i for i in range(L) if infl[i] >= tau / 2])
+        return [i for i in range(L) if infl[i] >= threshold]
+
+    labs_right = [labels(tables[v], tau / 2) for v in range(source.nv)]
     labs_left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
@@ -679,17 +703,11 @@ def decode_t1(tables, source, tau, d, seed):
             for p in range(dom.size):
                 composed = compose_projection(dom.point(p), edge.proj)
                 acc[p] += share * fw.values[fw.domain.index(composed)]
-        fu = TabulatedFunction(dom, acc)
-        infl = all_degree_d_influences(fu, d, blocks)
-        labs_left.append([i for i in range(L) if infl[i] >= tau])
-    left = []
-    for u in range(source.nu):
-        cands = labs_left[u]
-        left.append(cands[rng.randrange(len(cands))] if cands else 0)
-    right = []
-    for v in range(source.nv):
-        cands = labs_right[v]
-        right.append(cands[rng.randrange(len(cands))] if cands else 0)
+        labs_left.append(labels(TabulatedFunction(dom, acc), tau))
+    left, right = (
+        [c[rng.randrange(len(c))] if c else 0 for c in labs]
+        for labs in (labs_left, labs_right)
+    )
     labeling = Labeling(left, right)
     value = satisfied_fraction(source, labeling)
     bound = Fraction(2 * d) / tau
@@ -702,17 +720,12 @@ def decode_t1(tables, source, tau, d, seed):
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class T2DecodeResult:
-    __slots__ = ("labeling", "value", "expected_value_bound", "gamma")
-
-    def __init__(self, labeling, value, expected_value_bound, gamma):
-        object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "expected_value_bound", expected_value_bound)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("T2DecodeResult is immutable")
+    labeling: Labeling
+    value: Fraction
+    expected_value_bound: Fraction
+    gamma: Fraction
 
 
 def decode_t2(tables, source, gamma, seed):
@@ -732,30 +745,14 @@ def decode_t2(tables, source, gamma, seed):
     R = source.nlabels_v
     L = source.nlabels_u
     rate = 1 - gamma
-    masses = {}
-    spectra = {}
-    for v in range(source.nv):
-        masses[v], spectra[v] = _fourier_masses(tables[v], rate)
-    right = []
-    for v in range(source.nv):
-        mask = _sample_mask(rng, masses[v])
-        if not mask:
-            right.append(0)
-            continue
-        bits = _mask_bits(mask)
-        j = bits[rng.randrange(len(bits))]
-        right.append(j if j < R else j - R)
+    masses, spectra = _fourier_masses(tables, source.nv, rate)
+    right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
         e = source.edges[eids[rng.randrange(len(eids))]]
-        mask = _sample_mask(rng, masses[e.v])
-        if not mask:
-            left.append(0)
-            continue
-        bits = _mask_bits(mask)
-        j = bits[rng.randrange(len(bits))]
-        left.append(e.proj[j if j < R else j - R])
+        j = _spectral_pick(rng, masses[e.v], R)
+        left.append(0 if j is None else e.proj[j])
     labeling = Labeling(left, right)
     value = satisfied_fraction(source, labeling)
     # Expectation bound: per (u, edge pair), sum over left labels of the
@@ -790,15 +787,10 @@ def decode_t2(tables, source, gamma, seed):
     return T2DecodeResult(labeling, value, bound, gamma)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class T3DecodeResult:
-    __slots__ = ("labeling", "value")
-
-    def __init__(self, labeling, value):
-        object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("T3DecodeResult is immutable")
+    labeling: Labeling
+    value: Fraction
 
 
 def decode_t3(tables, source, seed):
@@ -811,9 +803,7 @@ def decode_t3(tables, source, seed):
     """
     rng = random.Random(seed)
     R = source.nlabels_v
-    masses = {}
-    for v in range(source.nv):
-        masses[v], _ = _fourier_masses(tables[v], 1)
+    masses, _ = _fourier_masses(tables, source.nv, 1)
     left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
@@ -824,15 +814,7 @@ def decode_t3(tables, source, seed):
             continue
         image = sorted(pi_tilde(_mask_bits(mask), e.proj))
         left.append(image[rng.randrange(len(image))])
-    right = []
-    for v in range(source.nv):
-        mask = _sample_mask(rng, masses[v])
-        if not mask:
-            right.append(0)
-            continue
-        bits = _mask_bits(mask)
-        j = bits[rng.randrange(len(bits))]
-        right.append(j if j < R else j - R)
+    right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     labeling = Labeling(left, right)
     return T3DecodeResult(labeling, satisfied_fraction(source, labeling))
 
@@ -862,7 +844,6 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
     """
     budget = as_budget(budget)
     L = g.nlabels_u
-    R = g.nlabels_v
     pv = g.edges[ev].proj
     pw = g.edges[ew].proj
     eps = Fraction(eps)
@@ -874,19 +855,16 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
             wc *= case_weights[c]
         if not wc:
             continue
+        # The noise mask of both edges: label i is refreshed in the plain
+        # half (case 1), in the shifted half (case 2), or kept (case 0).
         eta = [0] * (2 * L)
-        etap = [0] * (2 * L)
         for i, c in enumerate(cases):
-            if c == 1:
-                eta[i] = 1
-                etap[i] = 1
-            elif c == 2:
-                eta[L + i] = 1
-                etap[L + i] = 1
-        mask_v = compose_projection(tuple(eta), pv)
-        mask_w = compose_projection(tuple(etap), pw)
-        sup_v = [j for j in range(2 * R) if mask_v[j]]
-        sup_w = [j for j in range(2 * R) if mask_w[j]]
+            if c:
+                eta[(c - 1) * L + i] = 1
+        sup_v, sup_w = (
+            [j for j, b in enumerate(compose_projection(tuple(eta), p)) if b]
+            for p in (pv, pw)
+        )
         w = wc * Fraction(1, 2 ** (2 * L + len(sup_v) + len(sup_w)))
         for y in itertools.product((0, 1), repeat=2 * L):
             budget.spend()
@@ -897,60 +875,49 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
     return dict(sorted(out.items()))
 
 
+def _t3(params):
+    """The third test: an edge pair at the left vertex, one offset pair of
+    `t3_delta_table` and two uniform points x, x'; it queries x and x plus
+    the first offset at the first edge's right endpoint, x' and x' plus the
+    second at the second's. Points and offsets are indices into [2]^2R, so
+    adding an offset is XOR of indices."""
+    g = params.source
+    R = g.nlabels_v
+    dom = ProductDomain((2,) * (2 * R))
+    point = _uniform(dom.size, lambda rng: dom.index(
+        tuple(rng.randrange(2) for _ in range(2 * R))
+    ))
+
+    def offsets(edges, budget):
+        table = t3_delta_table(g, *edges, params.eps, budget)
+        den = math.lcm(*(w.denominator for w in table.values()))
+        return _weighted([
+            ((dom.index(dv), dom.index(dw)), w.numerator * (den // w.denominator))
+            for (dv, dw), w in table.items()
+        ], den)
+
+    base = [e.v << 2 * R for e in g.edges]
+
+    def query(edges, items):
+        (mv, mw), x, xp = items
+        bv, bw = base[edges[0]], base[edges[1]]
+        return (bv + x, bv + (x ^ mv), bw + xp, bw + (xp ^ mw))
+
+    return _Test(g, 2, offsets, (point, point), query, lin(4), (0, 0, 0, 1))
+
+
 def generate_t3(params, budget=None, support_cap=None):
     """Exact weighted four-query parity instance of the third test.
 
     Query points one and three are uniform; two and four add the correlated
     offsets; the literal vector is exactly (0, 0, 0, 1) on every constraint.
     """
-    budget = as_budget(budget)
-    g = params.source
-    R = g.nlabels_v
-    deltas = {}
-    for u in range(g.nu):
-        eids = _incident_or_error(g, u)
-        for ev in eids:
-            for ew in eids:
-                if (ev, ew) not in deltas:
-                    deltas[(ev, ew)] = t3_delta_table(
-                        g, ev, ew, params.eps, budget
-                    )
-    npoints = 2 ** (2 * R)
-    count = 0
-    for u in range(g.nu):
-        eids = g.edges_at_u(u)
-        for ev in eids:
-            for ew in eids:
-                count += npoints * npoints * len(deltas[(ev, ew)])
-    _check_cap(count, support_cap)
-    dom, variables, _ = _grid_variables(g, 2, 2 * R)
-    literals = (0, 0, 0, 1)
-    unif2 = Fraction(1, npoints * npoints)
-    constraints = []
-    for u in range(g.nu):
-        eids = _incident_or_error(g, u)
-        wu = Fraction(1, g.nu) * Fraction(1, len(eids)) ** 2
-        for ev in eids:
-            for ew in eids:
-                for (dv, dw), wdel in deltas[(ev, ew)].items():
-                    w = wu * wdel * unif2
-                    mv, mw = dom.index(dv), dom.index(dw)
-                    for x in range(npoints):
-                        for xp in range(npoints):
-                            budget.spend()
-                            constraints.append(
-                                (_t3_query(g, ev, ew, mv, mw, x, xp), literals, w)
-                            )
-    return CspInstance(lin(4), variables, constraints)
+    return _generate(_t3(params), budget, support_cap)
 
 
-def _t3_query(g, ev, ew, mv, mw, x, xp):
-    """The four queried variables: points x and x + offset mv at the right
-    endpoint of ev, xp and xp + mw at that of ew. Points and offsets are
-    indices into [2]^2R, so adding an offset is XOR of indices."""
-    bv = g.edges[ev].v << 2 * g.nlabels_v
-    bw = g.edges[ew].v << 2 * g.nlabels_v
-    return (bv + x, bv + (x ^ mv), bw + xp, bw + (xp ^ mw))
+def sample_t3(params, n, seed):
+    """Multiset instance of n sampled tests for the third test. Not exact."""
+    return _sample(_t3(params), n, seed)
 
 
 def t3_completeness_witness(params, labeling, inst=None):
@@ -969,9 +936,7 @@ def completeness_witness(params, labelings, inst=None, generate=None):
     t3, that each assignment covers at least 1 - eps.
     """
     g = params.source
-    labelings = [
-        lab if isinstance(lab, Labeling) else Labeling(*lab) for lab in labelings
-    ]
+    labelings = [_as_labeling(lab) for lab in labelings]
     t1 = isinstance(params, T1Params)
     if t1:
         _check_labelings_cover(g, labelings)
@@ -981,14 +946,16 @@ def completeness_witness(params, labelings, inst=None, generate=None):
         raise PreconditionError("labeling does not satisfy every edge")
     if inst is None:
         inst = generate(params)
-    R = g.nlabels_v
-    assignments = [a for lab in labelings for a in _half_dictators(inst, R, lab)]
+    # The half-dictators x -> x[label(v)] and x -> x[R + label(v)].
+    assignments = [
+        Assignment([x[off + lab.right[v]] for v, x in inst.variables])
+        for lab in labelings for off in (0, g.nlabels_v)
+    ]
     fractions, union = covered_fractions(assignments, inst)
     if not t1:
-        if fractions[0] < 1 - params.eps:
-            raise ArithmeticError("first witness covers less than 1-eps")
-        if fractions[1] < 1 - params.eps:
-            raise ArithmeticError("second witness covers less than 1-eps")
+        for which, fraction in zip(("first", "second"), fractions):
+            if fraction < 1 - params.eps:
+                raise ArithmeticError("%s witness covers less than 1-eps" % which)
     if union != 1:
         raise ArithmeticError(
             "witness failed to cover the generated instance" if t1
@@ -1001,132 +968,25 @@ def completeness_witness(params, labelings, inst=None, generate=None):
 # Dictator table builders (shared by tests and the CLI)
 
 
+def _dictator_tables(source, labeling, q, offset):
+    """Per-right-vertex tables x -> x[offset + label(v)] over [q]^{2R}."""
+    right = _as_labeling(labeling).right
+    dom = ProductDomain((q,) * (2 * source.nlabels_v))
+    return {
+        v: TabulatedFunction(
+            dom, (dom.point(p)[offset + right[v]] for p in range(dom.size))
+        )
+        for v in range(source.nv)
+    }
+
+
 def t1_dictator_tables(params, labeling):
     """Per-right-vertex tables x -> x[label(v)] over [q]^{2R}."""
-    g = params.source
-    labeling = (
-        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
-    )
-    q = params.predicate.q
-    R = g.nlabels_v
-    dom = _table_domain(q, 2 * R)
-    out = {}
-    for v in range(g.nv):
-        ell = labeling.right[v]
-        out[v] = TabulatedFunction(
-            dom, (dom.point(p)[ell] for p in range(dom.size))
-        )
-    return out
+    return _dictator_tables(params.source, labeling, params.predicate.q, 0)
 
 
 def binary_dictator_tables(source, labeling, shifted=False):
     """Per-right-vertex bit tables x -> x[label(v)] (or x[R + label(v)])."""
-    labeling = (
-        labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
+    return _dictator_tables(
+        source, labeling, 2, source.nlabels_v if shifted else 0
     )
-    R = source.nlabels_v
-    dom = ProductDomain.binary_uniform(2 * R)
-    off = R if shifted else 0
-    out = {}
-    for v in range(source.nv):
-        ell = labeling.right[v] + off
-        out[v] = TabulatedFunction(
-            dom, (dom.point(p)[ell] for p in range(dom.size))
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Seeded sampling modes (non-exact)
-
-
-def sample_t1(params, n, seed):
-    """Multiset instance of n sampled tests, each of weight 1/n. Not exact."""
-    n = int(n)
-    if n < 1:
-        raise PreconditionError("need at least one sample")
-    rng = random.Random(seed)
-    g = params.source
-    q, k = params.predicate.q, params.predicate.k
-    L = g.nlabels_u
-    R = g.nlabels_v
-    S = t1_column_support(q, k, params.a)
-    dom, variables, var_index = _grid_variables(g, q, 2 * R)
-    query = _t1_query(g, S, var_index)
-    zeros = (0,) * k
-    w = Fraction(1, n)
-    constraints = []
-    for _ in range(n):
-        u = rng.randrange(g.nu)
-        eids = _incident_or_error(g, u)
-        combo = [eids[rng.randrange(len(eids))] for _ in range(k)]
-        spick = [rng.randrange(len(S)) for _ in range(L)]
-        constraints.append((query(combo, spick), zeros, w))
-    return CspInstance(params.predicate, variables, constraints)
-
-
-def _cumulative(items):
-    """Keys and float running sums of (key, weight) pairs, in order."""
-    keys, weights = zip(*items)
-    return keys, list(itertools.accumulate(float(w) for w in weights))
-
-
-def _weighted_choice(rng, table):
-    """The first key whose running sum exceeds a uniform draw, or the last
-    key when rounding leaves the draw above every sum."""
-    keys, sums = table
-    return keys[min(bisect_right(sums, rng.random()), len(keys) - 1)]
-
-
-def sample_t2(params, n, seed):
-    """Multiset instance of n sampled tests for the second test. Not exact."""
-    n = int(n)
-    if n < 1:
-        raise PreconditionError("need at least one sample")
-    rng = random.Random(seed)
-    g = params.source
-    block, scale, query = _t2_queries(params)
-    table = _cumulative([(b, m / scale) for b, (_, m) in enumerate(block)])
-    _, variables, _ = _grid_variables(g, 2, 2 * g.nlabels_v)
-    zeros = (0,) * (2 * params.k)
-    w = Fraction(1, n)
-    constraints = []
-    for _ in range(n):
-        u = rng.randrange(g.nu)
-        eids = _incident_or_error(g, u)
-        ev = eids[rng.randrange(len(eids))]
-        ew = eids[rng.randrange(len(eids))]
-        picks = [_weighted_choice(rng, table) for _ in range(g.nlabels_u)]
-        constraints.append((query(ev, ew, picks), zeros, w))
-    return CspInstance(params.predicate, variables, constraints)
-
-
-def sample_t3(params, n, seed):
-    """Multiset instance of n sampled tests for the third test. Not exact."""
-    n = int(n)
-    if n < 1:
-        raise PreconditionError("need at least one sample")
-    rng = random.Random(seed)
-    g = params.source
-    R = g.nlabels_v
-    dom, variables, _ = _grid_variables(g, 2, 2 * R)
-    literals = (0, 0, 0, 1)
-    w = Fraction(1, n)
-    deltas = {}
-    constraints = []
-    for _ in range(n):
-        u = rng.randrange(g.nu)
-        eids = _incident_or_error(g, u)
-        ev = eids[rng.randrange(len(eids))]
-        ew = eids[rng.randrange(len(eids))]
-        if (ev, ew) not in deltas:
-            deltas[(ev, ew)] = _cumulative(sorted(
-                t3_delta_table(g, ev, ew, params.eps).items()
-            ))
-        mv, mw = map(dom.index, _weighted_choice(rng, deltas[(ev, ew)]))
-        x, xp = (
-            dom.index(tuple(rng.randrange(2) for _ in range(2 * R)))
-            for _ in range(2)
-        )
-        constraints.append((_t3_query(g, ev, ew, mv, mw, x, xp), literals, w))
-    return CspInstance(lin(4), variables, constraints)

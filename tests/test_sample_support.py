@@ -1,9 +1,10 @@
 """Every sampled constraint lies in the exact support of its test.
 
-`sample_t1/t2/t3` draw queries through the same maps from a draw to the
-queried variables that `generate_t1/t2/t3` enumerate; these tests pin that
-every sampled (vars, literals) key appears in the exact instance, on small
-unique and d = 2 sources and several seeds.
+`sample_t1/t2/t3` draw queries from the same definition of each test that
+`generate_t1/t2/t3` enumerate; these tests pin that every sampled
+(vars, literals) key appears in the exact instance, on small unique and
+d = 2 sources and several seeds, and that a sampler refuses a source the
+generator refuses, whatever the seed.
 """
 
 import functools
@@ -11,6 +12,8 @@ import functools
 import pytest
 
 from cspcover import (
+    LabelCoverInstance,
+    PreconditionError,
     T1Params,
     T2Params,
     T3Params,
@@ -24,6 +27,8 @@ from cspcover import (
     sample_t3,
     synthesize,
 )
+
+from cspcover.cli import main
 
 from test_reductions_t2 import P0, P1
 
@@ -65,3 +70,46 @@ def test_sampled_keys_lie_in_the_exact_support(test, source, seed):
     inst = sample(make(synthesize(**SOURCES[source])), 150, seed)
     keys = {(c.vars, c.literals) for c in inst.constraints}
     assert keys <= exact_keys(test, source)
+
+
+# Left vertex 1 has no incident edges; `LabelCoverInstance` allows that.
+ISOLATED = "left vertex 1 has no incident edges"
+
+
+def isolated_source():
+    return LabelCoverInstance(2, 1, 1, 1, [(0, 0, [0])], unique=True)
+
+
+@pytest.mark.parametrize("test", sorted(TESTS))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_samplers_refuse_an_isolated_left_vertex(test, seed):
+    make, generate, sample = TESTS[test]
+    params = make(isolated_source())
+    with pytest.raises(PreconditionError, match=ISOLATED):
+        generate(params)
+    with pytest.raises(PreconditionError, match=ISOLATED):
+        sample(params, 1, seed)
+
+
+CLI_ARGS = {
+    "t1": ["--predicate", "nae22.pred", "--a", "01"],
+    "t2": ["--p0", "p0.dist", "--p1", "p1.dist", "--eps", "1/4"],
+    "t3": ["--eps", "1/4"],
+}
+
+
+@pytest.mark.parametrize("test", sorted(CLI_ARGS))
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_reduce_sample_exits_three_on_an_isolated_left_vertex(
+    test, seed, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("game.lc", "2 1 1 1 1\n0 0 0\n"),
+                       ("nae22.pred", "2 2\n01\n10\n"),
+                       ("p0.dist", "2\n00 1/2\n11 1/2\n"),
+                       ("p1.dist", "2\n01 1/2\n10 1/2\n")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = ["reduce", test, "--source", "game.lc", "--out", "x.csp"]
+    for extra in ([], ["--sample", "1", "--seed", seed]):
+        assert main(argv + extra + CLI_ARGS[test]) == 3
+        assert ISOLATED in capsys.readouterr().err
