@@ -274,17 +274,13 @@ class FourierTable:
         return FourierTable(
             self.n,
             (
-                c * rate ** _popcount(m)
+                c * rate ** m.bit_count()
                 for m, c in enumerate(self.coefficients)
             ),
         )
 
     def __repr__(self):
         return "FourierTable(n=%d)" % self.n
-
-
-def _popcount(m):
-    return bin(m).count("1")
 
 
 def _as_mask(alpha, n):
@@ -304,7 +300,7 @@ def character(n, alpha):
     mask = _as_mask(alpha, n)
     dom = ProductDomain.binary_uniform(n)
     return TabulatedFunction(
-        dom, (1 if _popcount(x & mask) % 2 == 0 else -1 for x in range(dom.size))
+        dom, (-1 if (x & mask).bit_count() % 2 else 1 for x in range(dom.size))
     )
 
 

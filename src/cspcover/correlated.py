@@ -245,24 +245,10 @@ class MarkovOperator:
         raise AttributeError("MarkovOperator is immutable")
 
     def apply(self, g):
-        sp = self.space
-        values = _right_values(sp, g)
-        return TabulatedFunction(sp.left_marginal_domain(), _apply_blocks(
-            [self.matrix], [values[ra] for ra in sp.right_atoms]))
-
-
-def _right_values(space, g):
-    """Coerce g into a right-atom -> value map."""
-    if isinstance(g, TabulatedFunction):
-        if g.domain.size != len(space.right_atoms):
-            raise PreconditionError("function does not match the right atoms")
-        return {a: g.values[i] for i, a in enumerate(space.right_atoms)}
-    if isinstance(g, dict):
-        return {tuple(a): Fraction(v) for a, v in g.items()}
-    values = [Fraction(v) for v in g]
-    if len(values) != len(space.right_atoms):
-        raise PreconditionError("function does not match the right atoms")
-    return dict(zip(space.right_atoms, values))
+        """Ug for g on the space's right marginal domain; exact."""
+        _checked_blocks([self.space], g)
+        return TabulatedFunction(self.space.left_marginal_domain(),
+                                 _apply_blocks([self.matrix], g.values))
 
 
 def markov_apply(op, g):

@@ -163,50 +163,34 @@ def max_satisfiable(g, budget=None):
     return Fraction(best[0], len(g.edges)), best[1]
 
 
-def _u_classes_covers(g, classes, budget):
-    """One labeling per class covering that class's left vertices, or None.
-
-    A class is a set of left vertices that one labeling must serve: every
-    vertex in it needs all of its incident edges satisfied.
-    """
-    out = []
-    for cls in classes:
-        found = None
-        # Left labels only matter on cls; right labels must agree with every
-        # class edge at their vertex. Enumerate left choices on cls.
-        cls = sorted(cls)
-        for choice in itertools.product(range(g.nlabels_u), repeat=len(cls)):
-            budget.spend()
-            want = dict(zip(cls, choice))
-            right = [None] * g.nv
-            ok = True
-            for v in range(g.nv):
-                edge_ids = [
-                    i for i in g.edges_at_v(v) if g.edges[i].u in want
-                ]
-                if not edge_ids:
-                    right[v] = 0
-                    continue
-                picked = None
-                for r in range(g.nlabels_v):
-                    budget.spend()
-                    if all(g.edges[i].proj[r] == want[g.edges[i].u] for i in edge_ids):
-                        picked = r
-                        break
-                if picked is None:
-                    ok = False
+def _class_labeling(g, cls, budget):
+    """A labeling that satisfies every edge at the left vertices of `cls`, or
+    None: the first in lexicographic order of their labels, each right vertex
+    taking its least label consistent with the class edges there."""
+    members = set(cls)
+    at_v = [[(g.edges[i].proj, g.edges[i].u) for i in g.edges_at_v(v)
+             if g.edges[i].u in members] for v in range(g.nv)]
+    for choice in itertools.product(range(g.nlabels_u), repeat=len(cls)):
+        budget.spend()
+        want = dict(zip(cls, choice))
+        right = []
+        for pairs in at_v:
+            if not pairs:
+                right.append(0)
+                continue
+            for r in range(g.nlabels_v):
+                budget.spend()
+                if all(proj[r] == want[u] for proj, u in pairs):
+                    right.append(r)
                     break
-                right[v] = picked
-            if ok:
-                left = [0] * g.nu
-                for u, val in want.items():
-                    left[u] = val
-                found = Labeling(left, right)
+            else:
                 break
-        if found is None:
-            return None
-        out.append(found)
-    return out
+        else:
+            left = [0] * g.nu
+            for u, x in want.items():
+                left[u] = x
+            return Labeling(left, right)
+    return None
 
 
 def is_c_coverable(g, c, budget=None):
@@ -216,40 +200,36 @@ def is_c_coverable(g, c, budget=None):
     budget = as_budget(budget)
     if c < 1:
         raise PreconditionError("c must be at least 1")
-    isolated = [u for u in range(g.nu) if not g.edges_at_u(u)]
     active = [u for u in range(g.nu) if g.edges_at_u(u)]
-    # Partition active left vertices into at most c classes (restricted-growth
-    # strings avoid symmetric repeats), then check each class independently.
-    def partitions(items, maxc):
-        n = len(items)
-        rgs = [0] * n
-
-        def rec(i, used):
-            if i == n:
-                groups = [[] for _ in range(used)]
-                for j, gidx in enumerate(rgs):
-                    groups[gidx].append(items[j])
-                yield groups
-                return
-            for v in range(min(used + 1, maxc)):
-                rgs[i] = v
-                yield from rec(i + 1, max(used, v + 1))
-
-        if n == 0:
-            yield []
-            return
-        yield from rec(0, 0)
-
-    for groups in partitions(active, c):
-        labelings = _u_classes_covers(g, groups, budget)
-        if labelings is not None:
-            if isolated and not labelings:
-                labelings = [Labeling([0] * g.nu, [0] * g.nv)]
-            while len(labelings) < c:
-                labelings.append(labelings[-1] if labelings else
-                                 Labeling([0] * g.nu, [0] * g.nv))
-            return labelings
-    return None
+    # Partition the active left vertices into at most c classes, one
+    # restricted-growth string at a time in lexicographic order (so no
+    # partition comes twice under renaming), and search each class alone.
+    # rgs[i] is the class of active[i]; peak[i] the largest class before i.
+    n = len(active)
+    rgs = [0] * n
+    peak = [0] * n
+    while True:
+        classes = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for u, k in zip(active, rgs):
+            classes[k].append(u)
+        labelings = []
+        for cls in classes:
+            lab = _class_labeling(g, cls, budget)
+            if lab is None:
+                break
+            labelings.append(lab)
+        else:
+            pad = (labelings[-1] if labelings
+                   else Labeling([0] * g.nu, [0] * g.nv))
+            return labelings + [pad] * (c - len(labelings))
+        i = n - 1
+        while i > 0 and (rgs[i] == c - 1 or rgs[i] > peak[i]):
+            i -= 1
+        if i <= 0:
+            return None
+        rgs[i] += 1
+        rgs[i + 1:] = [0] * (n - i - 1)
+        peak[i + 1:] = [max(peak[i], rgs[i])] * (n - i - 1)
 
 
 def smoothness_profile(g, v, alpha):
@@ -273,12 +253,6 @@ def smoothness_profile(g, v, alpha):
         image = {g.edges[i].proj[x] for x in alpha}
         total += Fraction(1, len(image))
     return total / len(edge_ids)
-
-
-def _rand_permutation(rng, n):
-    p = list(range(n))
-    rng.shuffle(p)
-    return p
 
 
 def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed,
@@ -314,42 +288,36 @@ def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed,
                 out.append((u, (u * d + s) % nv))
         return out
 
-    if kind == "unique-consistent":
-        if L != R:
-            raise PreconditionError("unique instances need L == R")
-        hidden_left = [rng.randrange(L) for _ in range(nu)]
-        hidden_right = [rng.randrange(R) for _ in range(nv)]
+    def hidden():
+        return ([rng.randrange(L) for _ in range(nu)],
+                [rng.randrange(R) for _ in range(nv)])
+
+    def planted(labelings, side):
+        """Bijective edges, each consistent with the hidden labeling of its
+        left vertex's side."""
         edges = []
         for (u, v) in edge_endpoints():
-            proj = _rand_permutation(rng, R)
-            # Swap to force proj[hidden_right[v]] == hidden_left[u].
-            j = proj.index(hidden_left[u])
-            proj[j], proj[hidden_right[v]] = proj[hidden_right[v]], proj[j]
+            hl, hr = labelings[side(u)]
+            proj = list(range(R))
+            rng.shuffle(proj)
+            # Swap to force proj[hr[v]] == hl[u].
+            j = proj.index(hl[u])
+            proj[j], proj[hr[v]] = proj[hr[v]], proj[j]
             edges.append(Edge(u, v, proj))
         return LabelCoverInstance(nu, nv, L, R, edges, unique=True)
 
+    if kind in ("unique-consistent", "unique-2-cover") and L != R:
+        raise PreconditionError("unique instances need L == R")
+
+    if kind == "unique-consistent":
+        return planted([hidden()], lambda u: 0)
+
     if kind == "unique-2-cover":
-        if L != R:
-            raise PreconditionError("unique instances need L == R")
         if nu < 2:
             raise PreconditionError("need at least two left vertices")
+        half = nu // 2
         for _ in range(int(retries)):
-            half = nu // 2
-            hidden = []
-            for _side in range(2):
-                hidden.append((
-                    [rng.randrange(L) for _ in range(nu)],
-                    [rng.randrange(R) for _ in range(nv)],
-                ))
-            edges = []
-            for (u, v) in edge_endpoints():
-                side = 0 if u < half else 1
-                hl, hr = hidden[side]
-                proj = _rand_permutation(rng, R)
-                j = proj.index(hl[u])
-                proj[j], proj[hr[v]] = proj[hr[v]], proj[j]
-                edges.append(Edge(u, v, proj))
-            g = LabelCoverInstance(nu, nv, L, R, edges, unique=True)
+            g = planted([hidden(), hidden()], lambda u: int(u >= half))
             if is_c_coverable(g, 1) is None and is_c_coverable(g, 2) is not None:
                 return g
         raise PreconditionError(

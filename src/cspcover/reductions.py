@@ -35,6 +35,7 @@ from .errors import BudgetExceededError, PreconditionError, as_budget
 from .labelcover import (
     LabelCoverInstance,
     Labeling,
+    _check_labeling,
     edge_satisfied,
     satisfied_fraction,
 )
@@ -374,8 +375,7 @@ def sample_t1(params, n, seed):
 
 def _check_labelings_cover(g, labelings):
     for lab in labelings:
-        if len(lab.left) != g.nu or len(lab.right) != g.nv:
-            raise PreconditionError("labeling does not match the source")
+        _check_labeling(g, lab)
     for u in range(g.nu):
         if not any(all(edge_satisfied(g, lab, i) for i in g.edges_at_u(u))
                    for lab in labelings):
@@ -387,7 +387,7 @@ def _check_labelings_cover(g, labelings):
 def t1_completeness_witness(params, labelings, inst=None):
     """Two assignments per covering labeling: first-half and second-half
     half-dictators. Their union covers every generated constraint exactly."""
-    return CoverSet(completeness_witness(params, labelings, inst, generate_t1)[0])
+    return CoverSet(completeness_witness(params, labelings, inst)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def t2_completeness_witness(params, labeling, inst=None):
     Each covers at least a 1-eps weight fraction (exactly computed) and
     together they cover everything; both facts are asserted.
     """
-    return tuple(completeness_witness(params, [labeling], inst, generate_t2)[0])
+    return tuple(completeness_witness(params, [labeling], inst)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +766,7 @@ def decode_t2(tables, source, gamma, seed):
         for mask, coeff in enumerate(fh.coefficients):
             if not coeff or not mask:
                 continue
-            w = rate2 ** bin(mask).count("1") * coeff * coeff
+            w = rate2 ** mask.bit_count() * coeff * coeff
             for i in pi_tilde(_mask_bits(mask), proj):
                 prof[i] += w
         return prof
@@ -922,7 +922,12 @@ def sample_t3(params, n, seed):
 
 def t3_completeness_witness(params, labeling, inst=None):
     """Half-dictator pair for the third test; same contract as the second."""
-    return tuple(completeness_witness(params, [labeling], inst, generate_t3)[0])
+    return tuple(completeness_witness(params, [labeling], inst)[0])
+
+
+_GENERATE = {
+    T1Params: generate_t1, T2Params: generate_t2, T3Params: generate_t3,
+}
 
 
 def completeness_witness(params, labelings, inst=None, generate=None):
@@ -932,8 +937,9 @@ def completeness_witness(params, labelings, inst=None, generate=None):
     The labelings are checked before anything is generated: for t1 they must
     together cover every left vertex; for t2 and t3 there must be exactly one,
     satisfying every edge. Then, when `inst` is None, `generate(params)` builds
-    the instance. Asserts that the union covers the instance and, for t2 and
-    t3, that each assignment covers at least 1 - eps.
+    the instance; `generate` defaults to the generator of the params' test.
+    Asserts that the union covers the instance and, for t2 and t3, that each
+    assignment covers at least 1 - eps.
     """
     g = params.source
     labelings = [_as_labeling(lab) for lab in labelings]
@@ -945,7 +951,7 @@ def completeness_witness(params, labelings, inst=None, generate=None):
     elif satisfied_fraction(g, labelings[0]) != 1:
         raise PreconditionError("labeling does not satisfy every edge")
     if inst is None:
-        inst = generate(params)
+        inst = (generate or _GENERATE[type(params)])(params)
     # The half-dictators x -> x[label(v)] and x -> x[R + label(v)].
     assignments = [
         Assignment([x[off + lab.right[v]] for v, x in inst.variables])

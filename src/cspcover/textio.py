@@ -43,14 +43,26 @@ def _rational(token, lineno):
         raise FormatError("line %d: bad rational %r" % (lineno, token))
 
 
+def _header(text, what, count):
+    """The header's line number, its `count` integers, and the body lines."""
+    lines = _lines(text)
+    if not lines:
+        raise FormatError("empty %s file" % what)
+    lineno, header = lines[0]
+    return lineno, _ints(header, lineno, count), lines[1:]
+
+
 def _digits(token, lineno, count, base):
-    if len(token) != count or not token.isdigit():
+    """A tuple of `count` digits below `base`; errors cite line `lineno`
+    unless it is None."""
+    where = "" if lineno is None else "line %d: " % lineno
+    if len(token) != count or not (token.isascii() and token.isdigit()):
         raise FormatError(
-            "line %d: expected %d digits, got %r" % (lineno, count, token)
+            "%sexpected %d digits, got %r" % (where, count, token)
         )
     vals = tuple(int(c) for c in token)
     if any(v >= base for v in vals):
-        raise FormatError("line %d: digit outside [%d]" % (lineno, base))
+        raise FormatError("%sdigit outside [%d] in %r" % (where, base, token))
     return vals
 
 
@@ -61,27 +73,15 @@ def format_rational(x):
 
 def parse_digits(token, count, base):
     """A bare tuple of `count` digits below `base`, e.g. a predicate member."""
-    if len(token) != count or not token.isdigit():
-        raise FormatError("expected %d digits, got %r" % (count, token))
-    vals = tuple(int(c) for c in token)
-    if any(v >= base for v in vals):
-        raise FormatError("digit outside [%d] in %r" % (base, token))
-    return vals
+    return _digits(token, None, count, base)
 
 
 # -- predicates -------------------------------------------------------------
 
 
 def parse_predicate(text):
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty predicate file")
-    lineno, header = lines[0]
-    q, k = _ints(header, lineno, 2)
-    members = []
-    for lineno, line in lines[1:]:
-        members.append(_digits(line, lineno, k, q))
-    return Predicate(q, k, members)
+    _, (q, k), body = _header(text, "predicate", 2)
+    return Predicate(q, k, [_digits(line, i, k, q) for i, line in body])
 
 
 def format_predicate(pred):
@@ -95,23 +95,19 @@ def format_predicate(pred):
 
 
 def parse_instance(text, predicate):
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty instance file")
-    lineno, header = lines[0]
-    q, k, nvars, ncons = _ints(header, lineno, 4)
+    _, (q, k, nvars, ncons), body = _header(text, "instance", 4)
     if q != predicate.q or k != predicate.k:
         raise FormatError(
             "instance header (q=%d, k=%d) does not match the predicate" % (q, k)
         )
-    if len(lines) - 1 != ncons:
+    if len(body) != ncons:
         raise FormatError(
-            "expected %d constraints, found %d" % (ncons, len(lines) - 1)
+            "expected %d constraints, found %d" % (ncons, len(body))
         )
     constraints = []
     literals = {}
     weights = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         toks = line.split()
         if len(toks) != k + 2:
             raise FormatError(
@@ -153,15 +149,11 @@ def format_instance(inst):
 
 
 def parse_labelcover(text):
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty game file")
-    lineno, header = lines[0]
-    nu, nv, nl, nr, unique = _ints(header, lineno, 5)
+    head, (nu, nv, nl, nr, unique), body = _header(text, "game", 5)
     if unique not in (0, 1):
-        raise FormatError("line %d: unique flag must be 0 or 1" % lineno)
+        raise FormatError("line %d: unique flag must be 0 or 1" % head)
     edges = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         vals = _ints(line, lineno, 2 + nr)
         edges.append(Edge(vals[0], vals[1], vals[2:]))
     return LabelCoverInstance(nu, nv, nl, nr, edges, unique=bool(unique))
@@ -183,13 +175,9 @@ def format_labelcover(g):
 
 
 def parse_space(text):
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty space file")
-    lineno, header = lines[0]
-    ql, kl, qr, kr = _ints(header, lineno, 4)
+    _, (ql, kl, qr, kr), body = _header(text, "space", 4)
     mu = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         toks = line.split()
         if len(toks) != 3:
             raise FormatError("line %d: expected 3 tokens" % lineno)
@@ -245,16 +233,10 @@ def format_space(space):
 
 def parse_truth_table(text):
     """Header `n`, then 2^n rational values in index order."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty table file")
-    lineno, header = lines[0]
-    (n,) = _ints(header, lineno, 1)
+    head, (n,), body = _header(text, "table", 1)
     if n < 0 or n > 24:
-        raise FormatError("line %d: unsupported dimension %d" % (lineno, n))
-    values = []
-    for lineno, line in lines[1:]:
-        values.append(_rational(line, lineno))
+        raise FormatError("line %d: unsupported dimension %d" % (head, n))
+    values = [_rational(line, lineno) for lineno, line in body]
     if len(values) != 1 << n:
         raise FormatError(
             "expected %d values, found %d" % (1 << n, len(values))
@@ -269,13 +251,9 @@ def parse_values(text):
 
 def parse_distribution(text):
     """Header `k`, then `bits num/den` support lines."""
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty distribution file")
-    lineno, header = lines[0]
-    (k,) = _ints(header, lineno, 1)
+    _, (k,), body = _header(text, "distribution", 1)
     dist = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         toks = line.split()
         if len(toks) != 2:
             raise FormatError("line %d: expected `bits weight`" % lineno)
@@ -324,23 +302,21 @@ def parse_tables(text):
 
     Table width (number of coordinates) is recovered from npoints = q^width.
     """
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty tables file")
-    lineno, header = lines[0]
-    nv, npoints, q = _ints(header, lineno, 3)
+    head, (nv, npoints, q), body = _header(text, "tables", 3)
     if q < 2:
-        raise FormatError("line %d: alphabet size must be at least 2" % lineno)
+        raise FormatError("line %d: alphabet size must be at least 2" % head)
     width = 0
     size = 1
     while size < npoints:
         size *= q
         width += 1
     if size != npoints:
-        raise FormatError("npoints must be a power of the alphabet size")
+        raise FormatError(
+            "line %d: npoints must be a power of the alphabet size" % head
+        )
     dom = ProductDomain((q,) * width)
     tables = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         toks = line.split()
         if len(toks) != 2:
             raise FormatError("line %d: expected `vertex digits`" % lineno)

@@ -9,7 +9,8 @@ import itertools
 from fractions import Fraction
 
 from cspcover.csp import Assignment
-from cspcover.errors import PreconditionError
+from cspcover.errors import PreconditionError, as_budget
+from cspcover.labelcover import Labeling
 from cspcover.predicate import add_tuples, is_shift_closed
 
 
@@ -285,6 +286,96 @@ def brute_max_satisfiable(g):
         for right in itertools.product(range(g.nlabels_v), repeat=g.nv):
             best = max(best, count_satisfied_edges(g, left, right))
     return Fraction(best, len(g.edges))
+
+
+def _reference_classes_covers(g, classes, budget):
+    """One labeling per class covering that class's left vertices, or None.
+
+    A class is a set of left vertices that one labeling must serve: every
+    vertex in it needs all of its incident edges satisfied.
+    """
+    out = []
+    for cls in classes:
+        found = None
+        # Left labels only matter on cls; right labels must agree with every
+        # class edge at their vertex. Enumerate left choices on cls.
+        cls = sorted(cls)
+        for choice in itertools.product(range(g.nlabels_u), repeat=len(cls)):
+            budget.spend()
+            want = dict(zip(cls, choice))
+            right = [None] * g.nv
+            ok = True
+            for v in range(g.nv):
+                edge_ids = [
+                    i for i in g.edges_at_v(v) if g.edges[i].u in want
+                ]
+                if not edge_ids:
+                    right[v] = 0
+                    continue
+                picked = None
+                for r in range(g.nlabels_v):
+                    budget.spend()
+                    if all(g.edges[i].proj[r] == want[g.edges[i].u] for i in edge_ids):
+                        picked = r
+                        break
+                if picked is None:
+                    ok = False
+                    break
+                right[v] = picked
+            if ok:
+                left = [0] * g.nu
+                for u, val in want.items():
+                    left[u] = val
+                found = Labeling(left, right)
+                break
+        if found is None:
+            return None
+        out.append(found)
+    return out
+
+
+def reference_is_c_coverable(g, c, budget=None):
+    """`labelcover.is_c_coverable` as it stood before its search became
+    iterative: partitions from a recursive restricted-growth generator, and
+    class edge lists rebuilt for every left-label choice. Recurses once per
+    active left vertex, so it is for small games only."""
+    budget = as_budget(budget)
+    if c < 1:
+        raise PreconditionError("c must be at least 1")
+    isolated = [u for u in range(g.nu) if not g.edges_at_u(u)]
+    active = [u for u in range(g.nu) if g.edges_at_u(u)]
+    # Partition active left vertices into at most c classes (restricted-growth
+    # strings avoid symmetric repeats), then check each class independently.
+    def partitions(items, maxc):
+        n = len(items)
+        rgs = [0] * n
+
+        def rec(i, used):
+            if i == n:
+                groups = [[] for _ in range(used)]
+                for j, gidx in enumerate(rgs):
+                    groups[gidx].append(items[j])
+                yield groups
+                return
+            for v in range(min(used + 1, maxc)):
+                rgs[i] = v
+                yield from rec(i + 1, max(used, v + 1))
+
+        if n == 0:
+            yield []
+            return
+        yield from rec(0, 0)
+
+    for groups in partitions(active, c):
+        labelings = _reference_classes_covers(g, groups, budget)
+        if labelings is not None:
+            if isolated and not labelings:
+                labelings = [Labeling([0] * g.nu, [0] * g.nv)]
+            while len(labelings) < c:
+                labelings.append(labelings[-1] if labelings else
+                                 Labeling([0] * g.nu, [0] * g.nv))
+            return labelings
+    return None
 
 
 def direct_dft(values):

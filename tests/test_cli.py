@@ -294,6 +294,16 @@ class TestGameCommands:
         assert value_of(out, "coverable") == "false"
         assert "labeling:0" not in keys_of(out)
 
+    def test_lc_cover_on_many_left_vertices(self, tmp_path, capsys):
+        # 20,000 left vertices with L = R = 1 are trivially 1-coverable; the
+        # search must not recurse once per vertex.
+        n = 20_000
+        game = write(tmp_path / "big.lc", "%d 1 1 1 0\n" % n + "".join(
+            "%d 0 0\n" % u for u in range(n)))
+        code, out, _ = run(capsys, "lc-cover", game, "--c", "1")
+        assert code == 0
+        assert value_of(out, "coverable") == "true"
+
     def test_lc_smooth_on_a_bijective_edge(self, tmp_path, capsys):
         game = game_file(tmp_path, identity_game())
         code, out, _ = run(
@@ -544,6 +554,20 @@ class TestWitnessChecksLabelingsFirst:
         code, _, err = self.witness(capsys, test, *files, labs, budget)
         assert code == 3
         assert "labeling" in err and "budget" not in err
+
+    @pytest.mark.parametrize("labels", ["0 5", "0 -1", "5 0"])
+    @pytest.mark.parametrize("test", ["t1", "t2", "t3"])
+    def test_labels_outside_their_range_exit_three(
+        self, tmp_path, capsys, test, labels
+    ):
+        # One edge with L = R = 1; a labeling line is the left label, then
+        # the right one.
+        files = self.files(tmp_path, identity_game(nlabels=1))
+        labs = write(tmp_path / "labs.txt", labels + "\n")
+        code, out, err = self.witness(capsys, test, *files, labs, False)
+        assert code == 3
+        assert "labels outside" in err
+        assert "union" not in out
 
 
 class TestDecodeCommand:

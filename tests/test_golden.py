@@ -17,6 +17,11 @@ projection, so its samples draw over several labels; the decode source has
 two left and three right vertices with two labels each, and fixed random
 tables that are no dictators. All are small enough that the whole file runs
 in a few seconds.
+
+The label-cover commands are pinned the same way: `lc-gen` for each of the
+four kinds, `lc-sat`, and `lc-cover` at c = 1, 2 and 3 on generated games,
+on a game with an isolated left vertex and on one without edges. Their
+digests were recorded before the c-cover search became iterative.
 """
 
 import contextlib
@@ -111,6 +116,64 @@ def golden_digests(name, workdir):
         for fname in written:
             digests["%s %s" % (call, fname)] = _sha256(
                 (workdir / fname).read_bytes())
+    return digests
+
+
+# Games written by hand; the others come from the `lc-gen` calls of LC_GEN,
+# which run first.
+LC_GAMES = {
+    "isolated.lc": "3 2 2 2 1\n0 0 0 1\n1 1 1 0\n",
+    "edgeless.lc": "2 1 1 1 0\n",
+}
+LC_GEN = {
+    "consistent": "unique-consistent --nu 3 --nv 3 --labels-u 3 "
+                  "--labels-v 3 --seed 7",
+    "two-cover": "unique-2-cover --nu 4 --nv 2 --labels-u 3 --labels-v 3 "
+                 "--seed 5",
+    "random": "dto1-random --nu 2 --nv 3 --labels-u 2 --labels-v 4 "
+              "--degree 2 --seed 3",
+    "contradictory": "dto1-contradictory --nu 2 --nv 2 --labels-u 2 "
+                     "--labels-v 4 --seed 11",
+}
+
+
+def _lc_calls():
+    """(call name, argv, files the call writes), in run order."""
+    calls = [("lc-gen " + name,
+              ["lc-gen", "--kind"] + args.split() + ["--out", name + ".lc"],
+              (name + ".lc",))
+             for name, args in LC_GEN.items()]
+    for game in ("consistent", "contradictory"):
+        calls.append(("lc-sat " + game,
+                      ["lc-sat", game + ".lc", "--out", game + ".sat"],
+                      (game + ".sat",)))
+    for game, cs in (("two-cover", (1, 2, 3)), ("contradictory", (1, 2)),
+                     ("random", (1, 2)), ("isolated", (1, 2)),
+                     ("edgeless", (1, 3))):
+        for c in cs:
+            out = "%s.c%d" % (game, c)
+            calls.append(("lc-cover %s --c %d" % (game, c),
+                          ["lc-cover", game + ".lc", "--c", str(c), "--out",
+                           out], (out,)))
+    return calls
+
+
+def lc_golden_digests(workdir):
+    """Digest of every stdout and written file of the label-cover calls;
+    a file a call leaves unwritten digests as `absent`."""
+    for fname, text in LC_GAMES.items():
+        (workdir / fname).write_text(text, encoding="utf-8")
+    digests = {}
+    for call, argv, written in _lc_calls():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, call
+        digests[call + " stdout"] = _sha256(out.getvalue().encode("utf-8"))
+        for fname in written:
+            path = workdir / fname
+            digests["%s %s" % (call, fname)] = (
+                _sha256(path.read_bytes()) if path.exists() else "absent")
     return digests
 
 
@@ -270,3 +333,80 @@ GOLDEN = {
 def test_golden_outputs(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert golden_digests(name, tmp_path) == GOLDEN[name]
+
+
+GOLDEN_LC = {
+    'lc-cover contradictory --c 1 contradictory.c1':
+        'absent',
+    'lc-cover contradictory --c 1 stdout':
+        '33d7245476a548f6bcbaafe31732748d8a17c7342d096c3663eb4374865d36f5',
+    'lc-cover contradictory --c 2 contradictory.c2':
+        'b7732881a527a9702aa9cf2b81154d56b88f1a25633c72ddd34a251644fb360c',
+    'lc-cover contradictory --c 2 stdout':
+        'fd35e838ac74204b3197d413b77d7a0fb30b4896f832e1af2b296dbe756a6abb',
+    'lc-cover edgeless --c 1 edgeless.c1':
+        'a17138988e1387532b5cb0bd7a23f18a11d537123873e67154dada3c6359e53e',
+    'lc-cover edgeless --c 1 stdout':
+        '16feff0c5ff78f26fd3ad096639e9f4a4c44d6e3998b6038b074eeedf4547a68',
+    'lc-cover edgeless --c 3 edgeless.c3':
+        'bfde8a91c78e9f9f2c9947fc81a1f1fea18b0b23788c2913cbeed0564d6c7ddc',
+    'lc-cover edgeless --c 3 stdout':
+        '87d75f5cffcf99b2958abfe0bcc4d656a9d2d1293d41a7bee69d4ef631122211',
+    'lc-cover isolated --c 1 isolated.c1':
+        'b17d810e3dccccab156d8955271616d58bb4d7511ba1ad86916cecc81deeb41e',
+    'lc-cover isolated --c 1 stdout':
+        'fcb5479f31676475ea450df13e83d71781e67b48f8332225fabe4d7a3b00de75',
+    'lc-cover isolated --c 2 isolated.c2':
+        'f0568787c74b4198055e44272ff3bb84b18d7180b5eaeaa825481a026e79afed',
+    'lc-cover isolated --c 2 stdout':
+        'b354c902da29989673e98817b4a2eb88db0dd5cd32d6ead3f36efab74e7900a3',
+    'lc-cover random --c 1 random.c1':
+        'b17d810e3dccccab156d8955271616d58bb4d7511ba1ad86916cecc81deeb41e',
+    'lc-cover random --c 1 stdout':
+        '02d3269183f5281fc3963f8024d44ec599dc7be48499c1efb36ee205f657b700',
+    'lc-cover random --c 2 random.c2':
+        'f0568787c74b4198055e44272ff3bb84b18d7180b5eaeaa825481a026e79afed',
+    'lc-cover random --c 2 stdout':
+        '17cd5eb78fcc18da2b20a07b01cfa08c169aaf3659e45b5b3812c244bceb8326',
+    'lc-cover two-cover --c 1 stdout':
+        'b2a6e6c25caa8594303cdafd96702ad6efd938e91f446fdb593f315a4bbfc094',
+    'lc-cover two-cover --c 1 two-cover.c1':
+        'absent',
+    'lc-cover two-cover --c 2 stdout':
+        '5a7c6cc3762652533fad7bcbe3cc64bf184855a3b56b76c932b16496227c2c22',
+    'lc-cover two-cover --c 2 two-cover.c2':
+        'db79b9386d9cf42113dfcd704792cf1f2025334220fc03f977c67496e28880a1',
+    'lc-cover two-cover --c 3 stdout':
+        '4372e0b7520499c67227df2959eca9e4a74fd5d74d4f2badf332d4b05e3ad5ad',
+    'lc-cover two-cover --c 3 two-cover.c3':
+        'b4bd3f40b812802fb059aa78d96298f14e9b13fb1ae3a6022270e4e830515476',
+    'lc-gen consistent consistent.lc':
+        '174fe10e353c4cea8f6de9de81b04290c2e536e0b513357864805fbee4f9aa9d',
+    'lc-gen consistent stdout':
+        'cf0cb5493bebe7be3d0510760f60745be9357de003643d3095ddffbb8aee7566',
+    'lc-gen contradictory contradictory.lc':
+        '42e0f7ea1cdacd269c0693cbede8fb747067eedc7d208686b4950305e2da08a6',
+    'lc-gen contradictory stdout':
+        '58d1cc4ef1c6d13265e3070fa2ab3b3aed51fe647643048f8f9516c5677923ce',
+    'lc-gen random random.lc':
+        'a37281c3edc0c046bdb1be61959ef1d7a3212cb31754fa1b1af2f8baf23e523b',
+    'lc-gen random stdout':
+        'bee5ee0d26cbe5d31a52919593a611921f3ae1849d1a79bf225ec30c2f02e525',
+    'lc-gen two-cover stdout':
+        '0ff60e8aa9c0393c0f644f2f8916b2f57317d106f682daf59158c6daba302105',
+    'lc-gen two-cover two-cover.lc':
+        '65633b24d5491fc2be17d8b4b701d400422169742fc84cfbda8b2b3596fc6562',
+    'lc-sat consistent consistent.sat':
+        'dfa4c0597b297fbd52a9fd3d545c41b8ebdd74d34f8bd723ce96cc3585a73a29',
+    'lc-sat consistent stdout':
+        'ccaab29ed7abe4c02ec680ff559339efdc740104aaee9e21046a709f3b7c1b67',
+    'lc-sat contradictory contradictory.sat':
+        'c5bea6d5172950ed3fc3f0433afd51fc1913e545f5dd34c849c65dc166209a00',
+    'lc-sat contradictory stdout':
+        '0eec9f7f1c72368e5a9fd217c84aec5820966523d16cd1a1bff4879abda6b131',
+}
+
+
+def test_golden_label_cover_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert lc_golden_digests(tmp_path) == GOLDEN_LC

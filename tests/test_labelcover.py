@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspcover import (
+    Budget,
     BudgetExceededError,
     Edge,
     LabelCoverInstance,
@@ -191,6 +194,46 @@ class TestCoverability:
             assert any(
                 all(edge_satisfied(g, lab, e) for e in eids) for lab in labs
             )
+
+
+@st.composite
+def small_games(draw):
+    nu, nv = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    nl, nr = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    edges = draw(st.lists(st.builds(
+        Edge, st.integers(0, nu - 1), st.integers(0, nv - 1),
+        st.lists(st.integers(0, nl - 1), min_size=nr, max_size=nr),
+    ), max_size=6))
+    return LabelCoverInstance(nu, nv, nl, nr, edges)
+
+
+class TestCoverSearchAgainstReference:
+    """The iterative search returns the labelings of the recursive reference
+    and spends the same budget, down to where a small budget runs out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_games(), st.integers(1, 3), st.integers(1, 60))
+    def test_same_labelings_and_budget(self, g, c, limit):
+        for budget_limit in (None, limit):
+            got, want = Budget(budget_limit), Budget(budget_limit)
+            outcomes = []
+            for search, budget in ((is_c_coverable, got),
+                                   (oracles.reference_is_c_coverable, want)):
+                try:
+                    outcomes.append(search(g, c, budget))
+                except BudgetExceededError:
+                    outcomes.append("budget")
+            assert outcomes[0] == outcomes[1]
+            assert got.used == want.used
+
+    def test_many_left_vertices_do_not_recurse(self):
+        # 20,000 left vertices on one right vertex, L = R = 1: one class of
+        # 20,000 vertices, far past the interpreter's recursion limit.
+        n = 20_000
+        edges = [Edge(u, 0, (0,)) for u in range(n)]
+        g = LabelCoverInstance(n, 1, 1, 1, edges)
+        labs = is_c_coverable(g, 1)
+        assert labs == [Labeling([0] * n, [0])]
 
 
 class TestSmoothness:

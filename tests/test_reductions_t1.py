@@ -189,6 +189,17 @@ class TestCompletenessWitness:
         with pytest.raises(PreconditionError):
             t1_completeness_witness(p, [Labeling((0, 0), (0,))])
 
+    @pytest.mark.parametrize("left, right, side", [
+        ((0,), (5,), "right"), ((0,), (-1,), "right"), ((5,), (0,), "left"),
+    ], ids=["right5", "right-1", "left5"])
+    def test_rejects_labels_outside_their_range(self, left, right, side):
+        # One edge with L = R = 1: a right label of 5 used to index past the
+        # projection, -1 to read it from the end, and a left label of 5 to
+        # pass for a labeling that does not cover.
+        p = params_single_edge()
+        with pytest.raises(PreconditionError, match=side + " labels outside"):
+            t1_completeness_witness(p, [Labeling(left, right)])
+
 
 class TestSampling:
     def test_sampled_instance_shape(self):

@@ -13,12 +13,17 @@ from cspcover import (
     LabelCoverInstance,
     Labeling,
     PreconditionError,
+    T1Params,
     T2Params,
+    T3Params,
     correlation_rho,
     covered_fraction,
     decode_t2,
+    generate_t1,
     generate_t2,
+    generate_t3,
     lin,
+    nae,
     pairwise_product_check,
     rejection_identity_check,
     sample_t2,
@@ -276,6 +281,20 @@ class TestCompletenessWitness:
         assert tuple(assignments) == t2_completeness_witness(
             p, Labeling((0,), (0,)), inst
         )
+        assert fractions == [covered_fraction(CoverSet([a]), inst)
+                             for a in assignments]
+        assert union == 1
+
+    @pytest.mark.parametrize("make, generate", [
+        (lambda: T1Params(nae(2, 2), (0, 1), one_label_source()), generate_t1),
+        (params, generate_t2),
+        (lambda: T3Params(Fraction(1, 4), one_label_source()), generate_t3),
+    ], ids=["t1", "t2", "t3"])
+    def test_defaults_to_the_generator_of_its_params(self, make, generate):
+        p, lab = make(), Labeling((0,), (0,))
+        assignments, fractions, union = completeness_witness(p, [lab])
+        inst = generate(p)
+        assert assignments == completeness_witness(p, [lab], inst)[0]
         assert fractions == [covered_fraction(CoverSet([a]), inst)
                              for a in assignments]
         assert union == 1

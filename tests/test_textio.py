@@ -35,6 +35,24 @@ class TestHelpers:
         with pytest.raises(FormatError):
             textio.parse_digits("0130", 4, 3)
 
+    @pytest.mark.parametrize("token", ["0\u00b2", "0\u0661"])
+    def test_parse_digits_takes_ascii_digits_only(self, token):
+        # A superscript two passes str.isdigit, an Arabic-Indic one also
+        # passes int(); neither is a digit of the format.
+        with pytest.raises(FormatError, match="expected 2 digits"):
+            textio.parse_digits(token, 2, 3)
+        with pytest.raises(FormatError, match="line 2: expected 2 digits"):
+            textio.parse_predicate("3 2\n%s\n" % token)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (textio.parse_labelcover, "1 1 1 1 2\n", "unique flag"),
+        (textio.parse_truth_table, "30\n", "unsupported dimension"),
+        (textio.parse_tables, "1 5 2\n0 01100\n", "npoints must be a power"),
+    ], ids=["labelcover", "truth_table", "tables"])
+    def test_header_errors_cite_the_header_line(self, parse, text, message):
+        with pytest.raises(FormatError, match="line 2: " + message):
+            parse("# header next\n" + text)
+
     def test_comments_and_blank_lines_are_skipped(self):
         text = "# a predicate\n\n2 2\n# members\n01\n\n10\n"
         pred = textio.parse_predicate(text)
