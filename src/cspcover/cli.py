@@ -6,7 +6,8 @@ flavors (`--format human` prints `key = value`, `--format machine` prints
 printed with 12 significant digits. Identical inputs, flags, and seed produce
 byte-identical output. Exit status: 0 on success, 1 when a checked
 mathematical guarantee fails, 2 when an enumeration budget is exhausted, 3 on
-malformed input or violated preconditions (including missing seeds).
+malformed input or violated preconditions (including missing seeds), 4 on
+any other error, an internal one, reported as one `error: internal:` line.
 """
 
 import argparse
@@ -14,29 +15,18 @@ import functools
 import sys
 from fractions import Fraction
 
-from . import textio
-from .boolanalysis import ProductDomain, TabulatedFunction, all_influences, fourier
-from .correlated import correlation_rho, invariance_gap, is_connected
-from .csp import CoverSet, covered_fraction, find_cover, max_independent_set
+from . import _lazy
 from .errors import BudgetExceededError, FormatError, PreconditionError
-from .labelcover import synthesize, is_c_coverable, max_satisfiable, smoothness_profile
-from .predicate import lin
-from .reductions import (
-    T1Params,
-    T2Params,
-    T3Params,
-    completeness_witness,
-    decode_t1,
-    decode_t2,
-    decode_t3,
-    generate_t1,
-    generate_t2,
-    generate_t3,
-    rejection_identity_check,
-    sample_t1,
-    sample_t2,
-    sample_t3,
-)
+
+# Library modules execute on the first call that reaches them, so each
+# subcommand runs only the modules it uses.
+boolanalysis = _lazy("boolanalysis")
+correlated = _lazy("correlated")
+csp = _lazy("csp")
+labelcover = _lazy("labelcover")
+predicate = _lazy("predicate")
+reductions = _lazy("reductions")
+textio = _lazy("textio")
 
 
 class _UsageError(Exception):
@@ -135,7 +125,7 @@ def _load_instance(args):
 def cmd_cover(args, em):
     _pred, inst = _load_instance(args)
     if inst.constraints:
-        cover = find_cover(inst, args.max_c, budget=args.budget)
+        cover = csp.find_cover(inst, args.max_c, budget=args.budget)
         nu = len(cover.assignments) if cover is not None else None
     else:
         cover, nu = None, 0
@@ -150,7 +140,7 @@ def cmd_cover(args, em):
 
 def cmd_mis(args, em):
     _pred, inst = _load_instance(args)
-    size, witness = max_independent_set(inst, budget=args.budget)
+    size, witness = csp.max_independent_set(inst, budget=args.budget)
     em.emit("size", size)
     em.emit("witness", witness)
     return 0
@@ -163,7 +153,7 @@ def cmd_fraction(args, em):
     )
     if not assignments:
         raise FormatError("assignment file holds no assignments")
-    em.emit("fraction", covered_fraction(CoverSet(assignments), inst))
+    em.emit("fraction", csp.covered_fraction(csp.CoverSet(assignments), inst))
     return 0
 
 
@@ -173,7 +163,7 @@ def cmd_fraction(args, em):
 
 def cmd_lc_sat(args, em):
     g = textio.parse_labelcover(_read(args.game))
-    value, lab = max_satisfiable(g, budget=args.budget)
+    value, lab = labelcover.max_satisfiable(g, budget=args.budget)
     em.emit("value", value)
     em.emit("labeling", _labeling_line(lab))
     if args.out:
@@ -183,7 +173,7 @@ def cmd_lc_sat(args, em):
 
 def cmd_lc_cover(args, em):
     g = textio.parse_labelcover(_read(args.game))
-    labs = is_c_coverable(g, args.c, budget=args.budget)
+    labs = labelcover.is_c_coverable(g, args.c, budget=args.budget)
     em.emit("coverable", labs is not None)
     if labs is not None:
         for i, lab in enumerate(labs):
@@ -199,13 +189,13 @@ def cmd_lc_smooth(args, em):
         alpha = [int(t) for t in args.alpha.split(",") if t != ""]
     except ValueError:
         raise FormatError("--alpha expects comma-separated integers")
-    em.emit("smoothness", smoothness_profile(g, args.vertex, alpha))
+    em.emit("smoothness", labelcover.smoothness_profile(g, args.vertex, alpha))
     return 0
 
 
 def cmd_lc_gen(args, em):
     _check_seed(args.seed)
-    g = synthesize(
+    g = labelcover.synthesize(
         args.kind,
         nu=args.nu,
         nv=args.nv,
@@ -226,7 +216,7 @@ def cmd_lc_gen(args, em):
 
 def cmd_fourier(args, em):
     f = textio.parse_truth_table(_read(args.table))
-    fh = fourier(f)
+    fh = boolanalysis.fourier(f)
     n = f.domain.n
     for mask, coeff in enumerate(fh.coefficients):
         if not coeff:
@@ -234,20 +224,20 @@ def cmd_fourier(args, em):
         coords = [i for i in range(n) if mask >> i & 1]
         key = ",".join(str(i) for i in coords) if coords else "e"
         em.emit("coef:%s" % key, coeff)
-    for i, infl in enumerate(all_influences(f)):
+    for i, infl in enumerate(boolanalysis.all_influences(f)):
         em.emit("influence:%d" % i, infl)
     return 0
 
 
 def cmd_rho(args, em):
     space = textio.parse_space(_read(args.space))
-    em.emit("rho", correlation_rho(space, tol=args.tol))
+    em.emit("rho", correlated.correlation_rho(space, tol=args.tol))
     return 0
 
 
 def cmd_connected(args, em):
     space = textio.parse_space(_read(args.space))
-    em.emit("connected", is_connected(space))
+    em.emit("connected", correlated.is_connected(space))
     return 0
 
 
@@ -255,7 +245,9 @@ def _side_domain(space, side, nblocks):
     marg = space.single_coordinate_marginal(side, 0)
     symbols = tuple(sorted(marg))
     measure = tuple(marg[s] for s in symbols)
-    return ProductDomain((len(symbols),) * nblocks, (measure,) * nblocks)
+    return boolanalysis.ProductDomain(
+        (len(symbols),) * nblocks, (measure,) * nblocks
+    )
 
 
 def cmd_invariance(args, em):
@@ -268,11 +260,11 @@ def cmd_invariance(args, em):
         raise FormatError(
             "value files must hold %d and %d entries" % (fdom.size, gdom.size)
         )
-    res = invariance_gap(
+    res = correlated.invariance_gap(
         space,
         args.blocks,
-        TabulatedFunction(fdom, fvals),
-        TabulatedFunction(gdom, gvals),
+        boolanalysis.TabulatedFunction(fdom, fvals),
+        boolanalysis.TabulatedFunction(gdom, gvals),
         budget=args.budget,
     )
     em.emit("gap", res.gap)
@@ -294,7 +286,7 @@ def _build_params(args):
             raise PreconditionError("t1 needs --predicate and --a")
         pred = textio.parse_predicate(_read(args.predicate))
         a = textio.parse_digits(args.a, pred.k, pred.q)
-        return T1Params(pred, a, source)
+        return reductions.T1Params(pred, a, source)
     if args.test == "t2":
         if not (args.p0 and args.p1 and args.eps is not None):
             raise PreconditionError("t2 needs --p0, --p1, and --eps")
@@ -304,15 +296,19 @@ def _build_params(args):
         if args.predicate:
             pred = textio.parse_predicate(_read(args.predicate))
         else:
-            pred = lin(2 * k)
-        return T2Params(pred, p0, p1, args.eps, source)
+            pred = predicate.lin(2 * k)
+        return reductions.T2Params(pred, p0, p1, args.eps, source)
     if args.eps is None:
         raise PreconditionError("t3 needs --eps")
-    return T3Params(args.eps, source)
+    return reductions.T3Params(args.eps, source)
 
 
-_GENERATE = {"t1": generate_t1, "t2": generate_t2, "t3": generate_t3}
-_SAMPLE = {"t1": sample_t1, "t2": sample_t2, "t3": sample_t3}
+def _generator(args):
+    """The exact generator of the chosen test, with the call's budget and cap."""
+    return functools.partial(
+        getattr(reductions, "generate_" + args.test),
+        budget=args.budget, support_cap=args.support_cap,
+    )
 
 
 def cmd_reduce(args, em):
@@ -321,11 +317,10 @@ def cmd_reduce(args, em):
     if args.sample is not None:
         if args.seed is None:
             raise PreconditionError("--sample mode requires --seed")
-        inst = _SAMPLE[args.test](params, args.sample, args.seed)
+        sample = getattr(reductions, "sample_" + args.test)
+        inst = sample(params, args.sample, args.seed)
     else:
-        inst = _GENERATE[args.test](
-            params, budget=args.budget, support_cap=args.support_cap
-        )
+        inst = _generator(args)(params)
     _write(args.out, textio.format_instance(inst))
     pred_path = args.out_predicate or args.out + ".pred"
     _write(pred_path, textio.format_predicate(inst.predicate))
@@ -341,11 +336,10 @@ def cmd_witness(args, em):
     labs = textio.parse_labelings(_read(args.labelings), g.nu, g.nv)
     if not labs:
         raise FormatError("labelings file holds no labelings")
-    # Built through `_GENERATE`, as `reduce` builds it, once the labelings pass.
-    generate = functools.partial(
-        _GENERATE[args.test], budget=args.budget, support_cap=args.support_cap
+    # Built as `reduce` builds it, once the labelings pass.
+    assignments, fractions, union = reductions.completeness_witness(
+        params, labs, generate=_generator(args)
     )
-    assignments, fractions, union = completeness_witness(params, labs, generate=generate)
     for i, fraction in enumerate(fractions):
         em.emit("fraction:%d" % i, fraction)
     em.emit("union", union)
@@ -366,7 +360,7 @@ def cmd_decode(args, em):
     if args.test == "t1":
         if args.tau is None or args.d is None:
             raise PreconditionError("t1 decoding needs --tau and --d")
-        res = decode_t1(tables, source, args.tau, args.d, args.seed)
+        res = reductions.decode_t1(tables, source, args.tau, args.d, args.seed)
         em.emit("value", res.value)
         em.emit("labeling", _labeling_line(res.labeling))
         em.emit("size-bound", res.size_bound)
@@ -374,12 +368,12 @@ def cmd_decode(args, em):
     elif args.test == "t2":
         if args.gamma is None:
             raise PreconditionError("t2 decoding needs --gamma")
-        res = decode_t2(tables, source, args.gamma, args.seed)
+        res = reductions.decode_t2(tables, source, args.gamma, args.seed)
         em.emit("value", res.value)
         em.emit("labeling", _labeling_line(res.labeling))
         em.emit("expected-value-bound", res.expected_value_bound)
     else:
-        res = decode_t3(tables, source, args.seed)
+        res = reductions.decode_t3(tables, source, args.seed)
         em.emit("value", res.value)
         em.emit("labeling", _labeling_line(res.labeling))
     if args.out:
@@ -392,7 +386,7 @@ def cmd_reject_id(args, em):
     assignments = textio.parse_assignments(
         _read(args.assignments), inst.nvars, pred.q
     )
-    res = rejection_identity_check(assignments, inst, budget=args.budget)
+    res = reductions.rejection_identity_check(assignments, inst, budget=args.budget)
     em.emit("t", res.t)
     em.emit("lhs", res.lhs)
     em.emit("rhs", res.rhs)
@@ -574,6 +568,10 @@ def main(argv=None):
     except ArithmeticError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,15 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .boolanalysis import (
-    ProductDomain,
-    TabulatedFunction,
-    all_degree_d_influences,
-    compose_projection,
-    fourier,
-    pi_tilde,
-)
-from .correlated import CorrelatedSpace
+from . import _lazy
 from .csp import Assignment, CoverSet, CspInstance, covered_fractions
 from .errors import BudgetExceededError, PreconditionError, as_budget
 from .labelcover import (
@@ -40,6 +32,12 @@ from .labelcover import (
     satisfied_fraction,
 )
 from .predicate import Predicate, lin, nae, translate_orbit
+
+# Executed on first use: only the t2 block spaces need `correlated`, and only
+# the first and third tests, the decoders and the dictator tables need
+# `boolanalysis`, so a t2 instance is built without either.
+boolanalysis = _lazy("boolanalysis")
+correlated = _lazy("correlated")
 
 DEFAULT_SUPPORT_CAP = 4_000_000
 
@@ -181,8 +179,8 @@ class T3Params:
 def _grid_variables(g, q, width):
     """Variable labels (v, point) for all right vertices over [q]^width; the
     label of point p at vertex v has index v * q^width + p."""
-    dom = ProductDomain((q,) * width)
-    return [(v, dom.point(p)) for v in range(g.nv) for p in range(dom.size)]
+    points = [x[::-1] for x in itertools.product(range(q), repeat=width)]
+    return [(v, x) for v in range(g.nv) for x in points]
 
 
 def _incident_or_error(g, u):
@@ -200,7 +198,9 @@ def _to_pm_values(f):
     """{0,1} (or already +/-1) table values -> +/-1 convention."""
     vals = set(f.values)
     if vals <= {Fraction(0), Fraction(1)}:
-        return TabulatedFunction(f.domain, (1 - 2 * v for v in f.values))
+        return boolanalysis.TabulatedFunction(
+            f.domain, (1 - 2 * v for v in f.values)
+        )
     if vals <= {Fraction(-1), Fraction(1)}:
         return f
     raise PreconditionError("table values must be bits or signs")
@@ -352,7 +352,7 @@ def _t1(params):
         for j, e in enumerate(combo):
             x = tuple(S[s][0][j] for s in spick) + tuple(S[s][1][j] for s in spick)
             edge = g.edges[e]
-            point = compose_projection(x, edge.proj)
+            point = boolanalysis.compose_projection(x, edge.proj)
             vars_.append(edge.v * npoints + sum(map(operator.mul, point, places)))
         return tuple(vars_)
 
@@ -463,7 +463,7 @@ def _t2_row_space(params, split):
         yrows = tuple(tuple(col[j] for col in ycols) for j in range(k))
         key = split(xrows, yrows)
         mu[key] = mu.get(key, Fraction(0)) + w
-    return CorrelatedSpace(mu)
+    return correlated.CorrelatedSpace(mu)
 
 
 def t2_block_space(params):
@@ -639,7 +639,7 @@ def _fourier_masses(tables, nv, rate):
     rate^|mask| * coefficient^2, and the table's spectrum."""
     masses, spectra = {}, {}
     for v in range(nv):
-        fh = spectra[v] = fourier(_to_pm_values(tables[v]))
+        fh = spectra[v] = boolanalysis.fourier(_to_pm_values(tables[v]))
         masks = [mask for mask, coeff in enumerate(fh.coefficients) if coeff]
         masses[v] = masks, list(itertools.accumulate(
             float(Fraction(rate) ** m.bit_count() * fh.coefficients[m] ** 2)
@@ -687,7 +687,7 @@ def decode_t1(tables, source, tau, d, seed):
     blocks = [(i, L + i) for i in range(L)]
 
     def labels(f, threshold):
-        infl = all_degree_d_influences(f, d, blocks)
+        infl = boolanalysis.all_degree_d_influences(f, d, blocks)
         return [i for i in range(L) if infl[i] >= threshold]
 
     labs_right = [labels(tables[v], tau / 2) for v in range(source.nv)]
@@ -701,9 +701,12 @@ def decode_t1(tables, source, tau, d, seed):
             edge = source.edges[e]
             fw = tables[edge.v]
             for p in range(dom.size):
-                composed = compose_projection(dom.point(p), edge.proj)
+                composed = boolanalysis.compose_projection(
+                    dom.point(p), edge.proj
+                )
                 acc[p] += share * fw.values[fw.domain.index(composed)]
-        labs_left.append(labels(TabulatedFunction(dom, acc), tau))
+        f = boolanalysis.TabulatedFunction(dom, acc)
+        labs_left.append(labels(f, tau))
     left, right = (
         [c[rng.randrange(len(c))] if c else 0 for c in labs]
         for labs in (labs_left, labs_right)
@@ -767,7 +770,7 @@ def decode_t2(tables, source, gamma, seed):
             if not coeff or not mask:
                 continue
             w = rate2 ** mask.bit_count() * coeff * coeff
-            for i in pi_tilde(_mask_bits(mask), proj):
+            for i in boolanalysis.pi_tilde(_mask_bits(mask), proj):
                 prof[i] += w
         return prof
 
@@ -812,7 +815,7 @@ def decode_t3(tables, source, seed):
         if not mask:
             left.append(0)
             continue
-        image = sorted(pi_tilde(_mask_bits(mask), e.proj))
+        image = sorted(boolanalysis.pi_tilde(_mask_bits(mask), e.proj))
         left.append(image[rng.randrange(len(image))])
     right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     labeling = Labeling(left, right)
@@ -843,6 +846,7 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
     the masked randomness only matters where the noise mask is set.
     """
     budget = as_budget(budget)
+    compose = boolanalysis.compose_projection
     L = g.nlabels_u
     pv = g.edges[ev].proj
     pw = g.edges[ew].proj
@@ -862,14 +866,14 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
             if c:
                 eta[(c - 1) * L + i] = 1
         sup_v, sup_w = (
-            [j for j, b in enumerate(compose_projection(tuple(eta), p)) if b]
+            [j for j, b in enumerate(compose(tuple(eta), p)) if b]
             for p in (pv, pw)
         )
         w = wc * Fraction(1, 2 ** (2 * L + len(sup_v) + len(sup_w)))
         for y in itertools.product((0, 1), repeat=2 * L):
             budget.spend()
-            deltas_w = _flips(compose_projection(y, pw), sup_w)
-            for dv in _flips(compose_projection(y, pv), sup_v):
+            deltas_w = _flips(compose(y, pw), sup_w)
+            for dv in _flips(compose(y, pv), sup_v):
                 for dw in deltas_w:
                     out[(dv, dw)] = out.get((dv, dw), Fraction(0)) + w
     return dict(sorted(out.items()))
@@ -883,7 +887,7 @@ def _t3(params):
     adding an offset is XOR of indices."""
     g = params.source
     R = g.nlabels_v
-    dom = ProductDomain((2,) * (2 * R))
+    dom = boolanalysis.ProductDomain((2,) * (2 * R))
     point = _uniform(dom.size, lambda rng: dom.index(
         tuple(rng.randrange(2) for _ in range(2 * R))
     ))
@@ -977,9 +981,9 @@ def completeness_witness(params, labelings, inst=None, generate=None):
 def _dictator_tables(source, labeling, q, offset):
     """Per-right-vertex tables x -> x[offset + label(v)] over [q]^{2R}."""
     right = _as_labeling(labeling).right
-    dom = ProductDomain((q,) * (2 * source.nlabels_v))
+    dom = boolanalysis.ProductDomain((q,) * (2 * source.nlabels_v))
     return {
-        v: TabulatedFunction(
+        v: boolanalysis.TabulatedFunction(
             dom, (dom.point(p)[offset + right[v]] for p in range(dom.size))
         )
         for v in range(source.nv)

@@ -7,12 +7,16 @@ writers emit exactly what the parsers accept, so files round-trip.
 import math
 from fractions import Fraction
 
-from .boolanalysis import ProductDomain, TabulatedFunction
-from .correlated import CorrelatedSpace
-from .csp import Assignment, CspInstance
+from . import _lazy
 from .errors import FormatError
-from .labelcover import Edge, LabelCoverInstance, Labeling
-from .predicate import Predicate
+
+# The record types of each format come from modules that execute on first
+# use, so reading a game never runs the CSP or spectral code.
+boolanalysis = _lazy("boolanalysis")
+correlated = _lazy("correlated")
+csp = _lazy("csp")
+labelcover = _lazy("labelcover")
+predicate = _lazy("predicate")
 
 
 def _lines(text):
@@ -81,7 +85,8 @@ def parse_digits(token, count, base):
 
 def parse_predicate(text):
     _, (q, k), body = _header(text, "predicate", 2)
-    return Predicate(q, k, [_digits(line, i, k, q) for i, line in body])
+    members = [_digits(line, i, k, q) for i, line in body]
+    return predicate.Predicate(q, k, members)
 
 
 def format_predicate(pred):
@@ -123,7 +128,7 @@ def parse_instance(text, predicate):
         if w not in weights:
             weights[w] = _rational(w, lineno)
         constraints.append((vars_, literals[lits], weights[w]))
-    return CspInstance(predicate, range(nvars), constraints)
+    return csp.CspInstance(predicate, range(nvars), constraints)
 
 
 def format_instance(inst):
@@ -155,8 +160,10 @@ def parse_labelcover(text):
     edges = []
     for lineno, line in body:
         vals = _ints(line, lineno, 2 + nr)
-        edges.append(Edge(vals[0], vals[1], vals[2:]))
-    return LabelCoverInstance(nu, nv, nl, nr, edges, unique=bool(unique))
+        edges.append(labelcover.Edge(vals[0], vals[1], vals[2:]))
+    return labelcover.LabelCoverInstance(
+        nu, nv, nl, nr, edges, unique=bool(unique)
+    )
 
 
 def format_labelcover(g):
@@ -185,7 +192,7 @@ def parse_space(text):
         ra = _digits(toks[1], lineno, kr, qr)
         w = _rational(toks[2], lineno)
         mu[(la, ra)] = mu.get((la, ra), Fraction(0)) + w
-    return CorrelatedSpace(mu)
+    return correlated.CorrelatedSpace(mu)
 
 
 def _side_encoding(atoms):
@@ -241,7 +248,9 @@ def parse_truth_table(text):
         raise FormatError(
             "expected %d values, found %d" % (1 << n, len(values))
         )
-    return TabulatedFunction(ProductDomain.binary_uniform(n), values)
+    return boolanalysis.TabulatedFunction(
+        boolanalysis.ProductDomain.binary_uniform(n), values
+    )
 
 
 def parse_values(text):
@@ -266,7 +275,7 @@ def parse_assignments(text, nvars, q):
     """One assignment per line as nvars digits."""
     out = []
     for lineno, line in _lines(text):
-        out.append(Assignment(_digits(line, lineno, nvars, q)))
+        out.append(csp.Assignment(_digits(line, lineno, nvars, q)))
     return out
 
 
@@ -284,7 +293,7 @@ def parse_labelings(text, nu, nv):
     out = []
     for lineno, line in _lines(text):
         vals = _ints(line, lineno, nu + nv)
-        out.append(Labeling(vals[:nu], vals[nu:]))
+        out.append(labelcover.Labeling(vals[:nu], vals[nu:]))
     return out
 
 
@@ -314,7 +323,7 @@ def parse_tables(text):
         raise FormatError(
             "line %d: npoints must be a power of the alphabet size" % head
         )
-    dom = ProductDomain((q,) * width)
+    dom = boolanalysis.ProductDomain((q,) * width)
     tables = {}
     for lineno, line in body:
         toks = line.split()
@@ -327,7 +336,7 @@ def parse_tables(text):
         if not 0 <= v < nv:
             raise FormatError("line %d: vertex out of range" % lineno)
         values = _digits(toks[1], lineno, npoints, q)
-        tables[v] = TabulatedFunction(dom, values)
+        tables[v] = boolanalysis.TabulatedFunction(dom, values)
     missing = [v for v in range(nv) if v not in tables]
     if missing:
         raise FormatError("missing tables for vertices %r" % (missing,))

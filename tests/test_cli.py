@@ -23,7 +23,7 @@ from cspcover import (
     synthesize,
     t1_dictator_tables,
 )
-from cspcover import textio
+from cspcover import cli, textio
 from cspcover.cli import main
 
 
@@ -160,6 +160,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    def test_internal_error_exits_four_with_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(args, em):
+            raise RuntimeError("handler broke")
+
+        monkeypatch.setattr(cli, "cmd_mis", broken)
+        inst, pred = triangle_files(tmp_path)
+        code, out, err = run(capsys, "mis", inst, "--predicate", pred)
+        assert code == 4
+        assert err == "error: internal: RuntimeError: handler broke\n"
+        assert "Traceback" not in out + err
 
     def test_unknown_command_exits_three(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -478,10 +478,11 @@ class TestInvarianceGapAgainstReference:
 
 
 def test_import_leaves_numpy_unloaded():
-    """numpy is imported by the correlation code on first use only."""
+    """numpy is imported by the correlation code on first use only: binding
+    every public name, which executes every module, does not import it."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cspcover; print('numpy' in sys.modules)"],
+         "import sys; from cspcover import *; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "False"

@@ -1,0 +1,221 @@
+"""What a `cspcover` start-up executes, and what the public API still offers.
+
+`import cspcover` executes no submodule, and the CLI refers to the library
+modules through module objects that execute on first attribute access. The
+guard below records which module bodies a subcommand actually executed, with
+an audit hook on the `exec` event: lazily registered modules sit in
+`sys.modules` unexecuted, so membership there shows nothing.
+
+The traced benchmark (`perfbench/tracing.py`) redirects the module objects
+and names found in each module's namespace to its wrappers; the attribution
+test pins that every span it relies on is still recorded through lazy
+references.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cspcover
+from cspcover.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# `sorted(cspcover.__all__)` when every module was imported eagerly.
+PUBLIC = [
+    "Assignment", "Budget", "BudgetExceededError", "CommuteResult",
+    "Constraint", "CorrelatedSpace", "CoverSet", "CspInstance",
+    "DEFAULT_BUDGET", "Edge", "EfronSteinDecomposition", "FormatError",
+    "FourierTable", "InvarianceGap", "LabelCoverInstance", "Labeling",
+    "MarkovOperator", "PreconditionError", "Predicate", "ProductDomain",
+    "RejectionIdentityResult", "T1DecodeResult", "T1Params",
+    "T2DecodeResult", "T2Params", "T3DecodeResult", "T3Params",
+    "TabulatedFunction", "add_tuples", "all_degree_d_influences",
+    "all_influences", "all_tuples", "apply_literal_shift",
+    "binary_dictator_tables", "block_image", "blocks_left_domain",
+    "blocks_right_domain", "boolanalysis", "character", "cnf",
+    "commute_check", "completeness_witness", "compose_projection",
+    "constant_tuple", "correlated", "correlation_rho", "cover_to_coloring",
+    "covered_fraction", "covered_fractions", "covering_number",
+    "covers_constraint", "csp", "decode_t1", "decode_t2", "decode_t3",
+    "degree_d_influence", "edge_satisfied", "efron_stein", "errors",
+    "find_cover", "find_non_odd_witness", "fourier", "full", "generate_t1",
+    "generate_t2", "generate_t3", "influence", "influence_variance",
+    "invariance_gap", "is_c_coverable", "is_connected", "is_odd",
+    "is_shift_closed", "labelcover", "lin", "markov_apply",
+    "markov_apply_blocks", "max_independent_set", "max_satisfiable", "nae",
+    "noise", "pairwise_product_check", "pi_oplus", "pi_tilde", "predicate",
+    "product_space", "reductions", "rejection_identity_check", "sample_t1",
+    "sample_t2", "sample_t3", "satisfied_fraction", "shift",
+    "smoothness_profile", "sub_tuples", "synthesize", "t1_column_support",
+    "t1_completeness_witness", "t1_connect_atoms", "t1_dictator_tables",
+    "t2_block_last_row_space", "t2_block_space", "t2_block_table",
+    "t2_completeness_witness", "t3_completeness_witness", "t3_delta_table",
+    "translate_assignment", "translate_closure", "translate_orbit",
+    "trivial_odd_cover", "weaken_predicate", "wht",
+]
+
+SUBMODULES = [
+    "boolanalysis", "correlated", "csp", "errors", "labelcover", "predicate",
+    "reductions",
+]
+
+
+class TestPublicApi:
+    def test_all_is_unchanged(self):
+        assert sorted(cspcover.__all__) == PUBLIC
+
+    def test_every_name_is_the_object_of_its_home_module(self):
+        for name in PUBLIC:
+            value = getattr(cspcover, name)
+            if name in SUBMODULES:
+                assert value is sys.modules["cspcover." + name]
+                continue
+            home = "cspcover." + cspcover._HOME[name]
+            assert value is getattr(sys.modules[home], name), name
+            assert getattr(value, "__module__", home) == home, name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from cspcover import *", namespace)
+        assert set(PUBLIC) <= set(namespace)
+        assert namespace["find_cover"] is cspcover.csp.find_cover
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cspcover.no_such_name
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A unique game, its labeling, t1 and t2 instances and a t2 witness,
+    made in this process through the CLI; the argv of each guarded call."""
+    d = tmp_path_factory.mktemp("startup")
+    pred = write(d / "nae22.pred", "2 2\n01\n10\n")
+    p0 = write(d / "p0.dist", "2\n00 1/2\n11 1/2\n")
+    p1 = write(d / "p1.dist", "2\n01 1/2\n10 1/2\n")
+    game, labs = str(d / "game.lc"), str(d / "labs.txt")
+    t1, t2, w2 = str(d / "t1.csp"), str(d / "t2.csp"), str(d / "w2.assign")
+    lc_gen = ["lc-gen", "--kind", "unique-consistent", "--nu", "2", "--nv",
+              "2", "--labels-u", "1", "--labels-v", "1", "--seed", "7"]
+    t1_args = ["t1", "--source", game, "--predicate", pred, "--a", "01"]
+    t2_args = ["t2", "--source", game, "--p0", p0, "--p1", p1, "--eps", "1/4"]
+    for argv in (
+        lc_gen + ["--out", game],
+        ["lc-sat", game, "--out", labs],
+        ["reduce"] + t1_args + ["--out", t1],
+        ["reduce"] + t2_args + ["--out", t2],
+        ["witness"] + t2_args + ["--labelings", labs, "--out", w2],
+    ):
+        assert main(argv) == 0
+    on_t1 = [t1, "--predicate", t1 + ".pred"]
+    on_w2 = [t2, "--predicate", t2 + ".pred", "--assignments", w2]
+    return {
+        "lc-gen": lc_gen + ["--out", str(d / "again.lc")],
+        "lc-sat": ["lc-sat", game],
+        "lc-cover": ["lc-cover", game, "--c", "1"],
+        "fraction": ["fraction"] + on_w2,
+        "cover": ["cover"] + on_t1,
+        "mis": ["mis"] + on_t1,
+        "reduce t1": ["reduce"] + t1_args + ["--out", str(d / "r1.csp")],
+        "witness t2": ["witness"] + t2_args + ["--labelings", labs],
+        "reject-id t2": ["reject-id"] + on_w2,
+        "reduce --sample": ["reduce"] + t2_args + [
+            "--sample", "16", "--seed", "3", "--out", str(d / "s2.csp")],
+    }
+
+
+EXECUTED = """
+import os, sys
+ran = set()
+def hook(event, args):
+    if event == "exec":
+        path = args[0].co_filename
+        if os.path.basename(os.path.dirname(path)) == "cspcover":
+            ran.add(os.path.basename(path)[:-3])
+sys.addaudithook(hook)
+import cspcover.cli
+rc = cspcover.cli.main(sys.argv[1:])
+sys.stdout.write("\\n" + " ".join(sorted(ran)) + "\\n")
+sys.exit(rc)
+"""
+
+CORE = {"__init__", "cli", "errors", "textio"}
+GAMES = CORE | {"labelcover"}
+INSTANCES = CORE | {"csp", "predicate"}
+REDUCTIONS = INSTANCES | {"labelcover", "reductions"}
+
+# Modules each command executes. Only the first and third tests, the decoders
+# and the spectral commands need `boolanalysis`; only `rho`, `connected`,
+# `invariance` and the t2 block spaces need `correlated`.
+EXPECTED = {
+    "lc-gen": GAMES,
+    "lc-sat": GAMES,
+    "lc-cover": GAMES,
+    "fraction": INSTANCES,
+    "cover": INSTANCES,
+    "mis": INSTANCES,
+    "reduce t1": REDUCTIONS | {"boolanalysis"},
+    "witness t2": REDUCTIONS,
+    "reject-id t2": REDUCTIONS,
+    "reduce --sample": REDUCTIONS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED))
+def test_subcommand_executes_only_the_modules_it_uses(inputs, command):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXECUTED] + inputs[command],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran = set(proc.stdout.splitlines()[-1].split())
+    assert ran == EXPECTED[command]
+    assert "correlated" not in ran
+    if command.startswith("lc-"):
+        assert not ran & {"csp", "reductions", "boolanalysis"}
+    if command in ("fraction", "cover", "mis"):
+        assert not ran & {"reductions", "boolanalysis"}
+
+
+TRACED = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import cspcover.cli
+import tracing
+tracer = tracing.Tracer("t")
+tracing.load(tracer)
+for argv in json.loads(sys.argv[2]):
+    assert cspcover.cli.main(argv) == 0, argv
+print(json.dumps(sorted({s["name"] for s in tracer.spans})))
+"""
+
+
+def test_traced_run_attributes_the_lazy_calls(inputs):
+    """The traced benchmark still books each layer's work to its spans."""
+    calls = [
+        inputs["lc-gen"],
+        inputs["reduce t1"],
+        inputs["reduce --sample"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED, str(PERFBENCH), json.dumps(calls)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {
+        "labelcover.synthesize", "reductions.generate_t1",
+        "reductions.sample_t2", "textio.format_instance", "csp.CspInstance",
+    } <= names
