@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .errors import PreconditionError
-
-MAX_TABLE = 1 << 24
+from .errors import PreconditionError, check_table_size
 
 
 class ProductDomain:
@@ -44,10 +42,7 @@ class ProductDomain:
                 if sum(coord) != 1:
                     raise PreconditionError("each coordinate measure must sum to 1")
         size = math.prod(sizes) if sizes else 1
-        if size > MAX_TABLE:
-            raise PreconditionError(
-                "domain has %d points; full tables are capped at %d" % (size, MAX_TABLE)
-            )
+        check_table_size(size)
         strides = []
         acc = 1
         for s in sizes:

@@ -6,6 +6,9 @@ exit status 2, PreconditionError (and its FormatError subclass) to exit 3.
 
 DEFAULT_BUDGET = 10**9
 
+# Largest product domain, in points, that is ever tabulated in full.
+MAX_TABLE = 1 << 24
+
 
 class BudgetExceededError(RuntimeError):
     """An exact search ran past its configured budget (never silently truncated)."""
@@ -17,6 +20,14 @@ class PreconditionError(ValueError):
 
 class FormatError(PreconditionError):
     """A textual input does not parse under the documented format."""
+
+
+def check_table_size(size):
+    """Refuse a full table over a domain of `size` points above MAX_TABLE."""
+    if size > MAX_TABLE:
+        raise PreconditionError(
+            "domain has %d points; full tables are capped at %d" % (size, MAX_TABLE)
+        )
 
 
 class Budget:

@@ -23,7 +23,12 @@ from fractions import Fraction
 
 from . import _lazy
 from .csp import Assignment, CoverSet, CspInstance, covered_fractions
-from .errors import BudgetExceededError, PreconditionError, as_budget
+from .errors import (
+    BudgetExceededError,
+    PreconditionError,
+    as_budget,
+    check_table_size,
+)
 from .labelcover import (
     LabelCoverInstance,
     Labeling,
@@ -179,6 +184,7 @@ class T3Params:
 def _grid_variables(g, q, width):
     """Variable labels (v, point) for all right vertices over [q]^width; the
     label of point p at vertex v has index v * q^width + p."""
+    check_table_size(q**width)
     points = [x[::-1] for x in itertools.product(range(q), repeat=width)]
     return [(v, x) for v in range(g.nv) for x in points]
 

@@ -16,7 +16,7 @@ boolanalysis = _lazy("boolanalysis")
 correlated = _lazy("correlated")
 csp = _lazy("csp")
 labelcover = _lazy("labelcover")
-predicate = _lazy("predicate")
+_predicate = _lazy("predicate")  # parse_instance has a `predicate` argument
 
 
 def _lines(text):
@@ -86,7 +86,7 @@ def parse_digits(token, count, base):
 def parse_predicate(text):
     _, (q, k), body = _header(text, "predicate", 2)
     members = [_digits(line, i, k, q) for i, line in body]
-    return predicate.Predicate(q, k, members)
+    return _predicate.Predicate(q, k, members)
 
 
 def format_predicate(pred):

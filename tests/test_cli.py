@@ -470,6 +470,30 @@ class TestReductionCommands:
         )
         assert pred.k == 4
 
+    @pytest.mark.parametrize("mode", [
+        ("--support-cap", str(10**40)), ("--sample", "1", "--seed", "0"),
+    ])
+    @pytest.mark.parametrize("test", ["t1", "t2"])
+    def test_reduce_over_the_table_cap_exits_three(
+        self, tmp_path, capsys, test, mode
+    ):
+        # R = 13: 2^26 grid points per right vertex, above the table cap.
+        game = game_file(tmp_path, identity_game(nlabels=13))
+        extra = {
+            "t1": ["--predicate", write(
+                tmp_path / "nae22.pred", textio.format_predicate(nae(2, 2))
+            ), "--a", "01"],
+            "t2": ["--p0", write(tmp_path / "p0.dist", "2\n00 1/2\n11 1/2\n"),
+                   "--p1", write(tmp_path / "p1.dist", "2\n01 1/2\n10 1/2\n"),
+                   "--eps", "1/4"],
+        }[test]
+        code, _, err = run(
+            capsys, "reduce", test, "--source", game, *extra, *mode,
+            "--out", str(tmp_path / "r.csp"),
+        )
+        assert code == 3
+        assert "full tables are capped" in err
+
     def test_sampled_reduction_is_deterministic(self, tmp_path, capsys):
         game = game_file(tmp_path, identity_game())
         out_path = str(tmp_path / "sampled.csp")

@@ -224,6 +224,22 @@ class TestSampling:
             sample_t1(params_single_edge(), 0, seed=1)
 
 
+class TestTableCap:
+    """R = 13 puts 2^26 points on each right vertex's grid, above the full
+    table cap, so both modes refuse before building a variable list."""
+
+    def params(self):
+        return T1Params(nae(2, 2), (0, 1), identity_source(13))
+
+    def test_generate_refuses(self):
+        with pytest.raises(PreconditionError, match="full tables are capped"):
+            generate_t1(self.params(), support_cap=10**40)
+
+    def test_sample_refuses(self):
+        with pytest.raises(PreconditionError, match="full tables are capped"):
+            sample_t1(self.params(), 1, seed=1)
+
+
 class TestDecode:
     def test_dictators_recover_the_labeling(self):
         g = identity_source(2, nv=2)

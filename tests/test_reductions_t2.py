@@ -438,3 +438,20 @@ class TestSampling:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(PreconditionError):
             sample_t2(params(), 0, seed=1)
+
+
+class TestTableCap:
+    """R = 13 puts 2^26 points on each right vertex's grid, above the full
+    table cap, so both modes refuse before building a variable list."""
+
+    def params(self):
+        edges = [Edge(0, 0, tuple(range(13)))]
+        return params(source=LabelCoverInstance(1, 1, 13, 13, edges, unique=True))
+
+    def test_generate_refuses(self):
+        with pytest.raises(PreconditionError, match="full tables are capped"):
+            generate_t2(self.params(), support_cap=10**40)
+
+    def test_sample_refuses(self):
+        with pytest.raises(PreconditionError, match="full tables are capped"):
+            sample_t2(self.params(), 1, seed=1)
