@@ -5,9 +5,10 @@ flavors (`--format human` prints `key = value`, `--format machine` prints
 `key=value`). All reported rationals are exact `num/den` strings; floats are
 printed with 12 significant digits. Identical inputs, flags, and seed produce
 byte-identical output. Exit status: 0 on success, 1 when a checked
-mathematical guarantee fails, 2 when an enumeration budget is exhausted, 3 on
-malformed input or violated preconditions (including missing seeds), 4 on
-any other error, an internal one, reported as one `error: internal:` line.
+mathematical guarantee fails (GuaranteeError), 2 when an enumeration budget
+is exhausted, 3 on malformed input or violated preconditions (including
+missing seeds), 4 on any other error, an internal one such as a stray
+ZeroDivisionError, reported as one `error: internal:` line.
 """
 
 import argparse
@@ -16,7 +17,12 @@ import sys
 from fractions import Fraction
 
 from . import _lazy
-from .errors import BudgetExceededError, FormatError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    FormatError,
+    GuaranteeError,
+    PreconditionError,
+)
 
 # Library modules execute on the first call that reaches them, so each
 # subcommand runs only the modules it uses.
@@ -124,7 +130,7 @@ def _load_instance(args):
 
 def cmd_cover(args, em):
     _pred, inst = _load_instance(args)
-    if inst.constraints:
+    if inst.numerators:
         cover = csp.find_cover(inst, args.max_c, budget=args.budget)
         nu = len(cover.assignments) if cover is not None else None
     else:
@@ -325,7 +331,7 @@ def cmd_reduce(args, em):
     pred_path = args.out_predicate or args.out + ".pred"
     _write(pred_path, textio.format_predicate(inst.predicate))
     em.emit("nvars", inst.nvars)
-    em.emit("nconstraints", len(inst.constraints))
+    em.emit("nconstraints", len(inst.numerators))
     em.emit("predicate-file", pred_path)
     return 0
 
@@ -565,7 +571,7 @@ def main(argv=None):
     except (PreconditionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
+    except GuaranteeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:

@@ -21,7 +21,7 @@ from .boolanalysis import (
     all_influences,
     efron_stein,
 )
-from .errors import PreconditionError, as_budget
+from .errors import GuaranteeError, PreconditionError, as_budget
 
 
 class CorrelatedSpace:
@@ -219,11 +219,11 @@ def correlation_rho(space, tol=1e-9):
     eigs = np.linalg.eigvalsh(gram)
     rho_opt = math.sqrt(max(0.0, float(eigs[-1])))
     if abs(rho_svd - rho_opt) > 1e-8:
-        raise ArithmeticError(
+        raise GuaranteeError(
             "correlation paths disagree: %.12g vs %.12g" % (rho_svd, rho_opt)
         )
     if rho_svd > 1 + tol:
-        raise ArithmeticError("correlation exceeded 1 beyond tolerance")
+        raise GuaranteeError("correlation exceeded 1 beyond tolerance")
     return min(max(rho_svd, 0.0), 1.0)
 
 
@@ -490,7 +490,7 @@ def invariance_gap(space, nblocks, f, g, budget=None):
     gamma = math.sqrt(max(float(sum(inf_f)), float(sum(inf_g))))
     bound = float(2 ** (4 * k + 1)) * gamma * tau
     if float(gap) > bound * (1 + 1e-12) + 1e-300:
-        raise ArithmeticError(
+        raise GuaranteeError(
             "gap %s exceeded its bound %g" % (float(gap), bound)
         )
     return InvarianceGap(gap, bound, tau, gamma)

@@ -24,6 +24,16 @@ class Constraint:
             weight = Fraction(weight)
         object.__setattr__(self, "weight", weight)
 
+    @classmethod
+    def _trusted(cls, vars, literals, weight):
+        """A constraint holding already checked int tuples and a Fraction
+        as they are, without copies."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "vars", vars)
+        object.__setattr__(c, "literals", literals)
+        object.__setattr__(c, "weight", weight)
+        return c
+
     def __setattr__(self, name, value):
         raise AttributeError("Constraint is immutable")
 
@@ -43,19 +53,38 @@ class Constraint:
         return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
 
 
+def _atom_error(vars_, lits, w, k, q, n):
+    """The error for a constraint that fails a structural check, naming the
+    first check it fails: arity, variable range, literal range."""
+    if len(vars_) != k or len(lits) != k:
+        problem = "does not match arity %d" % k
+    elif min(vars_) < 0 or max(vars_) >= n:
+        problem = "references unknown variables"
+    else:
+        problem = "has literals outside [q]"
+    return PreconditionError(
+        "constraint %r %s" % (Constraint(vars_, lits, w), problem)
+    )
+
+
 class CspInstance:
     """Predicate, variables, and weighted constraints with literal vectors.
 
     `variables` is a sequence of hashable labels; constraints reference them by
-    index. Duplicate (vars, literals) pairs are merged by summing weights, in
-    first-occurrence order. Every weight is held as an integer numerator over
-    one common denominator, `denominator` (the lcm of the given weights'
-    denominators): `numerators[i]` goes with `constraints[i]`.
+    index. `constraints` is any iterable, a generator included, of
+    `Constraint` objects or (vars, literals, weight) triples; it is read once.
+    Duplicate (vars, literals) pairs are merged by summing weights, in
+    first-occurrence order. The instance is held in integer columns:
+    constraint i has the scope `scopes[i]` (a tuple of variable indices), the
+    literal vector `literals[i]` (equal vectors share one tuple) and the
+    weight `numerators[i] / denominator`, where `denominator` is the lcm of
+    the given weights' denominators. The tuple `constraints` of `Constraint`
+    objects is built from the columns on first access, and kept.
     """
 
     __slots__ = (
-        "predicate", "variables", "constraints", "denominator", "numerators",
-        "_index",
+        "predicate", "variables", "scopes", "literals", "denominator",
+        "numerators", "_index", "_constraints",
     )
 
     def __init__(self, predicate, variables, constraints):
@@ -66,47 +95,78 @@ class CspInstance:
                 raise PreconditionError("duplicate variable label %r" % (v,))
             index[v] = i
         k, q, n = predicate.k, predicate.q, len(variables)
-        atoms = []
+        # One pass over the atoms, checked in order. A literal vector is
+        # converted and range-checked once per distinct value, a weight once
+        # per distinct object (kept referenced, so its id stays its own).
+        vectors = {}  # literal vector as given -> (int tuple, in range)
+        seen = {}  # id(weight) -> (weight, index into `fractions`)
+        fractions = []
+        slots = {}  # (scope, literals) -> position in the columns
+        scopes, literals, picks = [], [], []
+        repeats = []  # (position, weight index) of each repeated pair
         for c in constraints:
             vars_, lits, w = (
                 (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
             )
             vars_ = tuple(map(int, vars_))
-            lits = tuple(map(int, lits))
-            problem = None
-            if len(vars_) != k or len(lits) != k:
-                problem = "does not match arity %d" % k
-            elif min(vars_) < 0 or max(vars_) >= n:
-                problem = "references unknown variables"
-            elif min(lits) < 0 or max(lits) >= q:
-                problem = "has literals outside [q]"
-            if problem:
-                raise PreconditionError(
-                    "constraint %r %s" % (Constraint(vars_, lits, w), problem)
-                )
-            if type(w) is not Fraction:
-                w = Fraction(w)
-            if w < 0:
-                raise PreconditionError("constraint weights must be nonnegative")
-            atoms.append(((vars_, lits), w))
-        den = math.lcm(*{w.denominator for _, w in atoms})
-        merged = {}
-        for key, w in atoms:
-            merged[key] = merged.get(key, 0) + w.numerator * (den // w.denominator)
-        if merged and not any(merged.values()):
+            try:
+                lits, fits = vectors[lits]
+            except (KeyError, TypeError):
+                given = lits
+                lits = tuple(map(int, given))
+                fits = len(lits) == k and min(lits) >= 0 and max(lits) < q
+                try:
+                    vectors[given] = lits, fits
+                except TypeError:
+                    pass
+            if not fits or len(vars_) != k or min(vars_) < 0 or max(vars_) >= n:
+                raise _atom_error(vars_, lits, w, k, q, n)
+            pick = seen.get(id(w))
+            if pick is None:
+                f = w if type(w) is Fraction else Fraction(w)
+                if f < 0:
+                    raise PreconditionError("constraint weights must be nonnegative")
+                pick = seen[id(w)] = w, len(fractions)
+                fractions.append(f)
+            pos = slots.setdefault((vars_, lits), len(scopes))
+            if pos == len(scopes):
+                scopes.append(vars_)
+                literals.append(lits)
+                picks.append(pick[1])
+            else:
+                repeats.append((pos, pick[1]))
+        den = math.lcm(*{f.denominator for f in fractions})
+        scaled = [f.numerator * (den // f.denominator) for f in fractions]
+        numerators = list(map(scaled.__getitem__, picks))
+        for pos, j in repeats:
+            numerators[pos] += scaled[j]
+        if numerators and not any(numerators):
             raise PreconditionError("total constraint weight must be positive")
-        weights = {m: Fraction(m, den) for m in set(merged.values())}
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "constraints", tuple(
-            Constraint(v, l, weights[m]) for (v, l), m in merged.items()
-        ))
+        object.__setattr__(self, "scopes", tuple(scopes))
+        object.__setattr__(self, "literals", tuple(literals))
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "numerators", tuple(merged.values()))
+        object.__setattr__(self, "numerators", tuple(numerators))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_constraints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CspInstance is immutable")
+
+    @property
+    def constraints(self):
+        """The constraints as `Constraint` objects, in column order."""
+        if self._constraints is None:
+            object.__setattr__(self, "_constraints", tuple(map(
+                Constraint._trusted, self.scopes, self.literals, self._weights()
+            )))
+        return self._constraints
+
+    def _weights(self):
+        """The weight column as Fractions, one object per distinct value."""
+        shared = {m: Fraction(m, self.denominator) for m in set(self.numerators)}
+        return map(shared.__getitem__, self.numerators)
 
     @property
     def nvars(self):
@@ -123,7 +183,7 @@ class CspInstance:
             self.predicate.q,
             self.predicate.k,
             self.nvars,
-            len(self.constraints),
+            len(self.numerators),
         )
 
 
@@ -196,12 +256,11 @@ def _check_assignment(a, inst):
 def covers_constraint(a, inst, idx):
     """True iff assignment a satisfies constraint idx of inst."""
     _check_assignment(a, inst)
-    if idx < 0 or idx >= len(inst.constraints):
+    if idx < 0 or idx >= len(inst.numerators):
         raise PreconditionError("constraint index %d out of range" % idx)
-    c = inst.constraints[idx]
     q = inst.predicate.q
-    vals = tuple(a.values[v] for v in c.vars)
-    return add_tuples(vals, c.literals, q) in inst.predicate
+    vals = tuple(a.values[v] for v in inst.scopes[idx])
+    return add_tuples(vals, inst.literals[idx], q) in inst.predicate
 
 
 def covered_fractions(assignments, inst):
@@ -212,7 +271,7 @@ def covered_fractions(assignments, inst):
     against the predicate minus each distinct literal vector.
     """
     assignments = list(assignments)
-    if not inst.constraints:
+    if not inst.numerators:
         return [Fraction(1)] * len(assignments), Fraction(1)
     for a in assignments:
         _check_assignment(a, inst)
@@ -222,15 +281,15 @@ def covered_fractions(assignments, inst):
     accepted = {}
     hits = [0] * len(rows)
     union = 0
-    for c, w in zip(inst.constraints, inst.numerators):
-        accept = accepted.get(c.literals)
+    for vars_, lits, w in zip(inst.scopes, inst.literals, inst.numerators):
+        accept = accepted.get(lits)
         if accept is None:
-            accept = accepted[c.literals] = frozenset(
-                sub_tuples(p, c.literals, q) for p in members
+            accept = accepted[lits] = frozenset(
+                sub_tuples(p, lits, q) for p in members
             )
         covered = False
         for i, values in enumerate(rows):
-            if tuple(map(values.__getitem__, c.vars)) in accept:
+            if tuple(map(values.__getitem__, vars_)) in accept:
                 hits[i] += w
                 covered = True
         if covered:
@@ -284,8 +343,12 @@ def _coverage_masks(inst, budget):
     table and tree node yields the masks of all of a node's children.
     """
     q = inst.predicate.q
-    cons = [c for c, m in zip(inst.constraints, inst.numerators) if m]
-    touched = sorted({v for c in cons for v in c.vars})
+    cons = [
+        (vars_, lits)
+        for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)
+        if m
+    ]
+    touched = sorted({v for vars_, _ in cons for v in vars_})
     t = len(touched)
     if t == 0:
         return [], []
@@ -299,17 +362,17 @@ def _coverage_masks(inst, budget):
     members = inst.predicate.members
     tables = {}
     cells = {}
-    for j, c in enumerate(cons):
-        scope = sorted(set(c.vars))
-        digit = tuple(scope.index(v) for v in c.vars)
-        key = (digit, c.literals)
+    for j, (vars_, lits) in enumerate(cons):
+        scope = sorted(set(vars_))
+        digit = tuple(scope.index(v) for v in vars_)
+        key = (digit, lits)
         if key not in cells:
             # (row, offset) of each member minus the literals, read on the
             # scope's distinct variables; repeated variables must agree.
             cell = []
             for p in members:
                 x = [None] * len(scope)
-                for i, xi in zip(digit, sub_tuples(p, c.literals, q)):
+                for i, xi in zip(digit, sub_tuples(p, lits, q)):
                     if x[i] is None:
                         x[i] = xi
                     elif x[i] != xi:
@@ -475,7 +538,7 @@ def max_independent_set(inst, budget=None):
     budget = as_budget(budget)
     n = inst.nvars
     cons = sorted(
-        {frozenset(c.vars) for c, m in zip(inst.constraints, inst.numerators) if m},
+        {frozenset(s) for s, m in zip(inst.scopes, inst.numerators) if m},
         key=sorted,
     )
     # Constraints touching each variable, for incremental violation counts.
@@ -529,28 +592,24 @@ def cover_to_coloring(cs, inst):
     pred = inst.predicate
     if pred.k < 2 or not pred.issubset(nae(pred.q, pred.k)):
         raise PreconditionError("predicate is not contained in NAE")
-    for c in inst.constraints:
-        if any(x != 0 for x in c.literals):
-            raise PreconditionError("instance has nonzero literals")
+    if any(x != 0 for lits in inst.literals for x in lits):
+        raise PreconditionError("instance has nonzero literals")
     for a in cs:
         _check_assignment(a, inst)
-    q = pred.q
-    for idx, c in enumerate(inst.constraints):
-        if c.weight <= 0:
-            continue
-        if not any(
-            add_tuples(tuple(a.values[v] for v in c.vars), c.literals, q) in pred
-            for a in cs
-        ):
+    active = [
+        (idx, vars_)
+        for idx, (vars_, m) in enumerate(zip(inst.scopes, inst.numerators))
+        if m
+    ]
+    for idx, vars_ in active:
+        if not any(tuple(a.values[v] for v in vars_) in pred for a in cs):
             raise PreconditionError("cover set does not cover constraint %d" % idx)
     coloring = {
         i: tuple(a.values[i] for a in cs) for i in range(inst.nvars)
     }
-    for c in inst.constraints:
-        if c.weight <= 0:
-            continue
-        colors = {coloring[v] for v in c.vars}
-        if len(colors) == 1 and len(set(c.vars)) == len(c.vars):
+    for _, vars_ in active:
+        colors = {coloring[v] for v in vars_}
+        if len(colors) == 1 and len(set(vars_)) == len(vars_):
             raise PreconditionError("coloring left a constraint monochromatic")
     return coloring
 
@@ -559,7 +618,11 @@ def weaken_predicate(inst, superset):
     """Same constraints and literals, predicate replaced by a superset."""
     if not inst.predicate.issubset(superset):
         raise PreconditionError("replacement predicate is not a superset")
-    return CspInstance(superset, inst.variables, inst.constraints)
+    return CspInstance(
+        superset,
+        inst.variables,
+        zip(inst.scopes, inst.literals, inst._weights()),
+    )
 
 
 def apply_literal_shift(inst, h):
@@ -575,8 +638,9 @@ def apply_literal_shift(inst, h):
     return CspInstance(
         inst.predicate,
         inst.variables,
-        (
-            Constraint(c.vars, add_tuples(c.literals, h, q), c.weight)
-            for c in inst.constraints
+        zip(
+            inst.scopes,
+            (add_tuples(lits, h, q) for lits in inst.literals),
+            inst._weights(),
         ),
     )

@@ -1,7 +1,8 @@
 """Shared error types and enumeration budgets.
 
-Exit-code discipline for the CLI hangs off these: BudgetExceededError maps to
-exit status 2, PreconditionError (and its FormatError subclass) to exit 3.
+Exit-code discipline for the CLI hangs off these: GuaranteeError maps to exit
+status 1, BudgetExceededError to 2, PreconditionError (and its FormatError
+subclass) to 3.
 """
 
 DEFAULT_BUDGET = 10**9
@@ -20,6 +21,10 @@ class PreconditionError(ValueError):
 
 class FormatError(PreconditionError):
     """A textual input does not parse under the documented format."""
+
+
+class GuaranteeError(ArithmeticError):
+    """A mathematical guarantee the library checks on its own result failed."""
 
 
 def check_table_size(size):

@@ -25,6 +25,7 @@ from . import _lazy
 from .csp import Assignment, CoverSet, CspInstance, covered_fractions
 from .errors import (
     BudgetExceededError,
+    GuaranteeError,
     PreconditionError,
     as_budget,
     check_table_size,
@@ -276,22 +277,25 @@ def _generate(test, budget, support_cap):
         )
     variables = _grid_variables(g, test.predicate.q, 2 * g.nlabels_v)
     query, literals = test.query, test.literals
-    constraints = []
-    for eids in at_u:
-        share = g.nu * len(eids) ** test.draws
-        for edges in itertools.product(eids, repeat=test.draws):
-            ps = edge_picks.get(edges, ()) + test.picks
-            den = share * math.prod(p.den for p in ps)
-            weights = {}
-            for items, m in zip(
-                itertools.product(*(p.items for p in ps)),
-                map(math.prod, itertools.product(*(p.numerators for p in ps))),
-            ):
-                budget.spend()
-                if m not in weights:
-                    weights[m] = Fraction(m, den)
-                constraints.append((query(edges, items), literals, weights[m]))
-    return CspInstance(test.predicate, variables, constraints)
+
+    def atoms():
+        for eids in at_u:
+            share = g.nu * len(eids) ** test.draws
+            for edges in itertools.product(eids, repeat=test.draws):
+                ps = edge_picks.get(edges, ()) + test.picks
+                den = share * math.prod(p.den for p in ps)
+                weights = {}
+                numerators = itertools.product(*(p.numerators for p in ps))
+                for items, m in zip(
+                    itertools.product(*(p.items for p in ps)),
+                    map(math.prod, numerators),
+                ):
+                    budget.spend()
+                    if m not in weights:
+                        weights[m] = Fraction(m, den)
+                    yield query(edges, items), literals, weights[m]
+
+    return CspInstance(test.predicate, variables, atoms())
 
 
 def _sample(test, n, seed):
@@ -306,16 +310,20 @@ def _sample(test, n, seed):
     rng = random.Random(seed)
     edge_picks = {}
     w = Fraction(1, n)
-    constraints = []
-    for _ in range(n):
-        eids = at_u[rng.randrange(g.nu)]
-        edges = tuple(eids[rng.randrange(len(eids))] for _ in range(test.draws))
-        if test.edge_pick is not None and edges not in edge_picks:
-            edge_picks[edges] = (test.edge_pick(edges, None),)
-        ps = edge_picks.get(edges, ()) + test.picks
-        items = tuple(p.draw(rng) for p in ps)
-        constraints.append((test.query(edges, items), test.literals, w))
-    return CspInstance(test.predicate, variables, constraints)
+
+    def atoms():
+        for _ in range(n):
+            eids = at_u[rng.randrange(g.nu)]
+            edges = tuple(
+                eids[rng.randrange(len(eids))] for _ in range(test.draws)
+            )
+            if test.edge_pick is not None and edges not in edge_picks:
+                edge_picks[edges] = (test.edge_pick(edges, None),)
+            ps = edge_picks.get(edges, ()) + test.picks
+            items = tuple(p.draw(rng) for p in ps)
+            yield test.query(edges, items), test.literals, w
+
+    return CspInstance(test.predicate, variables, atoms())
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +420,13 @@ def _half_products(dist, d, scale):
 
 def _t2_block_numerators(params):
     """The block table over integers: sorted (key, numerator) pairs and their
-    common denominator."""
+    common denominator. Refused above the full-table cap, counted before
+    anything is built: each of the two orders of (p0, p1) has
+    (|p0| |p1|)^(2d) terms keeping both halves and 2 (|p0| |p1|)^d 4^(kd)
+    refreshing one."""
     k, d, eps = params.k, params.d, params.eps
+    pairs = len(params.p0) * len(params.p1)
+    check_table_size(2 * pairs ** (2 * d) + 4 * pairs ** d * 4 ** (k * d))
     scale = math.lcm(
         *(w.denominator for p in (params.p0, params.p1) for w in p.values())
     )
@@ -592,11 +605,11 @@ def rejection_identity_check(assignments, inst, budget=None):
     # by_parity[m]: weight of the constraints on which assignment i has odd
     # parity exactly for the bits i set in m.
     by_parity = [0] * (1 << t)
-    for c, w in zip(inst.constraints, inst.numerators):
+    for vars_, w in zip(inst.scopes, inst.numerators):
         budget.spend()
         m = 0
         for i, row in enumerate(rows):
-            m |= (sum(map(row.__getitem__, c.vars)) & 1) << i
+            m |= (sum(map(row.__getitem__, vars_)) & 1) << i
         by_parity[m] += w
     total = sum(inst.numerators)
     correlations = {}
@@ -971,9 +984,9 @@ def completeness_witness(params, labelings, inst=None, generate=None):
     if not t1:
         for which, fraction in zip(("first", "second"), fractions):
             if fraction < 1 - params.eps:
-                raise ArithmeticError("%s witness covers less than 1-eps" % which)
+                raise GuaranteeError("%s witness covers less than 1-eps" % which)
     if union != 1:
-        raise ArithmeticError(
+        raise GuaranteeError(
             "witness failed to cover the generated instance" if t1
             else "witness pair failed to cover the instance"
         )

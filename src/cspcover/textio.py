@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from . import _lazy
-from .errors import FormatError
+from .errors import FormatError, PreconditionError
 
 # The record types of each format come from modules that execute on first
 # use, so reading a game never runs the CSP or spectral code.
@@ -109,7 +109,20 @@ def parse_instance(text, predicate):
         raise FormatError(
             "expected %d constraints, found %d" % (ncons, len(body))
         )
-    constraints = []
+    atoms = _instance_atoms(body, k, q)
+    try:
+        return csp.CspInstance(predicate, range(nvars), atoms)
+    except PreconditionError:
+        # A malformed line anywhere is reported before any constraint that
+        # parses but fails the instance's checks.
+        for _ in atoms:
+            pass
+        raise
+
+
+def _instance_atoms(body, k, q):
+    """The (vars, literals, weight) triple of each constraint line, in order;
+    equal literal and weight tokens share one parsed object."""
     literals = {}
     weights = {}
     for lineno, line in body:
@@ -127,23 +140,22 @@ def parse_instance(text, predicate):
             literals[lits] = _digits(lits, lineno, k, q)
         if w not in weights:
             weights[w] = _rational(w, lineno)
-        constraints.append((vars_, literals[lits], weights[w]))
-    return csp.CspInstance(predicate, range(nvars), constraints)
+        yield vars_, literals[lits], weights[w]
 
 
 def format_instance(inst):
     pred = inst.predicate
     out = [
-        "%d %d %d %d" % (pred.q, pred.k, inst.nvars, len(inst.constraints))
+        "%d %d %d %d" % (pred.q, pred.k, inst.nvars, len(inst.numerators))
     ]
     den = inst.denominator
-    for c, m in zip(inst.constraints, inst.numerators):
+    for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators):
         g = math.gcd(m, den)
         out.append(
             "%s %s %s"
             % (
-                " ".join(map(str, c.vars)),
-                "".join(map(str, c.literals)),
+                " ".join(map(str, vars_)),
+                "".join(map(str, lits)),
                 "%d/%d" % (m // g, den // g),
             )
         )

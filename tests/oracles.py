@@ -8,7 +8,7 @@ second, structurally different derivation.
 import itertools
 from fractions import Fraction
 
-from cspcover.csp import Assignment
+from cspcover.csp import Assignment, Constraint
 from cspcover.errors import PreconditionError, as_budget
 from cspcover.labelcover import Labeling
 from cspcover.predicate import add_tuples, is_shift_closed
@@ -196,22 +196,29 @@ def reference_max_independent_set(inst, budget):
 
 def reference_merge(predicate, variables, constraints):
     """The original `CspInstance` merge: every constraint validated one by
-    one, duplicate (vars, literals) keys merged by `Fraction` addition in
-    first-occurrence order. Returns (vars, literals, weight) triples."""
+    one, with the library's messages, duplicate (vars, literals) keys merged
+    by `Fraction` addition in first-occurrence order. Returns (vars,
+    literals, weight) triples."""
     n = len(tuple(variables))
+    k, q = predicate.k, predicate.q
     merged = {}
     for vars_, lits, w in constraints:
         vars_ = tuple(int(v) for v in vars_)
         lits = tuple(int(x) for x in lits)
         w = Fraction(w)
-        if len(vars_) != predicate.k or len(lits) != predicate.k:
-            raise PreconditionError("arity")
-        if any(v < 0 or v >= n for v in vars_):
-            raise PreconditionError("unknown variables")
-        if any(x < 0 or x >= predicate.q for x in lits):
-            raise PreconditionError("literals outside [q]")
+        problem = None
+        if len(vars_) != k or len(lits) != k:
+            problem = "does not match arity %d" % k
+        elif any(v < 0 or v >= n for v in vars_):
+            problem = "references unknown variables"
+        elif any(x < 0 or x >= q for x in lits):
+            problem = "has literals outside [q]"
+        if problem:
+            raise PreconditionError("constraint %r %s" % (
+                Constraint(vars_, lits, w), problem
+            ))
         if w < 0:
-            raise PreconditionError("negative weight")
+            raise PreconditionError("constraint weights must be nonnegative")
         merged[(vars_, lits)] = merged.get((vars_, lits), Fraction(0)) + w
     if merged and sum(merged.values()) == 0:
         raise PreconditionError("total constraint weight must be positive")

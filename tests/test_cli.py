@@ -8,6 +8,8 @@ tests also exercise the parse/format round trip under realistic use.
 
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +25,7 @@ from cspcover import (
     synthesize,
     t1_dictator_tables,
 )
-from cspcover import cli, textio
+from cspcover import cli, reductions, textio
 from cspcover.cli import main
 
 
@@ -74,6 +76,15 @@ def identity_game(nlabels=2, nv=1):
 
 def game_file(tmp_path, game, name="game.lc"):
     return write(tmp_path / name, textio.format_labelcover(game))
+
+
+def t2_files(tmp_path):
+    """The --p0/--p1/--eps arguments of the second test, files written."""
+    return (
+        "--p0", write(tmp_path / "p0.dist", "2\n00 1/2\n11 1/2\n"),
+        "--p1", write(tmp_path / "p1.dist", "2\n01 1/2\n10 1/2\n"),
+        "--eps", "1/4",
+    )
 
 
 def product_space_file(tmp_path):
@@ -173,6 +184,34 @@ class TestExitCodes:
         assert code == 4
         assert err == "error: internal: RuntimeError: handler broke\n"
         assert "Traceback" not in out + err
+
+    def test_failed_guarantee_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            reductions, "covered_fractions",
+            lambda assignments, inst: ([Fraction(0)] * len(assignments),
+                                       Fraction(0)),
+        )
+        code, out, err = run(
+            capsys, "witness", "t2", "--source",
+            game_file(tmp_path, identity_game(nlabels=1)),
+            *t2_files(tmp_path), "--labelings",
+            write(tmp_path / "labs.txt", "0 0\n"),
+        )
+        assert code == 1
+        assert err == "error: first witness covers less than 1-eps\n"
+
+    def test_stray_arithmetic_error_exits_four(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(args, em):
+            return 1 // 0
+
+        monkeypatch.setattr(cli, "cmd_mis", broken)
+        inst, pred = triangle_files(tmp_path)
+        code, out, err = run(capsys, "mis", inst, "--predicate", pred)
+        assert code == 4
+        assert err == "error: internal: ZeroDivisionError: " \
+            "integer division or modulo by zero\n"
 
     def test_unknown_command_exits_three(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -494,6 +533,22 @@ class TestReductionCommands:
         assert code == 3
         assert "full tables are capped" in err
 
+    def test_reduce_t2_over_the_block_table_cap_exits_three_at_once(
+        self, tmp_path, capsys
+    ):
+        # Fiber size d = 4: about 6.9e7 block-table terms, above the cap.
+        game = game_file(tmp_path, LabelCoverInstance(
+            1, 1, 1, 4, [Edge(0, 0, (0, 0, 0, 0))], unique=False
+        ))
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "reduce", "t2", "--source", game, *t2_files(tmp_path),
+            "--sample", "1", "--seed", "0", "--out", str(tmp_path / "r.csp"),
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "full tables are capped" in err
+
     def test_sampled_reduction_is_deterministic(self, tmp_path, capsys):
         game = game_file(tmp_path, identity_game())
         out_path = str(tmp_path / "sampled.csp")
@@ -545,6 +600,33 @@ class TestReductionCommands:
         )
         assert code == 3
         assert err.startswith("error:")
+
+
+class TestNoConstraintObjects:
+    """No command of the completeness loop builds `Constraint` objects."""
+
+    def test_completeness_loop(self, tmp_path, capsys, monkeypatch):
+        from test_csp import no_constraint_objects
+
+        no_constraint_objects(monkeypatch)
+        game = game_file(tmp_path, identity_game(nlabels=1, nv=2))
+        dists = t2_files(tmp_path)
+        inst, pred = str(tmp_path / "t2.csp"), str(tmp_path / "t2.csp.pred")
+        labs = write(tmp_path / "labs.txt", "0 0 0\n")
+        wit = str(tmp_path / "w.assign")
+        for argv in (
+            ("reduce", "t2", "--source", game, *dists, "--out", inst),
+            ("witness", "t2", "--source", game, *dists, "--labelings", labs,
+             "--out", wit),
+            ("fraction", inst, "--predicate", pred, "--assignments", wit),
+            ("reject-id", inst, "--predicate", pred, "--assignments", wit),
+            ("mis", inst, "--predicate", pred),
+            ("reduce", "t2", "--source", game, *dists, "--out", inst,
+             "--sample", "5", "--seed", "1"),
+            ("cover", inst, "--predicate", pred, "--max-c", "2"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
 
 
 class TestWitnessChecksLabelingsFirst:

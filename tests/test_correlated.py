@@ -34,6 +34,7 @@ from cspcover import (
     t2_block_space,
 )
 from cspcover import correlated
+from cspcover.errors import GuaranteeError
 
 import oracles
 
@@ -473,7 +474,7 @@ class TestInvarianceGapAgainstReference:
         assert invariance_gap(sp, 1, f, g).gap > 0
         monkeypatch.setattr(correlated, "all_influences",
                             lambda fn: [Fraction(0)] * fn.domain.n)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(GuaranteeError, match="exceeded its bound"):
             invariance_gap(sp, 1, f, g)
 
 

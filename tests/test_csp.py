@@ -40,6 +40,7 @@ from cspcover import (
     weaken_predicate,
 )
 from cspcover.csp import _coverage_masks
+from cspcover import textio
 from cspcover.predicate import add_tuples
 
 import oracles
@@ -406,6 +407,157 @@ class TestIntegerWeights:
         assert covered_fractions([Assignment((0, 0))], inst) == (
             [Fraction(1)], Fraction(1)
         )
+
+
+# Per atom: how it is spoiled, if at all.
+FAULTS = ("ok",) * 6 + ("arity", "variable", "literal", "negative")
+
+
+@st.composite
+def raw_atoms(draw):
+    """(predicate, nvars, triples, zero_total): atoms that are mostly valid,
+    some with a wrong arity, an unknown variable, a literal outside [q] or a
+    negative weight, and now and then all of weight zero."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 4))
+    zero_total = draw(st.booleans()) and draw(st.booleans())
+    triples = []
+    for _ in range(draw(st.integers(0, 8))):
+        fault = draw(st.sampled_from(FAULTS))
+        arity = k + draw(st.sampled_from((-1, 1))) if fault == "arity" else k
+        vars_ = draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                              max_size=arity))
+        lits = draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+        if fault == "variable":
+            vars_[draw(st.integers(0, k - 1))] = draw(st.sampled_from((-1, n)))
+        if fault == "literal":
+            lits[draw(st.integers(0, k - 1))] = q
+        if zero_total:
+            w = 0
+        elif fault == "negative":
+            w = draw(st.sampled_from((-1, Fraction(-1, 3), "-1/2")))
+        else:
+            w = draw(st.sampled_from(WEIGHTS))
+        triples.append((tuple(vars_), tuple(lits), w))
+    return Predicate(q, k, [(0,) * k]), n, triples
+
+
+class TestColumnarInstance:
+    """The one-pass columnar build against the original per-atom merge."""
+
+    @given(raw_atoms(), st.booleans(), st.booleans(), st.booleans(),
+           st.booleans())
+    def test_matches_the_reference_merge(
+        self, case, lazy, objects, fresh_weights, list_literals
+    ):
+        pred, n, triples = case
+        try:
+            expected = oracles.reference_merge(pred, range(n), triples)
+        except PreconditionError as exc:
+            expected = str(exc)
+        atoms = []
+        for vars_, lits, w in triples:
+            if fresh_weights and isinstance(w, Fraction):
+                w = Fraction(w.numerator, w.denominator)
+            if list_literals:
+                lits = list(lits)
+            atoms.append(Constraint(vars_, lits, w) if objects
+                         else (vars_, lits, w))
+        given_atoms = (a for a in atoms) if lazy else atoms
+        if isinstance(expected, str):
+            with pytest.raises(PreconditionError) as info:
+                CspInstance(pred, range(n), given_atoms)
+            assert str(info.value) == expected
+            return
+        inst = CspInstance(pred, range(n), given_atoms)
+        weights = [Fraction(m, inst.denominator) for m in inst.numerators]
+        assert list(zip(inst.scopes, inst.literals, weights)) == expected
+        assert [
+            (c.vars, c.literals, c.weight) for c in inst.constraints
+        ] == expected
+        for column in (inst.scopes, inst.literals):
+            assert all(type(x) is int for t in column for x in t)
+        # Equal literal vectors share one tuple.
+        assert len(set(map(id, inst.literals))) == len(set(inst.literals))
+
+    def test_constraints_are_built_once_from_the_columns(self):
+        inst = CspInstance(nae(2, 2), range(3), [
+            ((0, 1), (0, 0), 1), ((1, 2), (0, 1), Fraction(1, 2)),
+        ])
+        cons = inst.constraints
+        assert inst.constraints is cons
+        for c, vars_, lits in zip(cons, inst.scopes, inst.literals):
+            assert c.vars is vars_ and c.literals is lits
+        assert cons == (Constraint((0, 1), (0, 0), 1),
+                        Constraint((1, 2), (0, 1), Fraction(1, 2)))
+
+    def test_a_budget_error_from_the_atoms_propagates(self):
+        error = BudgetExceededError("enumeration budget exceeded")
+
+        def atoms():
+            yield (0, 1), (0, 0), 1
+            yield (1, 2), (0, 0), 1
+            raise error
+
+        with pytest.raises(BudgetExceededError) as info:
+            CspInstance(nae(2, 2), range(3), atoms())
+        assert info.value is error
+
+    def test_atoms_are_read_once(self):
+        reads = []
+
+        def atoms():
+            for j in range(3):
+                reads.append(j)
+                yield (j, j + 1), (0, 0), 1
+
+        inst = CspInstance(nae(2, 2), range(4), atoms())
+        assert reads == [0, 1, 2] and inst.scopes == ((0, 1), (1, 2), (2, 3))
+
+
+def no_constraint_objects(monkeypatch):
+    """Make every way of building `Constraint` objects fail."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a Constraint object was built")
+
+    monkeypatch.setattr(CspInstance, "constraints", property(fail))
+    monkeypatch.setattr(Constraint, "__init__", fail)
+    monkeypatch.setattr(Constraint, "_trusted", fail)
+
+
+class TestHotPathsReadColumns:
+    """The text round trip, the covered fractions, the rejection identity
+    and both searches never build `Constraint` objects."""
+
+    def test_no_constraint_is_built(self, monkeypatch):
+        no_constraint_objects(monkeypatch)
+        pred = nae(2, 3)
+        rng = random.Random(3)
+        atoms = [
+            (tuple(rng.sample(range(6), 3)),
+             tuple(rng.randrange(2) for _ in range(3)),
+             Fraction(rng.randrange(1, 4), rng.randrange(1, 4)))
+            for _ in range(9)
+        ]
+        inst = CspInstance(pred, range(6), atoms)
+        text = textio.format_instance(inst)
+        again = textio.parse_instance(text, pred)
+        assert textio.format_instance(again) == text
+        assert (again.scopes, again.literals, again.numerators) == (
+            inst.scopes, inst.literals, inst.numerators
+        )
+        rows = [Assignment(rng.randrange(2) for _ in range(6))
+                for _ in range(3)]
+        each, union = covered_fractions(rows, again)
+        assert len(each) == 3 and 0 <= union <= 1
+        res = rejection_identity_check(rows, again)
+        assert res.lhs == res.rhs
+        c = covering_number(again, 4)
+        cover = find_cover(again, 4)
+        assert c == len(cover) and covered_fractions(cover, again)[1] == 1
+        size, witness = max_independent_set(again)
+        assert size == len(witness)
 
 
 class TestTrivialOddCover:

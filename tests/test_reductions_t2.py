@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from cspcover import (
     binary_dictator_tables,
     completeness_witness,
 )
+from cspcover import errors, reductions
 
 HALF = Fraction(1, 2)
 P0 = {(0, 0): HALF, (1, 1): HALF}
@@ -455,3 +457,49 @@ class TestTableCap:
     def test_sample_refuses(self):
         with pytest.raises(PreconditionError, match="full tables are capped"):
             sample_t2(self.params(), 1, seed=1)
+
+
+def fiber_source(d):
+    """One edge whose single left label has a fiber of all d right labels."""
+    return LabelCoverInstance(
+        1, 1, 1, d, [Edge(0, 0, (0,) * d)], unique=d == 1
+    )
+
+
+class TestBlockTableCap:
+    """The block table has 2 (|P0| |P1|)^(2d) + 4 (|P0| |P1|)^d 4^(kd) terms;
+    above the full-table cap it is refused before anything is built."""
+
+    BUILDERS = (generate_t2, lambda p: sample_t2(p, 1, seed=0),
+                t2_block_table, t2_block_space, t2_block_last_row_space)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_fiber_size_four_is_refused_at_once(self, build):
+        p = params(source=fiber_source(4))
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="full tables are capped"):
+            build(p)
+        assert time.perf_counter() - start < 1
+
+    def test_count_is_the_number_of_terms(self, monkeypatch):
+        # d = 2: 2 * 4^4 + 4 * 4^2 * 4^4 = 16,896 terms, right at the cap.
+        p = params(source=fiber_source(2))
+        monkeypatch.setattr(errors, "MAX_TABLE", 16_896)
+        table = t2_block_table(p)
+        assert sum(table.values()) == 1
+        monkeypatch.setattr(errors, "MAX_TABLE", 16_895)
+        with pytest.raises(PreconditionError, match="16896 points"):
+            t2_block_table(p)
+
+    def test_fiber_size_three_stays_under_the_cap(self, monkeypatch):
+        sizes = []
+
+        def stop(size):
+            sizes.append(size)
+            raise RuntimeError("stop before building")
+
+        monkeypatch.setattr(reductions, "check_table_size", stop)
+        with pytest.raises(RuntimeError, match="stop before building"):
+            t2_block_table(params(source=fiber_source(3)))
+        assert sizes == [2 * 4**6 + 4 * 4**3 * 4**6]
+        assert sizes[0] <= errors.MAX_TABLE

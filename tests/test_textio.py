@@ -10,6 +10,7 @@ from cspcover import (
     FormatError,
     LabelCoverInstance,
     Labeling,
+    PreconditionError,
     ProductDomain,
     TabulatedFunction,
     nae,
@@ -115,6 +116,14 @@ class TestInstanceFormat:
             textio.parse_instance("2 2 3 1\n0 1 00 half\n", nae(2, 2))
         with pytest.raises(FormatError):
             textio.parse_instance("2 2 3 1\n0 1 00\n", nae(2, 2))
+
+    def test_a_malformed_line_is_reported_before_a_failed_check(self):
+        # Line 2 parses but names variable 7 of 3; line 3 does not parse.
+        text = "2 2 3 2\n0 7 00 1/2\n0 1 0 1/2\n"
+        with pytest.raises(FormatError, match="line 3: expected 2 digits"):
+            textio.parse_instance(text, nae(2, 2))
+        with pytest.raises(PreconditionError, match="unknown variables"):
+            textio.parse_instance("2 2 3 2\n0 7 00 1/2\n0 1 00 1/2\n", nae(2, 2))
 
     def test_weights_in_other_spellings(self):
         text = "2 2 3 4\n0 1 00 1/4\n1 2 01 0.25\n2 0 11 +1/4\n0 2 00 1_0/40\n"
