@@ -8,17 +8,17 @@ coordinate i.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 
-from .errors import PreconditionError, check_table_size
+from .errors import Frozen, FrozenValue, PreconditionError, check_table_size
 
 
-class ProductDomain:
+class ProductDomain(FrozenValue):
     """Finite product of coordinate spaces with exact per-coordinate measures."""
 
     __slots__ = ("sizes", "measures", "_strides", "size", "_weights")
+    _key = attrgetter("sizes", "measures")
 
     def __init__(self, sizes, measures=None):
         sizes = tuple(int(s) for s in sizes)
@@ -48,14 +48,8 @@ class ProductDomain:
         for s in sizes:
             strides.append(acc)
             acc *= s
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "_strides", tuple(strides))
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "_weights", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductDomain is immutable")
+        self._fill(sizes=sizes, measures=measures, _strides=tuple(strides),
+                   size=size, _weights=None)
 
     @classmethod
     def binary_uniform(cls, n):
@@ -101,7 +95,7 @@ class ProductDomain:
                 ints, d = _scaled(coord)
                 weights = [a * b for b in ints for a in weights]
                 den *= d
-            object.__setattr__(self, "_weights", (weights, den))
+            self._fill(_weights=(weights, den))
         return self._weights
 
     def is_binary_uniform(self):
@@ -115,22 +109,15 @@ class ProductDomain:
             for s, coord in zip(self.sizes, self.measures)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, ProductDomain):
-            return NotImplemented
-        return self.sizes == other.sizes and self.measures == other.measures
-
-    def __hash__(self):
-        return hash((self.sizes, self.measures))
-
     def __repr__(self):
         return "ProductDomain(sizes=%r)" % (self.sizes,)
 
 
-class TabulatedFunction:
+class TabulatedFunction(FrozenValue):
     """A function given by its full value table over a ProductDomain."""
 
     __slots__ = ("domain", "values")
+    _key = attrgetter("domain", "values")
 
     def __init__(self, domain, values):
         values = tuple(Fraction(v) for v in values)
@@ -139,11 +126,7 @@ class TabulatedFunction:
                 "table has %d entries for a domain of %d points"
                 % (len(values), domain.size)
             )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TabulatedFunction is immutable")
+        self._fill(domain=domain, values=values)
 
     def __call__(self, point):
         return self.values[self.domain.index(point)]
@@ -192,14 +175,6 @@ class TabulatedFunction:
     def mul(self, other):
         return self._pointwise(mul, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, TabulatedFunction):
-            return NotImplemented
-        return self.domain == other.domain and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.domain, self.values))
-
     def __repr__(self):
         return "TabulatedFunction(%r, %d values)" % (self.domain, len(self.values))
 
@@ -232,7 +207,7 @@ def wht(values):
     return out
 
 
-class FourierTable:
+class FourierTable(Frozen):
     """Walsh-Hadamard coefficients of a function on {0,1}^n uniform.
 
     Coefficient alpha is stored at the bitmask index with bit i set iff
@@ -246,11 +221,7 @@ class FourierTable:
         coefficients = tuple(Fraction(c) for c in coefficients)
         if len(coefficients) != 1 << n:
             raise PreconditionError("need exactly 2^n coefficients")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierTable is immutable")
+        self._fill(n=n, coefficients=coefficients)
 
     def coefficient(self, alpha):
         return self.coefficients[_as_mask(alpha, self.n)]
@@ -338,13 +309,13 @@ def _normalize_blocks(domain, blocks):
     return blocks
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class EfronSteinDecomposition:
+class EfronSteinDecomposition(Frozen):
     """Orthogonal components f_beta indexed by subsets of the blocks."""
 
-    domain: ProductDomain
-    blocks: tuple
-    components: dict
+    __slots__ = ("domain", "blocks", "components")
+
+    def __init__(self, domain, blocks, components):
+        self._fill(domain=domain, blocks=blocks, components=components)
 
     def component(self, beta):
         return self.components[frozenset(beta)]

@@ -568,7 +568,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (PreconditionError, ValueError) as exc:
+    except PreconditionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except GuaranteeError as exc:

@@ -10,9 +10,8 @@ algebra at stated tolerances; everything else is exact.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 from .boolanalysis import (
     ProductDomain,
@@ -21,16 +20,22 @@ from .boolanalysis import (
     all_influences,
     efron_stein,
 )
-from .errors import GuaranteeError, PreconditionError, as_budget
+from .errors import (
+    Frozen,
+    FrozenValue,
+    GuaranteeError,
+    PreconditionError,
+    as_budget,
+)
 
 
-class CorrelatedSpace:
+class CorrelatedSpace(Frozen):
     """Joint measure over pairs (left atom, right atom) of fixed shapes."""
 
     __slots__ = ("left_atoms", "right_atoms", "mu", "marginal_left",
                  "marginal_right", "k_left", "k_right")
 
-    def __init__(self, mu, left_atoms=None, right_atoms=None):
+    def __init__(self, mu):
         table = {}
         for (la, ra), w in dict(mu).items():
             la, ra = tuple(la), tuple(ra)
@@ -40,10 +45,6 @@ class CorrelatedSpace:
             table[(la, ra)] = table.get((la, ra), Fraction(0)) + w
         lefts = {la for (la, _ra) in table}
         rights = {ra for (_la, ra) in table}
-        if left_atoms is not None:
-            lefts |= {tuple(a) for a in left_atoms}
-        if right_atoms is not None:
-            rights |= {tuple(a) for a in right_atoms}
         if not table or all(w == 0 for w in table.values()):
             raise PreconditionError("support must be nonempty")
         if sum(table.values()) != 1:
@@ -59,16 +60,11 @@ class CorrelatedSpace:
         for (la, ra), w in table.items():
             ml[la] += w
             mr[ra] += w
-        object.__setattr__(self, "mu", table)
-        object.__setattr__(self, "left_atoms", left_atoms)
-        object.__setattr__(self, "right_atoms", right_atoms)
-        object.__setattr__(self, "marginal_left", ml)
-        object.__setattr__(self, "marginal_right", mr)
-        object.__setattr__(self, "k_left", next(iter(klens)))
-        object.__setattr__(self, "k_right", next(iter(rlens)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CorrelatedSpace is immutable")
+        self._fill(
+            mu=table, left_atoms=left_atoms, right_atoms=right_atoms,
+            marginal_left=ml, marginal_right=mr, k_left=next(iter(klens)),
+            k_right=next(iter(rlens)),
+        )
 
     def mu_value(self, la, ra):
         return self.mu.get((tuple(la), tuple(ra)), Fraction(0))
@@ -227,7 +223,7 @@ def correlation_rho(space, tol=1e-9):
     return min(max(rho_svd, 0.0), 1.0)
 
 
-class MarkovOperator:
+class MarkovOperator(Frozen):
     """Conditional expectation onto the left side: (Ug)(x) = E[g(Y) | X=x].
 
     Defined on the positive-marginal atoms; rows of the conditional matrix
@@ -238,11 +234,7 @@ class MarkovOperator:
 
     def __init__(self, space):
         sp = space.drop_zero_atoms()
-        object.__setattr__(self, "space", sp)
-        object.__setattr__(self, "matrix", _block_matrix(sp))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkovOperator is immutable")
+        self._fill(space=sp, matrix=_block_matrix(sp))
 
     def apply(self, g):
         """Ug for g on the space's right marginal domain; exact."""
@@ -344,13 +336,18 @@ def _contract_coordinate(vals, sizes, j, matrix):
     return out, new_sizes
 
 
-@dataclass(frozen=True, slots=True)
-class CommuteResult:
-    ok: bool
-    worst_deviation: float
+class CommuteResult(FrozenValue):
+    __slots__ = ("ok", "worst_deviation")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, ok, worst_deviation):
+        self._fill(ok=ok, worst_deviation=worst_deviation)
 
     def __bool__(self):
         return self.ok
+
+    def __repr__(self):
+        return "CommuteResult(ok=%r, worst_deviation=%r)" % self._key(self)
 
 
 def commute_check(blocks, g, tol=1e-9):
@@ -378,15 +375,19 @@ def commute_check(blocks, g, tol=1e-9):
     return CommuteResult(float(worst) <= tol, float(worst))
 
 
-@dataclass(frozen=True, slots=True)
-class InvarianceGap:
+class InvarianceGap(FrozenValue):
     """Gap and bound from the product-vs-coupled comparison; iterates as
     (gap, bound) for tuple unpacking."""
 
-    gap: Fraction
-    bound: float
-    tau: float
-    gamma: float
+    __slots__ = ("gap", "bound", "tau", "gamma")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, gap, bound, tau, gamma):
+        self._fill(gap=gap, bound=bound, tau=tau, gamma=gamma)
+
+    def __repr__(self):
+        return ("InvarianceGap(gap=%r, bound=%r, tau=%r, gamma=%r)"
+                % self._key(self))
 
     def __iter__(self):
         return iter((self.gap, self.bound))

@@ -9,45 +9,39 @@ positive-weight constraint must be hit); fraction semantics use weights.
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
-from .errors import PreconditionError, as_budget
+from .errors import Frozen, FrozenValue, PreconditionError, as_budget
 from .predicate import add_tuples, is_odd, is_shift_closed, sub_tuples
 
 
-class Constraint:
+def _weight(w):
+    """A constraint weight as a Fraction; anything but a rational is refused."""
+    if type(w) is Fraction:
+        return w
+    try:
+        return Fraction(w)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise PreconditionError(
+            "constraint weight %r is not a rational" % (w,)
+        ) from None
+
+
+class Constraint(FrozenValue):
     __slots__ = ("vars", "literals", "weight")
+    _key = attrgetter("vars", "literals", "weight")
 
     def __init__(self, vars, literals, weight):
-        object.__setattr__(self, "vars", tuple(map(int, vars)))
-        object.__setattr__(self, "literals", tuple(map(int, literals)))
-        if type(weight) is not Fraction:
-            weight = Fraction(weight)
-        object.__setattr__(self, "weight", weight)
+        self._fill(vars=tuple(map(int, vars)),
+                   literals=tuple(map(int, literals)), weight=_weight(weight))
 
     @classmethod
     def _trusted(cls, vars, literals, weight):
         """A constraint holding already checked int tuples and a Fraction
         as they are, without copies."""
         c = object.__new__(cls)
-        object.__setattr__(c, "vars", vars)
-        object.__setattr__(c, "literals", literals)
-        object.__setattr__(c, "weight", weight)
+        c._fill(vars=vars, literals=literals, weight=weight)
         return c
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Constraint is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Constraint):
-            return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.literals == other.literals
-            and self.weight == other.weight
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.literals, self.weight))
 
     def __repr__(self):
         return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
@@ -55,7 +49,8 @@ class Constraint:
 
 def _atom_error(vars_, lits, w, k, q, n):
     """The error for a constraint that fails a structural check, naming the
-    first check it fails: arity, variable range, literal range."""
+    first check it fails: arity, variable range, literal range. A weight that
+    is not a rational is reported instead, since the message shows it."""
     if len(vars_) != k or len(lits) != k:
         problem = "does not match arity %d" % k
     elif min(vars_) < 0 or max(vars_) >= n:
@@ -67,7 +62,7 @@ def _atom_error(vars_, lits, w, k, q, n):
     )
 
 
-class CspInstance:
+class CspInstance(Frozen):
     """Predicate, variables, and weighted constraints with literal vectors.
 
     `variables` is a sequence of hashable labels; constraints reference them by
@@ -98,7 +93,8 @@ class CspInstance:
         # One pass over the atoms, checked in order. A literal vector is
         # converted and range-checked once per distinct value, a weight once
         # per distinct object (kept referenced, so its id stays its own).
-        vectors = {}  # literal vector as given -> (int tuple, in range)
+        # Equal vectors share one tuple, whether given hashable or not.
+        vectors = {}  # vector as given or converted -> (int tuple, in range)
         seen = {}  # id(weight) -> (weight, index into `fractions`)
         fractions = []
         slots = {}  # (scope, literals) -> position in the columns
@@ -114,7 +110,9 @@ class CspInstance:
             except (KeyError, TypeError):
                 given = lits
                 lits = tuple(map(int, given))
-                fits = len(lits) == k and min(lits) >= 0 and max(lits) < q
+                lits, fits = vectors.setdefault(lits, (
+                    lits, len(lits) == k and min(lits) >= 0 and max(lits) < q
+                ))
                 try:
                     vectors[given] = lits, fits
                 except TypeError:
@@ -123,7 +121,7 @@ class CspInstance:
                 raise _atom_error(vars_, lits, w, k, q, n)
             pick = seen.get(id(w))
             if pick is None:
-                f = w if type(w) is Fraction else Fraction(w)
+                f = _weight(w)
                 if f < 0:
                     raise PreconditionError("constraint weights must be nonnegative")
                 pick = seen[id(w)] = w, len(fractions)
@@ -142,23 +140,17 @@ class CspInstance:
             numerators[pos] += scaled[j]
         if numerators and not any(numerators):
             raise PreconditionError("total constraint weight must be positive")
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "scopes", tuple(scopes))
-        object.__setattr__(self, "literals", tuple(literals))
-        object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_constraints", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CspInstance is immutable")
+        self._fill(
+            predicate=predicate, variables=variables, scopes=tuple(scopes),
+            literals=tuple(literals), denominator=den,
+            numerators=tuple(numerators), _index=index, _constraints=None,
+        )
 
     @property
     def constraints(self):
         """The constraints as `Constraint` objects, in column order."""
         if self._constraints is None:
-            object.__setattr__(self, "_constraints", tuple(map(
+            self._fill(_constraints=tuple(map(
                 Constraint._trusted, self.scopes, self.literals, self._weights()
             )))
         return self._constraints
@@ -187,16 +179,14 @@ class CspInstance:
         )
 
 
-class Assignment:
+class Assignment(FrozenValue):
     """A total map from variable index to [q], stored as a value tuple."""
 
     __slots__ = ("values",)
+    _key = attrgetter("values")
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(map(int, values)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Assignment is immutable")
+        self._fill(values=tuple(map(int, values)))
 
     @classmethod
     def from_map(cls, mapping, nvars):
@@ -205,19 +195,11 @@ class Assignment:
             raise PreconditionError("assignment is partial; missing %r" % (missing,))
         return cls(mapping[i] for i in range(nvars))
 
-    def __eq__(self, other):
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
     def __repr__(self):
         return "Assignment(%r)" % (self.values,)
 
 
-class CoverSet:
+class CoverSet(Frozen):
     """A nonempty sequence of assignments over one variable set."""
 
     __slots__ = ("assignments",)
@@ -231,10 +213,7 @@ class CoverSet:
         n = len(assignments[0].values)
         if any(len(a.values) != n for a in assignments):
             raise PreconditionError("assignments span different variable sets")
-        object.__setattr__(self, "assignments", assignments)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverSet is immutable")
+        self._fill(assignments=assignments)
 
     def __len__(self):
         return len(self.assignments)
@@ -326,7 +305,7 @@ def _bit_indices(m):
 
 
 def _coverage_masks(inst, budget):
-    """Undominated (mask, assignment) pairs over positive-weight constraints,
+    """Undominated (mask, value tuple) pairs over positive-weight constraints,
     and per constraint j the set of indices of the pairs whose mask holds j,
     as a bitset.
 
@@ -459,7 +438,7 @@ def _coverage_masks(inst, budget):
         r = radix[d]
         columns[touched[d]] = [i % r for i in index]
         index = [i // r for i in index]
-    return list(zip(kept, map(Assignment, zip(*columns)))), holders
+    return list(zip(kept, zip(*columns))), holders
 
 
 def _cover_search(inst, max_c, budget):

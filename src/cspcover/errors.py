@@ -1,4 +1,4 @@
-"""Shared error types and enumeration budgets.
+"""Shared error types, enumeration budgets and the immutable-record base.
 
 Exit-code discipline for the CLI hangs off these: GuaranteeError maps to exit
 status 1, BudgetExceededError to 2, PreconditionError (and its FormatError
@@ -33,6 +33,48 @@ def check_table_size(size):
         raise PreconditionError(
             "domain has %d points; full tables are capped at %d" % (size, MAX_TABLE)
         )
+
+
+class Frozen:
+    """Base of the library's immutable records.
+
+    Fields live in `__slots__` and are set by the constructor through `_fill`;
+    assigning or deleting one afterwards raises AttributeError. Equality and
+    hashing are by identity. `copy`, `deepcopy` and `pickle` restore the slot
+    state that `object` reports through `__setstate__`.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __setstate__(self, state):
+        # (None, {slot: value}): a slotted object has no instance dict.
+        self._fill(**state[1])
+
+
+class FrozenValue(Frozen):
+    """A Frozen record equal to any record of its class with the same `_key`,
+    an `operator.attrgetter` of the fields that make its value; the hash is
+    the key's hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 class Budget:

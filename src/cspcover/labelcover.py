@@ -11,26 +11,22 @@ satisfying all of its incident edges simultaneously.
 import itertools
 import random
 from fractions import Fraction
+from operator import attrgetter
 
-from .errors import PreconditionError, as_budget
+from .errors import Frozen, FrozenValue, PreconditionError, as_budget
 
 
-class Edge:
+class Edge(Frozen):
     __slots__ = ("u", "v", "proj")
 
     def __init__(self, u, v, proj):
-        object.__setattr__(self, "u", int(u))
-        object.__setattr__(self, "v", int(v))
-        object.__setattr__(self, "proj", tuple(int(x) for x in proj))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Edge is immutable")
+        self._fill(u=int(u), v=int(v), proj=tuple(int(x) for x in proj))
 
     def __repr__(self):
         return "Edge(u=%d, v=%d, proj=%r)" % (self.u, self.v, self.proj)
 
 
-class LabelCoverInstance:
+class LabelCoverInstance(Frozen):
     """Bipartite multigraph with per-edge projections [R] -> [L]."""
 
     __slots__ = ("nu", "nv", "nlabels_u", "nlabels_v", "edges", "unique",
@@ -63,17 +59,11 @@ class LabelCoverInstance:
         for i, e in enumerate(edges):
             adj_u[e.u].append(i)
             adj_v[e.v].append(i)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "nv", nv)
-        object.__setattr__(self, "nlabels_u", nlabels_u)
-        object.__setattr__(self, "nlabels_v", nlabels_v)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "unique", unique)
-        object.__setattr__(self, "_adj_u", tuple(tuple(a) for a in adj_u))
-        object.__setattr__(self, "_adj_v", tuple(tuple(a) for a in adj_v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabelCoverInstance is immutable")
+        self._fill(
+            nu=nu, nv=nv, nlabels_u=nlabels_u, nlabels_v=nlabels_v,
+            edges=edges, unique=unique, _adj_u=tuple(tuple(a) for a in adj_u),
+            _adj_v=tuple(tuple(a) for a in adj_v),
+        )
 
     def edges_at_u(self, u):
         return self._adj_u[u]
@@ -88,25 +78,15 @@ class LabelCoverInstance:
         )
 
 
-class Labeling:
+class Labeling(FrozenValue):
     """Total label choice: one value per left vertex and per right vertex."""
 
     __slots__ = ("left", "right")
+    _key = attrgetter("left", "right")
 
     def __init__(self, left, right):
-        object.__setattr__(self, "left", tuple(int(x) for x in left))
-        object.__setattr__(self, "right", tuple(int(x) for x in right))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Labeling is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Labeling):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+        self._fill(left=tuple(int(x) for x in left),
+                   right=tuple(int(x) for x in right))
 
     def __repr__(self):
         return "Labeling(left=%r, right=%r)" % (self.left, self.right)
@@ -255,8 +235,11 @@ def smoothness_profile(g, v, alpha):
     return total / len(edge_ids)
 
 
-def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed,
-               retries=50):
+# Draws `synthesize` makes before giving up on a kind that is verified.
+SYNTHESIS_RETRIES = 50
+
+
+def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed):
     """Deterministic (seeded) construction of benchmark instances.
 
     Kinds:
@@ -316,7 +299,7 @@ def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed,
         if nu < 2:
             raise PreconditionError("need at least two left vertices")
         half = nu // 2
-        for _ in range(int(retries)):
+        for _ in range(SYNTHESIS_RETRIES):
             g = planted([hidden(), hidden()], lambda u: int(u >= half))
             if is_c_coverable(g, 1) is None and is_c_coverable(g, 2) is not None:
                 return g
@@ -339,7 +322,7 @@ def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed,
                     proj[s] = i
             return proj
 
-        attempts = int(retries) if kind == "dto1-contradictory" else 1
+        attempts = SYNTHESIS_RETRIES if kind == "dto1-contradictory" else 1
         for _ in range(attempts):
             edges = [Edge(u, v, random_dto1()) for (u, v) in edge_endpoints()]
             g = LabelCoverInstance(nu, nv, L, R, edges, unique=False)

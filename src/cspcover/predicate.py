@@ -6,14 +6,16 @@ and subtracted coordinatewise mod q throughout.
 """
 
 import itertools
+from operator import attrgetter
 
-from .errors import PreconditionError
+from .errors import FrozenValue, PreconditionError
 
 
-class Predicate:
+class Predicate(FrozenValue):
     """A subset of [q]^k together with its alphabet size and arity."""
 
     __slots__ = ("q", "k", "members", "_set")
+    _key = attrgetter("q", "k", "members")
 
     def __init__(self, q, k, members):
         q = int(q)
@@ -30,27 +32,14 @@ class Predicate:
             if any(x < 0 or x >= q for x in t):
                 raise PreconditionError("member %r has entries outside [%d]" % (m, q))
             canon.add(t)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "members", tuple(sorted(canon)))
-        object.__setattr__(self, "_set", frozenset(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Predicate is immutable")
+        self._fill(q=q, k=k, members=tuple(sorted(canon)),
+                   _set=frozenset(canon))
 
     def __contains__(self, t):
         return tuple(t) in self._set
 
     def __len__(self):
         return len(self.members)
-
-    def __eq__(self, other):
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        return (self.q, self.k, self.members) == (other.q, other.k, other.members)
-
-    def __hash__(self):
-        return hash((self.q, self.k, self.members))
 
     def __repr__(self):
         return "Predicate(q=%d, k=%d, %d members)" % (self.q, self.k, len(self.members))

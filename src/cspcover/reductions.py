@@ -18,26 +18,25 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _lazy
 from .csp import Assignment, CoverSet, CspInstance, covered_fractions
 from .errors import (
     BudgetExceededError,
+    Frozen,
     GuaranteeError,
     PreconditionError,
     as_budget,
     check_table_size,
 )
 from .labelcover import (
-    LabelCoverInstance,
     Labeling,
     _check_labeling,
     edge_satisfied,
     satisfied_fraction,
 )
-from .predicate import Predicate, lin, nae, translate_orbit
+from .predicate import lin, nae, translate_orbit
 
 # Executed on first use: only the t2 block spaces need `correlated`, and only
 # the first and third tests, the decoders and the dictator tables need
@@ -49,25 +48,18 @@ DEFAULT_SUPPORT_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
-# Parameter bundles. The records of this module keep identity equality and
-# object's repr: generated __eq__, __hash__ and __repr__ for all seven add
-# about 2 ms (Python 3.11, 2-vCPU host) to the start-up of every CLI call.
+# Parameter bundles
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class T1Params:
+class T1Params(Frozen):
     """First test: predicate P between the translate closure of a and NAE,
     over a unique (bijective-projection) source."""
 
-    predicate: Predicate
-    a: tuple
-    source: LabelCoverInstance
-    strict: bool = field(init=False)
+    __slots__ = ("predicate", "a", "source", "strict")
 
-    def __post_init__(self):
-        predicate = self.predicate
+    def __init__(self, predicate, a, source):
         q, k = predicate.q, predicate.k
-        a = tuple(int(x) for x in self.a)
+        a = tuple(int(x) for x in a)
         if k < 2:
             raise PreconditionError("need arity at least 2")
         naepred = nae(q, k)
@@ -80,10 +72,10 @@ class T1Params:
                 )
         if not predicate.issubset(naepred):
             raise PreconditionError("predicate must avoid constant tuples")
-        if not self.source.unique:
+        if not source.unique:
             raise PreconditionError("source must have bijective projections")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "strict", len(predicate) < len(naepred))
+        self._fill(predicate=predicate, a=a, source=source,
+                   strict=len(predicate) < len(naepred))
 
 
 def _check_distribution(dist, k):
@@ -102,28 +94,20 @@ def _check_distribution(dist, k):
     return out
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class T2Params:
+class T2Params(Frozen):
     """Second test: a 2k-ary parity-style predicate with a matched pair of
     column distributions and per-block noise, over a d-to-1 source."""
 
-    predicate: Predicate
-    p0: dict
-    p1: dict
-    eps: Fraction
-    source: LabelCoverInstance
-    k: int = field(init=False)
-    d: int = field(init=False)
+    __slots__ = ("predicate", "p0", "p1", "eps", "source", "k", "d")
 
-    def __post_init__(self):
-        predicate, source = self.predicate, self.source
+    def __init__(self, predicate, p0, p1, eps, source):
         if predicate.q != 2 or predicate.k % 2 != 0:
             raise PreconditionError("predicate must be binary with even arity")
         k = predicate.k // 2
         if not predicate.issubset(lin(2 * k)):
             raise PreconditionError("predicate must contain odd-parity tuples only")
-        p0 = _check_distribution(self.p0, k)
-        p1 = _check_distribution(self.p1, k)
+        p0 = _check_distribution(p0, k)
+        p1 = _check_distribution(p1, k)
         for dist, par in ((p0, 0), (p1, 1)):
             for key in dist:
                 if sum(key) % 2 != par:
@@ -142,7 +126,7 @@ class T2Params:
                     raise PreconditionError(
                         "both concatenation orders must satisfy the predicate"
                     )
-        eps = Fraction(self.eps)
+        eps = Fraction(eps)
         if not Fraction(0) < eps <= Fraction(1, 2):
             raise PreconditionError("noise rate must lie in (0, 1/2]")
         L, R = source.nlabels_u, source.nlabels_v
@@ -157,25 +141,20 @@ class T2Params:
                 raise PreconditionError(
                     "every projection fiber must have size exactly %d" % d
                 )
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
+        self._fill(predicate=predicate, p0=p0, p1=p1, eps=eps, source=source,
+                   k=k, d=d)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class T3Params:
+class T3Params(Frozen):
     """Third test: plain noise rate over any projection-game source."""
 
-    eps: Fraction
-    source: LabelCoverInstance
+    __slots__ = ("eps", "source")
 
-    def __post_init__(self):
-        eps = Fraction(self.eps)
+    def __init__(self, eps, source):
+        eps = Fraction(eps)
         if not Fraction(0) < eps < Fraction(1):
             raise PreconditionError("noise rate must lie in (0, 1)")
-        object.__setattr__(self, "eps", eps)
+        self._fill(eps=eps, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -556,24 +535,20 @@ def t2_completeness_witness(params, labeling, inst=None):
 # Rejection arithmetization
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class RejectionIdentityResult:
-    t: int
-    lhs: Fraction
-    rhs: Fraction
-    deviation: Fraction = field(init=False)
-    correlations: dict
-    threshold: Fraction = field(init=False)
-    witnesses: tuple = field(init=False)
+class RejectionIdentityResult(Frozen):
+    __slots__ = ("t", "lhs", "rhs", "deviation", "correlations", "threshold",
+                 "witnesses")
 
-    def __post_init__(self):
-        threshold = Fraction(-1, 2 ** self.t - 1)
-        object.__setattr__(self, "deviation", self.lhs - self.rhs)
-        object.__setattr__(self, "correlations", dict(self.correlations))
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "witnesses", tuple(sorted(
-            s for s, c in self.correlations.items() if c <= threshold
-        )))
+    def __init__(self, t, lhs, rhs, correlations):
+        threshold = Fraction(-1, 2 ** t - 1)
+        correlations = dict(correlations)
+        self._fill(
+            t=t, lhs=lhs, rhs=rhs, deviation=lhs - rhs,
+            correlations=correlations, threshold=threshold,
+            witnesses=tuple(sorted(
+                s for s, c in correlations.items() if c <= threshold
+            )),
+        )
 
     def __repr__(self):
         return "RejectionIdentityResult(t=%d, deviation=%s)" % (
@@ -667,21 +642,17 @@ def _fourier_masses(tables, nv, rate):
     return masses, spectra
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class T1DecodeResult:
-    labeling: Labeling
-    value: Fraction
-    lab_sizes_left: tuple
-    lab_sizes_right: tuple
-    size_bound: Fraction
-    sizes_ok: bool = field(init=False)
+class T1DecodeResult(Frozen):
+    __slots__ = ("labeling", "value", "lab_sizes_left", "lab_sizes_right",
+                 "size_bound", "sizes_ok")
 
-    def __post_init__(self):
-        left, right = tuple(self.lab_sizes_left), tuple(self.lab_sizes_right)
-        object.__setattr__(self, "lab_sizes_left", left)
-        object.__setattr__(self, "lab_sizes_right", right)
-        object.__setattr__(
-            self, "sizes_ok", all(s <= self.size_bound for s in left + right)
+    def __init__(self, labeling, value, lab_sizes_left, lab_sizes_right,
+                 size_bound):
+        left, right = tuple(lab_sizes_left), tuple(lab_sizes_right)
+        self._fill(
+            labeling=labeling, value=value, lab_sizes_left=left,
+            lab_sizes_right=right, size_bound=size_bound,
+            sizes_ok=all(s <= size_bound for s in left + right),
         )
 
 
@@ -742,12 +713,12 @@ def decode_t1(tables, source, tau, d, seed):
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class T2DecodeResult:
-    labeling: Labeling
-    value: Fraction
-    expected_value_bound: Fraction
-    gamma: Fraction
+class T2DecodeResult(Frozen):
+    __slots__ = ("labeling", "value", "expected_value_bound", "gamma")
+
+    def __init__(self, labeling, value, expected_value_bound, gamma):
+        self._fill(labeling=labeling, value=value,
+                   expected_value_bound=expected_value_bound, gamma=gamma)
 
 
 def decode_t2(tables, source, gamma, seed):
@@ -809,10 +780,11 @@ def decode_t2(tables, source, gamma, seed):
     return T2DecodeResult(labeling, value, bound, gamma)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class T3DecodeResult:
-    labeling: Labeling
-    value: Fraction
+class T3DecodeResult(Frozen):
+    __slots__ = ("labeling", "value")
+
+    def __init__(self, labeling, value):
+        self._fill(labeling=labeling, value=value)
 
 
 def decode_t3(tables, source, seed):

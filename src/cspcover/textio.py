@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from . import _lazy
-from .errors import FormatError, PreconditionError
+from .errors import MAX_TABLE, FormatError, PreconditionError
 
 # The record types of each format come from modules that execute on first
 # use, so reading a game never runs the CSP or spectral code.
@@ -100,7 +100,12 @@ def format_predicate(pred):
 
 
 def parse_instance(text, predicate):
-    _, (q, k, nvars, ncons), body = _header(text, "instance", 4)
+    head, (q, k, nvars, ncons), body = _header(text, "instance", 4)
+    if not (0 <= nvars <= MAX_TABLE and 0 <= ncons <= MAX_TABLE):
+        raise FormatError(
+            "line %d: variable and constraint counts must lie in [0, %d]"
+            % (head, MAX_TABLE)
+        )
     if q != predicate.q or k != predicate.k:
         raise FormatError(
             "instance header (q=%d, k=%d) does not match the predicate" % (q, k)

@@ -213,6 +213,33 @@ class TestExitCodes:
         assert err == "error: internal: ZeroDivisionError: " \
             "integer division or modulo by zero\n"
 
+    def test_stray_value_error_exits_four(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Only PreconditionError (a ValueError) means bad input.
+        def broken(args, em):
+            return int("x")
+
+        monkeypatch.setattr(cli, "cmd_mis", broken)
+        inst, pred = triangle_files(tmp_path)
+        code, out, err = run(capsys, "mis", inst, "--predicate", pred)
+        assert code == 4
+        assert err == "error: internal: ValueError: " \
+            "invalid literal for int() with base 10: 'x'\n"
+
+    @pytest.mark.parametrize("nvars", [-3, 30_000_000])
+    def test_out_of_range_header_count_exits_three_at_once(
+        self, tmp_path, capsys, nvars
+    ):
+        _, pred = triangle_files(tmp_path)
+        inst = write(tmp_path / "huge.csp", "2 2 %d 0\n" % nvars)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cover", inst, "--predicate", pred)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and "nu = " not in out
+        assert err == "error: line 1: variable and constraint counts must " \
+            "lie in [0, 16777216]\n"
+
     def test_unknown_command_exits_three(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 3

@@ -264,7 +264,7 @@ class TestCoverageMasks:
         fast, slow = Budget(10**7), Budget(10**7)
         pairs, holders = _coverage_masks(inst, fast)
         ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
-        assert pairs == ref_pairs
+        assert pairs == [(m, a.values) for m, a in ref_pairs]
         assert holders == [
             sum(1 << i for i, (m, _) in enumerate(pairs) if m >> j & 1)
             for j in range(len(cons))
@@ -514,6 +514,26 @@ class TestColumnarInstance:
 
         inst = CspInstance(nae(2, 2), range(4), atoms())
         assert reads == [0, 1, 2] and inst.scopes == ((0, 1), (1, 2), (2, 3))
+
+    def test_equal_list_literals_share_one_tuple(self):
+        inst = CspInstance(nae(2, 2), range(3), [
+            ((0, 1), [0, 0], 1), ((1, 2), [0, 0], 1), ((0, 2), (0, 0), 1),
+        ])
+        assert inst.literals[0] is inst.literals[1] is inst.literals[2]
+
+    @pytest.mark.parametrize("weight", [None, "zz", "1/0", object()])
+    @pytest.mark.parametrize("vars_", [(0, 1), (0, 5)])
+    def test_a_weight_that_is_no_rational_is_a_precondition_error(
+        self, weight, vars_
+    ):
+        # Also when the atom fails a structural check first: its message
+        # shows the weight.
+        with pytest.raises(PreconditionError,
+                           match=r"^constraint weight .* is not a rational$"):
+            CspInstance(nae(2, 2), range(2), [((0, 1), (0, 0), 1),
+                                               (vars_, (0, 0), weight)])
+        with pytest.raises(PreconditionError):
+            Constraint(vars_, (0, 0), weight)
 
 
 def no_constraint_objects(monkeypatch):

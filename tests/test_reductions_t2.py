@@ -416,6 +416,25 @@ class TestDecode:
         r2 = decode_t2(tables, g, Fraction(1, 4), seed=77)
         assert r1.labeling == r2.labeling
 
+    def test_sign_tables_decode_as_their_bits(self):
+        from cspcover import ProductDomain, TabulatedFunction
+
+        g = two_label_source()
+        rng = random.Random(9)
+        dom = ProductDomain.binary_uniform(4)
+        for bits in (binary_dictator_tables(g, Labeling((1,), (1,))), {
+            0: TabulatedFunction(dom, [0, 1] + [rng.randrange(2)
+                                                for _ in range(14)])
+        }):
+            signs = {v: TabulatedFunction(f.domain, (1 - 2 * x
+                                                     for x in f.values))
+                     for v, f in bits.items()}
+            for seed in range(4):
+                a = decode_t2(bits, g, Fraction(1, 4), seed=seed)
+                b = decode_t2(signs, g, Fraction(1, 4), seed=seed)
+                assert (a.labeling, a.value, a.expected_value_bound) == (
+                    b.labeling, b.value, b.expected_value_bound)
+
     def test_rejects_bad_gamma(self):
         g = one_label_source()
         tables = binary_dictator_tables(g, Labeling((0,), (0,)))

@@ -172,6 +172,22 @@ class TestDecode:
         res = decode_t3(tables, g, seed=2)
         assert res.labeling == Labeling((0,), (0,))
 
+    def test_sign_tables_decode_as_their_bits(self):
+        g = two_label_source()
+        rng = random.Random(5)
+        dom = ProductDomain.binary_uniform(4)
+        for bits in (binary_dictator_tables(g, Labeling((1,), (1,))), {
+            0: TabulatedFunction(dom, [0, 1] + [rng.randrange(2)
+                                                for _ in range(14)])
+        }):
+            signs = {v: TabulatedFunction(f.domain, (1 - 2 * x
+                                                     for x in f.values))
+                     for v, f in bits.items()}
+            for seed in range(4):
+                a = decode_t3(bits, g, seed=seed)
+                b = decode_t3(signs, g, seed=seed)
+                assert (a.labeling, a.value) == (b.labeling, b.value)
+
     def test_seed_determinism(self):
         g = two_label_source()
         rng = random.Random(5)

@@ -21,7 +21,10 @@ from pathlib import Path
 import pytest
 
 import cspcover
-from cspcover.cli import main
+from cspcover import textio
+from cspcover.cli import build_parser, main
+from cspcover.predicate import nae
+from cspcover.reductions import T1Params, t1_dictator_tables
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -98,7 +101,8 @@ def write(path, text):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A unique game, its labeling, t1 and t2 instances and a t2 witness,
-    made in this process through the CLI; the argv of each guarded call."""
+    made in this process through the CLI, and the inputs of the spectral
+    commands; the argv of one call of each subcommand."""
     d = tmp_path_factory.mktemp("startup")
     pred = write(d / "nae22.pred", "2 2\n01\n10\n")
     p0 = write(d / "p0.dist", "2\n00 1/2\n11 1/2\n")
@@ -119,7 +123,23 @@ def inputs(tmp_path_factory):
         assert main(argv) == 0
     on_t1 = [t1, "--predicate", t1 + ".pred"]
     on_w2 = [t2, "--predicate", t2 + ".pred", "--assignments", w2]
+    g = textio.parse_labelcover(Path(game).read_text(encoding="utf-8"))
+    lab = textio.parse_labelings(Path(labs).read_text(encoding="utf-8"),
+                                 g.nu, g.nv)[0]
+    tables = write(d / "t1.tables", textio.format_tables(
+        t1_dictator_tables(T1Params(nae(2, 2), (0, 1), g), lab), 2))
+    space = write(d / "product.space", "2 1 2 1\n" + "".join(
+        "%d %d 1/4\n" % (a, b) for a in (0, 1) for b in (0, 1)))
+    signs = write(d / "f.vals", "1\n-1\n-1\n1\n")
     return {
+        "lc-smooth": ["lc-smooth", game, "--vertex", "0", "--alpha", "0"],
+        "fourier": ["fourier", write(d / "xor.tt", "2\n1\n-1\n-1\n1\n")],
+        "rho": ["rho", space],
+        "connected": ["connected", space],
+        "invariance": ["invariance", space, "--blocks", "2", "--f", signs,
+                       "--g", signs],
+        "decode t1": ["decode", "t1", "--source", game, "--tables", tables,
+                      "--tau", "1/4", "--d", "2", "--seed", "0"],
         "lc-gen": lc_gen + ["--out", str(d / "again.lc")],
         "lc-sat": ["lc-sat", game],
         "lc-cover": ["lc-cover", game, "--c", "1"],
@@ -185,6 +205,31 @@ def test_subcommand_executes_only_the_modules_it_uses(inputs, command):
         assert not ran & {"csp", "reductions", "boolanalysis"}
     if command in ("fraction", "cover", "mis"):
         assert not ran & {"reductions", "boolanalysis"}
+
+
+ALL_COMMANDS = """
+import json, sys
+import cspcover.cli
+for argv in json.loads(sys.argv[1]):
+    assert cspcover.cli.main(argv) == 0, argv
+    assert "dataclasses" not in sys.modules, argv
+print("ok")
+"""
+
+
+def test_no_subcommand_imports_dataclasses(inputs):
+    """The records are plain slotted classes: no call, the spectral ones
+    included, pays for importing `dataclasses` and `inspect`."""
+    commands = list(inputs.values())
+    assert {argv[0] for argv in commands} == set(
+        build_parser()._subparsers._group_actions[0].choices
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", ALL_COMMANDS, json.dumps(commands)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 TRACED = """

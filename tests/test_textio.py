@@ -13,6 +13,7 @@ from cspcover import (
     PreconditionError,
     ProductDomain,
     TabulatedFunction,
+    errors,
     nae,
     product_space,
     synthesize,
@@ -108,6 +109,15 @@ class TestInstanceFormat:
         text = "2 2 3 2\n0 1 00 1/2\n"
         with pytest.raises(FormatError):
             textio.parse_instance(text, nae(2, 2))
+
+    def test_header_counts_are_checked_before_anything_is_built(self):
+        cap = errors.MAX_TABLE
+        for counts in ("-3 0", "%d 0" % (cap + 1), "3 -1", "3 %d" % (cap + 1)):
+            with pytest.raises(FormatError, match="^line 2: variable and "
+                               "constraint counts must lie in \\[0, %d\\]$"
+                               % cap):
+                textio.parse_instance("# header\n2 2 %s\n" % counts, nae(2, 2))
+        assert textio.parse_instance("2 2 0 0\n", nae(2, 2)).nvars == 0
 
     def test_rejects_bad_tokens(self):
         with pytest.raises(FormatError):
