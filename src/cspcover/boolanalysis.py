@@ -24,6 +24,8 @@ class ProductDomain(FrozenValue):
         sizes = tuple(int(s) for s in sizes)
         if any(s < 1 for s in sizes):
             raise PreconditionError("coordinate spaces must be nonempty")
+        size = math.prod(sizes) if sizes else 1
+        check_table_size(size)
         if measures is None:
             measures = tuple(
                 tuple(Fraction(1, s) for _ in range(s)) for s in sizes
@@ -41,8 +43,6 @@ class ProductDomain(FrozenValue):
                     raise PreconditionError("measures must be nonnegative")
                 if sum(coord) != 1:
                     raise PreconditionError("each coordinate measure must sum to 1")
-        size = math.prod(sizes) if sizes else 1
-        check_table_size(size)
         strides = []
         acc = 1
         for s in sizes:
@@ -103,12 +103,6 @@ class ProductDomain(FrozenValue):
             coord == (Fraction(1, 2), Fraction(1, 2)) for coord in self.measures
         )
 
-    def is_uniform(self):
-        return all(
-            coord == tuple(Fraction(1, s) for _ in range(s))
-            for s, coord in zip(self.sizes, self.measures)
-        )
-
     def __repr__(self):
         return "ProductDomain(sizes=%r)" % (self.sizes,)
 
@@ -153,9 +147,6 @@ class TabulatedFunction(FrozenValue):
 
     def sup_norm(self):
         return max(abs(v) for v in self.values)
-
-    def is_pm_one(self):
-        return all(v == 1 or v == -1 for v in self.values)
 
     def scale(self, c):
         c = Fraction(c)
@@ -323,9 +314,6 @@ class EfronSteinDecomposition(Frozen):
     def total(self):
         tables = (comp.values for comp in self.components.values())
         return TabulatedFunction(self.domain, map(sum, zip(*tables)))
-
-    def norms_sq(self):
-        return {beta: comp.norm_sq() for beta, comp in self.components.items()}
 
     def __repr__(self):
         return "EfronSteinDecomposition(%d blocks)" % len(self.blocks)

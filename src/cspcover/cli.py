@@ -247,19 +247,10 @@ def cmd_connected(args, em):
     return 0
 
 
-def _side_domain(space, side, nblocks):
-    marg = space.single_coordinate_marginal(side, 0)
-    symbols = tuple(sorted(marg))
-    measure = tuple(marg[s] for s in symbols)
-    return boolanalysis.ProductDomain(
-        (len(symbols),) * nblocks, (measure,) * nblocks
-    )
-
-
 def cmd_invariance(args, em):
     space = textio.parse_space(_read(args.space))
-    fdom = _side_domain(space, "left", args.blocks)
-    gdom = _side_domain(space, "right", args.blocks)
+    _, fdom = correlated._side_domain(space, "left", args.blocks)
+    _, gdom = correlated._side_domain(space, "right", args.blocks)
     fvals = textio.parse_values(_read(args.f))
     gvals = textio.parse_values(_read(args.g))
     if len(fvals) != fdom.size or len(gvals) != gdom.size:

@@ -199,8 +199,11 @@ def correlation_rho(space, tol=1e-9):
     marginals at value 1; the next singular value is the maximum of
     |E[f(X)g(Y)]| over mean-zero unit-variance f, g. A second computation
     path (maximizing the conditional-expectation norm over mean-zero g) must
-    agree to 1e-8. Zero-probability atoms are dropped first.
+    agree to 1e-8, and the value may exceed 1 by at most tol, a nonnegative
+    number. Zero-probability atoms are dropped first.
     """
+    if not tol >= 0:  # NaN too
+        raise PreconditionError("tolerance must be nonnegative, got %r" % tol)
     import numpy as np
 
     sp, mat, m2 = _normalized_joint_matrix(space)
@@ -350,12 +353,12 @@ class CommuteResult(FrozenValue):
         return "CommuteResult(ok=%r, worst_deviation=%r)" % self._key(self)
 
 
-def commute_check(blocks, g, tol=1e-9):
+def commute_check(blocks, g):
     """Compare the two orders of Markov application and decomposition.
 
     For every subset S of the blocks, the S-component of Ug must equal U
     applied to the S-component of g. Both sides are computed independently
-    and exactly; the worst pointwise deviation is reported against tol.
+    and exactly; the worst pointwise deviation is reported against 1e-9.
     """
     blocks = _checked_blocks(blocks, g)
     matrices = [_block_matrix(b) for b in blocks]
@@ -372,7 +375,7 @@ def commute_check(blocks, g, tol=1e-9):
             dev = abs(a - b)
             if dev > worst:
                 worst = dev
-    return CommuteResult(float(worst) <= tol, float(worst))
+    return CommuteResult(float(worst) <= 1e-9, float(worst))
 
 
 class InvarianceGap(FrozenValue):
@@ -393,17 +396,13 @@ class InvarianceGap(FrozenValue):
         return iter((self.gap, self.bound))
 
 
-def _symbol_axis(space, side):
-    """Sorted symbol set and per-coordinate-equal marginal for one side."""
-    coords = space.k_left if side == "left" else space.k_right
+def _side_domain(space, side, nblocks):
+    """One side's sorted symbols, and the product domain of nblocks words
+    over them under its coordinate 0 marginal."""
     marg = space.single_coordinate_marginal(side, 0)
-    for c in range(1, coords):
-        if space.single_coordinate_marginal(side, c) != marg:
-            raise PreconditionError(
-                "all %s coordinates must share one marginal" % side
-            )
     symbols = tuple(sorted(marg))
-    return symbols, tuple(marg[s] for s in symbols)
+    measure = (tuple(marg[s] for s in symbols),) * nblocks
+    return symbols, ProductDomain((len(symbols),) * nblocks, measure)
 
 
 def invariance_gap(space, nblocks, f, g, budget=None):
@@ -425,10 +424,15 @@ def invariance_gap(space, nblocks, f, g, budget=None):
     k = space.k_left
     if not pairwise_product_check(space):
         raise PreconditionError("pairwise marginals do not factorize")
-    left_sym, left_measure = _symbol_axis(space, "left")
-    right_sym, right_measure = _symbol_axis(space, "right")
-    fdom = ProductDomain((len(left_sym),) * nblocks, (left_measure,) * nblocks)
-    gdom = ProductDomain((len(right_sym),) * nblocks, (right_measure,) * nblocks)
+    left_sym, fdom = _side_domain(space, "left", nblocks)
+    right_sym, gdom = _side_domain(space, "right", nblocks)
+    for side, sym, dom in (("left", left_sym, fdom), ("right", right_sym, gdom)):
+        marg = dict(zip(sym, dom.measures[0]))
+        if any(space.single_coordinate_marginal(side, c) != marg
+               for c in range(1, k)):
+            raise PreconditionError(
+                "all %s coordinates must share one marginal" % side
+            )
     if not isinstance(f, TabulatedFunction) or f.domain != fdom:
         raise PreconditionError(
             "f must be tabulated on the left-symbol product domain"

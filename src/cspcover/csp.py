@@ -188,13 +188,6 @@ class Assignment(FrozenValue):
     def __init__(self, values):
         self._fill(values=tuple(map(int, values)))
 
-    @classmethod
-    def from_map(cls, mapping, nvars):
-        missing = [i for i in range(nvars) if i not in mapping]
-        if missing:
-            raise PreconditionError("assignment is partial; missing %r" % (missing,))
-        return cls(mapping[i] for i in range(nvars))
-
     def __repr__(self):
         return "Assignment(%r)" % (self.values,)
 

@@ -54,22 +54,24 @@ class LabelCoverInstance(Frozen):
             for e in edges:
                 if len(set(e.proj)) != nlabels_v:
                     raise PreconditionError("edge %r projection is not a bijection" % (e,))
-        adj_u = [[] for _ in range(nu)]
-        adj_v = [[] for _ in range(nv)]
+        # Keyed by the vertices the edges touch, so the declared counts
+        # size nothing.
+        adj_u, adj_v = {}, {}
         for i, e in enumerate(edges):
-            adj_u[e.u].append(i)
-            adj_v[e.v].append(i)
+            adj_u.setdefault(e.u, []).append(i)
+            adj_v.setdefault(e.v, []).append(i)
         self._fill(
             nu=nu, nv=nv, nlabels_u=nlabels_u, nlabels_v=nlabels_v,
-            edges=edges, unique=unique, _adj_u=tuple(tuple(a) for a in adj_u),
-            _adj_v=tuple(tuple(a) for a in adj_v),
+            edges=edges, unique=unique,
+            _adj_u={u: tuple(a) for u, a in adj_u.items()},
+            _adj_v={v: tuple(a) for v, a in adj_v.items()},
         )
 
     def edges_at_u(self, u):
-        return self._adj_u[u]
+        return self._adj_u.get(u, ())
 
     def edges_at_v(self, v):
-        return self._adj_v[v]
+        return self._adj_v.get(v, ())
 
     def __repr__(self):
         return "LabelCoverInstance(%d+%d vertices, %d edges, L=%d, R=%d%s)" % (

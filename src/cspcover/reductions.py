@@ -21,7 +21,13 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import _lazy
-from .csp import Assignment, CoverSet, CspInstance, covered_fractions
+from .csp import (
+    Assignment,
+    CoverSet,
+    CspInstance,
+    _bit_indices,
+    covered_fractions,
+)
 from .errors import (
     BudgetExceededError,
     Frozen,
@@ -604,10 +610,6 @@ def rejection_identity_check(assignments, inst, budget=None):
 # Decoders
 
 
-def _mask_bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _sample_mask(rng, masses):
     """The first mask whose float running mass exceeds a uniform float, or
     None (the fallback) when the draw is above the total mass."""
@@ -622,7 +624,7 @@ def _spectral_pick(rng, masses, R):
     mask = _sample_mask(rng, masses)
     if not mask:
         return None
-    bits = _mask_bits(mask)
+    bits = _bit_indices(mask)
     j = bits[rng.randrange(len(bits))]
     return j if j < R else j - R
 
@@ -760,7 +762,7 @@ def decode_t2(tables, source, gamma, seed):
             if not coeff or not mask:
                 continue
             w = rate2 ** mask.bit_count() * coeff * coeff
-            for i in boolanalysis.pi_tilde(_mask_bits(mask), proj):
+            for i in boolanalysis.pi_tilde(_bit_indices(mask), proj):
                 prof[i] += w
         return prof
 
@@ -806,7 +808,7 @@ def decode_t3(tables, source, seed):
         if not mask:
             left.append(0)
             continue
-        image = sorted(boolanalysis.pi_tilde(_mask_bits(mask), e.proj))
+        image = sorted(boolanalysis.pi_tilde(_bit_indices(mask), e.proj))
         left.append(image[rng.randrange(len(image))])
     right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     labeling = Labeling(left, right)
@@ -885,10 +887,10 @@ def _t3(params):
 
     def offsets(edges, budget):
         table = t3_delta_table(g, *edges, params.eps, budget)
-        den = math.lcm(*(w.denominator for w in table.values()))
+        ints, den = boolanalysis._scaled(table.values())
         return _weighted([
-            ((dom.index(dv), dom.index(dw)), w.numerator * (den // w.denominator))
-            for (dv, dw), w in table.items()
+            ((dom.index(dv), dom.index(dw)), w)
+            for (dv, dw), w in zip(table, ints)
         ], den)
 
     base = [e.v << 2 * R for e in g.edges]

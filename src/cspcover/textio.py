@@ -28,12 +28,12 @@ def _lines(text):
     return out
 
 
-def _ints(line, lineno, count=None):
+def _ints(line, lineno, count):
     try:
         vals = [int(t) for t in line.split()]
     except ValueError:
         raise FormatError("line %d: expected integers" % lineno)
-    if count is not None and len(vals) != count:
+    if len(vals) != count:
         raise FormatError(
             "line %d: expected %d integers, got %d" % (lineno, count, len(vals))
         )
@@ -41,6 +41,9 @@ def _ints(line, lineno, count=None):
 
 
 def _rational(token, lineno):
+    # Fraction also reads exponents, and builds 10**exp for any exp.
+    if "e" in token.lower():
+        raise FormatError("line %d: bad rational %r" % (lineno, token))
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -354,9 +357,14 @@ def parse_tables(text):
             raise FormatError("line %d: vertex out of range" % lineno)
         values = _digits(toks[1], lineno, npoints, q)
         tables[v] = boolanalysis.TabulatedFunction(dom, values)
-    missing = [v for v in range(nv) if v not in tables]
-    if missing:
-        raise FormatError("missing tables for vertices %r" % (missing,))
+    if len(tables) < nv:
+        # Every row is a vertex below nv, so one below len(tables) + 1 is
+        # missing; the scan is bounded by the rows read, not by nv.
+        first = next(v for v in range(len(tables) + 1) if v not in tables)
+        raise FormatError(
+            "missing tables for %d of %d vertices, the first %d"
+            % (nv - len(tables), nv, first)
+        )
     return tables
 
 

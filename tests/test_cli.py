@@ -21,6 +21,7 @@ from cspcover import (
     ProductDomain,
     T1Params,
     TabulatedFunction,
+    lin,
     nae,
     synthesize,
     t1_dictator_tables,
@@ -240,6 +241,32 @@ class TestExitCodes:
         assert err == "error: line 1: variable and constraint counts must " \
             "lie in [0, 16777216]\n"
 
+    def test_huge_game_header_exits_two_at_once(self, tmp_path, capsys):
+        # 2 M + 2 M declared vertices and one edge: only touched vertices
+        # get adjacency lists.
+        game = write(tmp_path / "huge.lc", "2000000 2000000 1 1 0\n0 0 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lc-sat", game, "--budget", "10")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "value = " not in out
+        assert err == "error: enumeration budget exceeded " \
+            "(2000000 > 10 candidate evaluations)\n"
+
+    def test_tables_header_without_rows_exits_three_with_one_line(
+        self, tmp_path, capsys
+    ):
+        game = game_file(tmp_path, identity_game())
+        tables = write(tmp_path / "tables.txt", "3000000 4 2\n")
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "decode", "t3", "--source", game, "--tables", tables,
+            "--seed", "0",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert err == "error: missing tables for 3000000 of 3000000 " \
+            "vertices, the first 0\n"
+
     def test_unknown_command_exits_three(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 3
@@ -286,6 +313,25 @@ class TestCoveringCommands:
         assert code == 0
         assert value_of(out, "size") == "1"
         assert value_of(out, "witness") in {"0", "1", "2"}
+
+    def test_cover_without_constraints(self, tmp_path, capsys):
+        _, pred = triangle_files(tmp_path)
+        inst = write(tmp_path / "empty.csp", "2 2 3 0\n")
+        out_path = tmp_path / "cover.assign"
+        code, out, _ = run(
+            capsys, "cover", inst, "--predicate", pred, "--out", str(out_path)
+        )
+        assert code == 0
+        assert out == (
+            "param.command = cover\n"
+            "param.format = human\n"
+            "param.instance = %s\n"
+            "param.max-c = 8\n"
+            "param.out = %s\n"
+            "param.predicate = %s\n"
+            "nu = 0\n"
+        ) % (inst, out_path, pred)
+        assert not out_path.exists()
 
     def test_mis_on_many_variables(self, tmp_path, capsys):
         pred = nae(2, 2)
@@ -432,6 +478,15 @@ class TestAnalysisCommands:
         for i in range(3):
             assert value_of(out, "influence:%d" % i) == "1/2"
 
+    @pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_rho_refuses_a_negative_or_nan_tolerance(
+        self, tmp_path, capsys, tol, shown
+    ):
+        space = write(tmp_path / "bits.sp", "2 1 2 1\n0 0 1/2\n1 1 1/2\n")
+        code, out, err = run(capsys, "rho", space, "--tol", tol)
+        assert code == 3 and "rho = " not in out
+        assert err == "error: tolerance must be nonnegative, got %s\n" % shown
+
     def test_rho_of_a_product_space_is_negligible(self, tmp_path, capsys):
         space = product_space_file(tmp_path)
         code, out, _ = run(capsys, "rho", space)
@@ -519,6 +574,47 @@ class TestReductionCommands:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    def test_reduce_t2_reads_an_explicit_predicate_file(
+        self, tmp_path, capsys
+    ):
+        game = game_file(tmp_path, identity_game(nlabels=1))
+        dists = t2_files(tmp_path)
+        pred = write(tmp_path / "lin4.pred", textio.format_predicate(lin(4)))
+        out_path = str(tmp_path / "r2.csp")
+        code, out, _ = run(
+            capsys, "reduce", "t2", "--source", game, *dists,
+            "--predicate", pred, "--out", out_path,
+        )
+        assert code == 0
+        assert out == (
+            "param.command = reduce\n"
+            "param.eps = 1/4\n"
+            "param.format = human\n"
+            "param.out = %s\n"
+            "param.p0 = %s\n"
+            "param.p1 = %s\n"
+            "param.predicate = %s\n"
+            "param.source = %s\n"
+            "param.test = t2\n"
+            "nvars = 4\n"
+            "nconstraints = 192\n"
+            "predicate-file = %s.pred\n"
+        ) % (out_path, dists[1], dists[3], pred, game, out_path)
+        default = str(tmp_path / "default.csp")
+        run(capsys, "reduce", "t2", "--source", game, *dists, "--out", default)
+        assert (tmp_path / "r2.csp").read_bytes() == \
+            (tmp_path / "default.csp").read_bytes()
+        # The file is read: NAE is not inside the parity predicate.
+        nae_pred = write(
+            tmp_path / "nae24.pred", textio.format_predicate(nae(2, 4))
+        )
+        code, _, err = run(
+            capsys, "reduce", "t2", "--source", game, *dists,
+            "--predicate", nae_pred, "--out", out_path,
+        )
+        assert code == 3
+        assert err == "error: predicate must contain odd-parity tuples only\n"
 
     def test_reduce_t2_from_distribution_files(self, tmp_path, capsys):
         game = game_file(tmp_path, identity_game(nlabels=1))

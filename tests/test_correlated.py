@@ -218,6 +218,11 @@ class TestCorrelationRho:
             rho = correlation_rho(random_block(rng))
             assert 0 <= rho <= 1
 
+    @pytest.mark.parametrize("tol", [-1, -1e-12, float("nan")])
+    def test_rejects_a_negative_or_nan_tolerance(self, tol):
+        with pytest.raises(PreconditionError, match="tolerance"):
+            correlation_rho(IDENTICAL_BITS, tol=tol)
+
 
 class TestMarkovOperator:
     def test_constant_one_maps_to_constant_one(self):
@@ -307,6 +312,18 @@ class TestInvarianceGap:
             res = invariance_gap(sp, 2, f, g)
             assert res.gap == 0
             assert res.gap <= res.bound
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_coordinates_must_share_one_marginal(self, side):
+        # Coordinate 0 is constant, coordinate 1 a fair bit; the other side's
+        # coordinates agree. Refused before f and g are looked at.
+        skewed = {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+        even = {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+        pair = (skewed, even) if side == "left" else (even, skewed)
+        sp = product_space(*pair)
+        with pytest.raises(PreconditionError,
+                           match="all %s coordinates must share" % side):
+            invariance_gap(sp, 1, None, None)
 
     def test_constant_side_gap_and_tau_vanish(self):
         sp = t2_block_space(t2_params(Fraction(1, 4)))

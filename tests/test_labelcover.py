@@ -75,6 +75,15 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             LabelCoverInstance(1, 1, 2, 2, [Edge(0, 3, (0, 1))])
 
+    def test_adjacency_follows_the_edges(self):
+        g = LabelCoverInstance(
+            2_000_000, 2_000_000, 2, 2,
+            [Edge(7, 5, (0, 1)), Edge(7, 9, (1, 0)), Edge(3, 5, (0, 0))],
+        )
+        assert g.edges_at_u(7) == (0, 1) and g.edges_at_u(3) == (2,)
+        assert g.edges_at_v(5) == (0, 2) and g.edges_at_v(9) == (1,)
+        assert g.edges_at_u(0) == g.edges_at_v(1_999_999) == ()
+
 
 class TestSatisfiedFraction:
     def test_single_consistent_edge(self):

@@ -288,6 +288,17 @@ class TestTablesFormat:
         with pytest.raises(FormatError):
             textio.parse_tables("2 4 2\n0 0110\n")
 
+    def test_missing_vertices_are_counted_and_the_first_named(self):
+        with pytest.raises(FormatError) as err:
+            textio.parse_tables("4 4 2\n3 0110\n0 0110\n")
+        assert str(err.value) == \
+            "missing tables for 2 of 4 vertices, the first 1"
+
+    @pytest.mark.parametrize("token", ["1e3", "2E-1", "0.5e2"])
+    def test_rejects_exponent_notation(self, token):
+        with pytest.raises(FormatError, match="line 2: bad rational"):
+            textio.parse_values("1/2\n%s\n" % token)
+
     def test_rejects_non_power_point_count(self):
         with pytest.raises(FormatError):
             textio.parse_tables("1 5 2\n0 01100\n")
