@@ -22,9 +22,9 @@ _HOMES = {
         character compose_projection degree_d_influence efron_stein fourier
         influence influence_variance noise pi_oplus pi_tilde wht""",
     "correlated": """CommuteResult CorrelatedSpace InvarianceGap MarkovOperator
-        blocks_left_domain blocks_right_domain commute_check correlation_rho
-        invariance_gap is_connected markov_apply markov_apply_blocks
-        pairwise_product_check product_space""",
+        blocks_right_domain commute_check correlation_rho invariance_gap
+        is_connected markov_apply_blocks pairwise_product_check
+        product_space""",
     "csp": """Assignment Constraint CoverSet CspInstance apply_literal_shift
         cover_to_coloring covered_fraction covered_fractions covering_number
         covers_constraint find_cover max_independent_set translate_assignment

@@ -377,8 +377,8 @@ def efron_stein(f, blocks=None):
     scale = den * domain.point_weights()[1]
     tables = dict(_split(ints, domain, blocks))
     components = {
-        _members(m, len(blocks)): TabulatedFunction(
-            domain, (Fraction(x, scale) for x in tables[m]))
+        _members(m, len(blocks)): TabulatedFunction._trusted(
+            domain, tuple(Fraction(x, scale) for x in tables[m]))
         for m in range(1 << len(blocks))
     }
     return EfronSteinDecomposition(domain, blocks, components)
@@ -457,10 +457,7 @@ def block_image(alpha, blocks, n):
     """The set of blocks an index set touches (the block map of Eq-style
     coefficient regrouping): coordinates to containing blocks."""
     mask = _as_mask(alpha, n)
-    owner = {}
-    for b, blk in enumerate(blocks):
-        for c in blk:
-            owner[c] = b
+    owner = {c: b for b, blk in enumerate(blocks) for c in blk}
     out = set()
     for c in range(n):
         if (mask >> c) & 1:
@@ -498,22 +495,12 @@ def pi_oplus(alpha, pi, nleft):
     nleft = int(nleft)
     if any(x < 0 or x >= nleft for x in pi):
         raise PreconditionError("projection leaves [L]")
-    counts_lo = [0] * nleft
-    counts_hi = [0] * nleft
+    out = set()
     for j in alpha:
         j = int(j)
         if j < 0 or j >= 2 * r:
             raise PreconditionError("index %d outside [2R]" % j)
-        if j < r:
-            counts_lo[pi[j]] += 1
-        else:
-            counts_hi[pi[j - r]] += 1
-    out = set()
-    for i in range(nleft):
-        if counts_lo[i] % 2:
-            out.add(i)
-        if counts_hi[i] % 2:
-            out.add(nleft + i)
+        out ^= {pi[j % r] + (nleft if j >= r else 0)}  # toggled: parity
     return frozenset(out)
 
 

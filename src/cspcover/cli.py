@@ -105,9 +105,9 @@ def _check_seed(seed):
 
 def _rational_arg(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("bad rational %r" % text)
+        return textio._rational(text, None)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _set_key(s):
@@ -249,8 +249,9 @@ def cmd_connected(args, em):
 
 def cmd_invariance(args, em):
     space = textio.parse_space(_read(args.space))
-    _, fdom = correlated._side_domain(space, "left", args.blocks)
-    _, gdom = correlated._side_domain(space, "right", args.blocks)
+    left, right, den, _ = correlated._marginals(space)
+    _, fdom = correlated._side_domain(left[0], den, args.blocks)
+    _, gdom = correlated._side_domain(right[0], den, args.blocks)
     fvals = textio.parse_values(_read(args.f))
     gvals = textio.parse_values(_read(args.g))
     if len(fvals) != fdom.size or len(gvals) != gdom.size:

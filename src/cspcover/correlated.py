@@ -8,6 +8,7 @@ Correlation and the gap checker mix exact construction with numeric linear
 algebra at stated tolerances; everything else is exact.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,8 +18,8 @@ from .boolanalysis import (
     ProductDomain,
     TabulatedFunction,
     _scaled,
+    _split,
     all_influences,
-    efron_stein,
 )
 from .errors import (
     Frozen,
@@ -80,24 +81,16 @@ class CorrelatedSpace(Frozen):
         mu = {k: w for k, w in self.mu.items() if w > 0}
         return CorrelatedSpace(mu)
 
-    def left_marginal_domain(self):
-        return _blocks_domain([self], "left")
-
     def right_marginal_domain(self):
         return _blocks_domain([self], "right")
 
     def single_coordinate_marginal(self, side, coord):
         """Distribution of one coordinate of one side, as a symbol -> mass map."""
-        out = {}
-        if side == "left":
-            for (la, _ra), w in self.mu.items():
-                out[la[coord]] = out.get(la[coord], Fraction(0)) + w
-        elif side == "right":
-            for (_la, ra), w in self.mu.items():
-                out[ra[coord]] = out.get(ra[coord], Fraction(0)) + w
-        else:
+        if side not in ("left", "right"):
             raise PreconditionError("side must be 'left' or 'right'")
-        return out
+        left, right, den, _ = _marginals(self)
+        marg = (left if side == "left" else right)[coord]
+        return {s: Fraction(n, den) for s, n in marg.items()}
 
     def pair_marginal(self, left_coord, right_coord):
         out = {}
@@ -139,42 +132,49 @@ def is_connected(arg):
     atoms = sorted(set(atoms))
     if len({len(a) for a in atoms}) != 1:
         raise PreconditionError("atoms must share a length")
-    index = {a: i for i, a in enumerate(atoms)}
-    n = len(atoms)
-    seen = [False] * n
-    seen[0] = True
-    queue = [atoms[0]]
-    reached = 1
     # Group by the tuple with one coordinate masked; neighbors share a group.
     groups = {}
     for a in atoms:
         for c in range(len(a)):
-            key = (c, a[:c], a[c + 1:])
-            groups.setdefault(key, []).append(a)
+            groups.setdefault((c, a[:c], a[c + 1:]), []).append(a)
+    seen = {atoms[0]}
+    queue = [atoms[0]]
     while queue:
         a = queue.pop()
         for c in range(len(a)):
             for b in groups[(c, a[:c], a[c + 1:])]:
-                i = index[b]
-                if not seen[i]:
-                    seen[i] = True
-                    reached += 1
+                if b not in seen:
+                    seen.add(b)
                     queue.append(b)
-    return reached == n
+    return len(seen) == len(atoms)
+
+
+def _marginals(space):
+    """(left, right, den, factorizes) from one pass over the numerators:
+    each side's coordinate marginals as symbol -> numerator maps over den,
+    and whether every (left, right) coordinate pair factorizes."""
+    nums, den = _scaled(list(space.mu.values()))
+    left = [{} for _ in range(space.k_left)]
+    right = [{} for _ in range(space.k_right)]
+    pairs = {}
+    for (la, ra), n in zip(space.mu, nums):
+        for j, b in enumerate(ra):
+            right[j][b] = right[j].get(b, 0) + n
+        for i, a in enumerate(la):
+            left[i][a] = left[i].get(a, 0) + n
+            for j, b in enumerate(ra):
+                pairs[i, j, a, b] = pairs.get((i, j, a, b), 0) + n
+    # A pair's mass p / den factorizes iff p * den = wa * wb.
+    return left, right, den, all(
+        pairs.get((i, j, a, b), 0) * den == wa * wb
+        for i, lm in enumerate(left) for a, wa in lm.items()
+        for j, rm in enumerate(right) for b, wb in rm.items()
+    )
 
 
 def pairwise_product_check(space):
     """True iff every (left coordinate, right coordinate) marginal factorizes."""
-    for i in range(space.k_left):
-        left = space.single_coordinate_marginal("left", i)
-        for j in range(space.k_right):
-            right = space.single_coordinate_marginal("right", j)
-            pair = space.pair_marginal(i, j)
-            for a, wa in left.items():
-                for b, wb in right.items():
-                    if pair.get((a, b), Fraction(0)) != wa * wb:
-                        return False
-    return True
+    return _marginals(space)[3]
 
 
 def _normalized_joint_matrix(space):
@@ -233,24 +233,14 @@ class MarkovOperator(Frozen):
     sum to one, so the constant-1 function maps to constant 1.
     """
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space",)
 
     def __init__(self, space):
-        sp = space.drop_zero_atoms()
-        self._fill(space=sp, matrix=_block_matrix(sp))
+        self._fill(space=space.drop_zero_atoms())
 
     def apply(self, g):
         """Ug for g on the space's right marginal domain; exact."""
-        _checked_blocks([self.space], g)
-        return TabulatedFunction(self.space.left_marginal_domain(),
-                                 _apply_blocks([self.matrix], g.values))
-
-
-def markov_apply(op, g):
-    """Apply a Markov operator (or the operator of a space) to g; exact."""
-    if isinstance(op, CorrelatedSpace):
-        op = MarkovOperator(op)
-    return op.apply(g)
+        return markov_apply_blocks([self.space], g)
 
 
 def _blocks_domain(blocks, side):
@@ -269,10 +259,6 @@ def blocks_right_domain(blocks):
     return _blocks_domain([b.drop_zero_atoms() for b in blocks], "right")
 
 
-def blocks_left_domain(blocks):
-    return _blocks_domain([b.drop_zero_atoms() for b in blocks], "left")
-
-
 def _block_matrix(b):
     """A zero-free block's conditional matrix P[x][y] = mu(x, y) / mu(x)
     over its sorted atoms, as integer rows over one denominator."""
@@ -284,15 +270,14 @@ def _block_matrix(b):
     return [flat[i:i + width] for i in range(0, len(flat), width)], den
 
 
-def _apply_blocks(matrices, values):
-    """Apply the per-block matrices to a table over the right product
-    domain, one coordinate at a time, over integers; exact."""
-    vals, den = _scaled(values)
+def _apply_blocks(matrices, vals, den=1):
+    """The per-block matrices applied to an integer table, one coordinate
+    at a time: (the left-side table, den times their denominators)."""
     sizes = [len(rows[0]) for rows, _d in matrices]
     for j, (rows, d) in enumerate(matrices):
         vals, sizes = _contract_coordinate(vals, sizes, j, rows)
         den *= d
-    return [Fraction(v, den) for v in vals]
+    return vals, den
 
 
 def _checked_blocks(blocks, g):
@@ -312,10 +297,10 @@ def markov_apply_blocks(blocks, g):
     block); the result lives on the product of the left sides.
     """
     blocks = _checked_blocks(blocks, g)
-    return TabulatedFunction(
-        _blocks_domain(blocks, "left"),
-        _apply_blocks([_block_matrix(b) for b in blocks], g.values),
-    )
+    vals, den = _apply_blocks([_block_matrix(b) for b in blocks],
+                              *_scaled(g.values))
+    return TabulatedFunction._trusted(_blocks_domain(blocks, "left"),
+                                      tuple(Fraction(v, den) for v in vals))
 
 
 def _contract_coordinate(vals, sizes, j, matrix):
@@ -358,24 +343,23 @@ def commute_check(blocks, g):
 
     For every subset S of the blocks, the S-component of Ug must equal U
     applied to the S-component of g. Both sides are computed independently
-    and exactly; the worst pointwise deviation is reported against 1e-9.
+    as integer tables over known scales and compared by cross-multiplying;
+    the worst pointwise deviation is reported against 1e-9.
     """
     blocks = _checked_blocks(blocks, g)
     matrices = [_block_matrix(b) for b in blocks]
-    ug = TabulatedFunction(
-        _blocks_domain(blocks, "left"), _apply_blocks(matrices, g.values)
-    )
-    dec_g = efron_stein(g)
-    dec_ug = efron_stein(ug)
-    worst = Fraction(0)
-    for beta, comp in dec_g.components.items():
-        lhs = dec_ug.components[beta]
-        rhs = _apply_blocks(matrices, comp.values)
-        for a, b in zip(lhs.values, rhs):
-            dev = abs(a - b)
-            if dev > worst:
-                worst = dev
-    return CommuteResult(float(worst) <= 1e-9, float(worst))
+    ints, den = _scaled(g.values)
+    ug, uden = _apply_blocks(matrices, ints, den)
+    singles = [(b,) for b in range(len(blocks))]
+    left = _blocks_domain(blocks, "left")
+    # _split scales each component by its domain's measure denominators.
+    lscale, rscale = left.point_weights()[1], g.domain.point_weights()[1]
+    lhs = dict(_split(ug, left, singles))
+    worst = max(abs(a * rscale - b * lscale)
+                for mask, comp in _split(ints, g.domain, singles)
+                for a, b in zip(lhs[mask], _apply_blocks(matrices, comp)[0]))
+    worst = float(Fraction(worst, uden * lscale * rscale))
+    return CommuteResult(worst <= 1e-9, worst)
 
 
 class InvarianceGap(FrozenValue):
@@ -396,13 +380,77 @@ class InvarianceGap(FrozenValue):
         return iter((self.gap, self.bound))
 
 
-def _side_domain(space, side, nblocks):
-    """One side's sorted symbols, and the product domain of nblocks words
-    over them under its coordinate 0 marginal."""
-    marg = space.single_coordinate_marginal(side, 0)
-    symbols = tuple(sorted(marg))
-    measure = (tuple(marg[s] for s in symbols),) * nblocks
-    return symbols, ProductDomain((len(symbols),) * nblocks, measure)
+def _side_domain(marg, den, nblocks):
+    """A side's sorted symbol -> index map, and the domain of nblocks words
+    over those symbols under the marginal marg (numerators over den)."""
+    index = {s: i for i, s in enumerate(sorted(marg))}
+    measure = (tuple(Fraction(marg[s], den) for s in index),) * nblocks
+    return index, ProductDomain((len(index),) * nblocks, measure)
+
+
+def _expectation(measure, k, nblocks, indexes, tables):
+    """E over nblocks independent columns, each an atom of `measure` (one
+    row of k symbols per side), of the product over sides and rows of the
+    side's table at the row's word; over integers, divided once.
+
+    Per tuple of the columns before the last two, the next-to-last
+    column's atoms are gathered into the weights of the table offsets they
+    reach (a vector U_r per row, an offset per side); the last column is
+    then contracted row by row, mapping each offset prefix (U_0, ..., U_r)
+    that occurs and rest (X_r+1, ..., X_k-1) of an atom's symbol vectors to
+    the weighted sum of the factors so far. Work stays within the
+    |support|^nblocks terms, the running tables within |support|^2 entries.
+    """
+    atoms = [a for a, w in measure.items() if w > 0]
+    weights, den = _scaled([measure[a] for a in atoms])
+    den = den ** nblocks * math.prod(d ** k for _ints, d in tables)
+    rows = [tuple(tuple(index[part[r]] for part, index in zip(atom, indexes))
+                  for r in range(k)) for atom in atoms]
+    # Per column but the last, each atom's weight and flat row offsets,
+    # after a column of one zero offset that stands in when nblocks is 1.
+    ns = len(tables)
+    zero = (0,) * (k * ns)
+    *radixes, scales = [[len(index) ** c for index in indexes]
+                        for c in range(nblocks)]
+    *outer, gathered = [[(1, zero)]] + [
+        [(w, tuple(x * n for x_r in xs for x, n in zip(x_r, radix)))
+         for w, xs in zip(weights, rows)] for radix in radixes
+    ]
+    symbols = {x_r for xs in rows for x_r in xs}
+
+    @functools.cache
+    def factors(us):
+        return {x_r: math.prod(ints[u + x * s] for (ints, _d), u, x, s
+                               in zip(tables, us, x_r, scales))
+                for x_r in symbols}
+
+    total = 0
+    for combo in itertools.product(*outer):
+        base, weight = zero, 1
+        for w, offsets in combo:
+            base, weight = tuple(map(add, base, offsets)), weight * w
+        prefixes = {}
+        for w, offsets in gathered:
+            key = tuple(map(add, base, offsets))
+            prefixes[key] = prefixes.get(key, 0) + w
+        level = {(): dict(zip(rows, weights))}
+        for r in range(k):
+            heads = {}
+            for vec in prefixes:
+                heads.setdefault(vec[:r * ns], set()).add(vec[r * ns:][:ns])
+            contracted = {}
+            for out, table in level.items():
+                for us in heads[out]:
+                    acc = contracted[out + us] = {}
+                    fac_of = factors(us)
+                    for xs, v in table.items():
+                        fac = fac_of[xs[0]]
+                        if fac:
+                            acc[xs[1:]] = acc.get(xs[1:], 0) + fac * v
+            level = contracted
+        total += weight * sum(v * level[vec].get((), 0)
+                              for vec, v in prefixes.items())
+    return Fraction(total, den)
 
 
 def invariance_gap(space, nblocks, f, g, budget=None):
@@ -422,61 +470,25 @@ def invariance_gap(space, nblocks, f, g, budget=None):
     if space.k_left != space.k_right:
         raise PreconditionError("both sides must have the same number of rows")
     k = space.k_left
-    if not pairwise_product_check(space):
+    left_margs, right_margs, den, factorizes = _marginals(space)
+    if not factorizes:
         raise PreconditionError("pairwise marginals do not factorize")
-    left_sym, fdom = _side_domain(space, "left", nblocks)
-    right_sym, gdom = _side_domain(space, "right", nblocks)
-    for side, sym, dom in (("left", left_sym, fdom), ("right", right_sym, gdom)):
-        marg = dict(zip(sym, dom.measures[0]))
-        if any(space.single_coordinate_marginal(side, c) != marg
-               for c in range(1, k)):
+    left_index, fdom = _side_domain(left_margs[0], den, nblocks)
+    right_index, gdom = _side_domain(right_margs[0], den, nblocks)
+    for side, margs in (("left", left_margs), ("right", right_margs)):
+        if any(m != margs[0] for m in margs[1:]):
             raise PreconditionError(
                 "all %s coordinates must share one marginal" % side
             )
-    if not isinstance(f, TabulatedFunction) or f.domain != fdom:
-        raise PreconditionError(
-            "f must be tabulated on the left-symbol product domain"
-        )
-    if not isinstance(g, TabulatedFunction) or g.domain != gdom:
-        raise PreconditionError(
-            "g must be tabulated on the right-symbol product domain"
-        )
+    for name, fn, dom, side in (("f", f, fdom, "left"),
+                                ("g", g, gdom, "right")):
+        if not isinstance(fn, TabulatedFunction) or fn.domain != dom:
+            raise PreconditionError(
+                "%s must be tabulated on the %s-symbol product domain"
+                % (name, side)
+            )
     if f.sup_norm() > 1 or g.sup_norm() > 1:
         raise PreconditionError("f and g must be bounded in [-1, 1]")
-    left_index = {s: i for i, s in enumerate(left_sym)}
-    right_index = {s: i for i, s in enumerate(right_sym)}
-
-    def expectation(measure, indexes, tables):
-        """E over nblocks independent columns, each an atom of `measure` (one
-        symbol row per side), of the product over sides and rows of the
-        side's table at the row's word; summed over integers, divided once."""
-        atoms = [a for a, w in measure.items() if w > 0]
-        weights, den = _scaled([measure[a] for a in atoms])
-        den **= nblocks
-        values, base = [], ()
-        for ints, t_den in tables:
-            base += (len(values),) * k
-            values += ints
-            den *= t_den ** k
-        # Per column, each atom's weight and its per-row table offsets.
-        *outer, last = [
-            [(w, tuple(index[part[row]] * len(index) ** c
-                       for part, index in zip(atom, indexes)
-                       for row in range(k)))
-             for w, atom in zip(weights, atoms)]
-            for c in range(nblocks)
-        ]
-        total = 0
-        for combo in itertools.product(*outer):
-            start = base
-            for _w, offs in combo:
-                start = tuple(map(add, start, offs))
-            total += math.prod(w for w, _offs in combo) * sum(
-                w * math.prod(map(values.__getitem__, map(add, start, offs)))
-                for w, offs in last
-            )
-        return Fraction(total, den)
-
     left = {(a,): w for a, w in space.marginal_left.items()}
     right = {(a,): w for a, w in space.marginal_right.items()}
     budget.spend(sum(
@@ -484,10 +496,10 @@ def invariance_gap(space, nblocks, f, g, budget=None):
         for m in (space.mu, left, right)
     ))
     f_ints, g_ints = _scaled(f.values), _scaled(g.values)
-    coupled = expectation(space.mu, (left_index, right_index),
-                          (f_ints, g_ints))
-    left_only = expectation(left, (left_index,), (f_ints,))
-    right_only = expectation(right, (right_index,), (g_ints,))
+    coupled = _expectation(space.mu, k, nblocks, (left_index, right_index),
+                           (f_ints, g_ints))
+    left_only = _expectation(left, k, nblocks, (left_index,), (f_ints,))
+    right_only = _expectation(right, k, nblocks, (right_index,), (g_ints,))
     gap = abs(coupled - left_only * right_only)
     inf_f = all_influences(f)
     inf_g = all_influences(g)
@@ -499,4 +511,3 @@ def invariance_gap(space, nblocks, f, g, budget=None):
             "gap %s exceeded its bound %g" % (float(gap), bound)
         )
     return InvarianceGap(gap, bound, tau, gamma)
-

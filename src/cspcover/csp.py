@@ -35,14 +35,6 @@ class Constraint(FrozenValue):
         self._fill(vars=tuple(map(int, vars)),
                    literals=tuple(map(int, literals)), weight=_weight(weight))
 
-    @classmethod
-    def _trusted(cls, vars, literals, weight):
-        """A constraint holding already checked int tuples and a Fraction
-        as they are, without copies."""
-        c = object.__new__(cls)
-        c._fill(vars=vars, literals=literals, weight=weight)
-        return c
-
     def __repr__(self):
         return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
 

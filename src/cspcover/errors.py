@@ -50,6 +50,14 @@ class Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of checked values in `__slots__` order, kept as they are."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 

@@ -41,13 +41,14 @@ def _ints(line, lineno, count):
 
 
 def _rational(token, lineno):
-    # Fraction also reads exponents, and builds 10**exp for any exp.
-    if "e" in token.lower():
-        raise FormatError("line %d: bad rational %r" % (lineno, token))
-    try:
-        return Fraction(token)
+    """The rational `token`; errors cite line `lineno` unless it is None."""
+    try:  # Fraction also reads exponents, building 10**exp for any exp
+        if "e" not in token.lower():
+            return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise FormatError("line %d: bad rational %r" % (lineno, token))
+        pass
+    where = "" if lineno is None else "line %d: " % lineno
+    raise FormatError("%sbad rational %r" % (where, token))
 
 
 def _header(text, what, count):
@@ -177,6 +178,8 @@ def parse_labelcover(text):
     head, (nu, nv, nl, nr, unique), body = _header(text, "game", 5)
     if unique not in (0, 1):
         raise FormatError("line %d: unique flag must be 0 or 1" % head)
+    if min(nu, nv, nl, nr) < 0:
+        raise FormatError("line %d: counts must be nonnegative" % head)
     edges = []
     for lineno, line in body:
         vals = _ints(line, lineno, 2 + nr)

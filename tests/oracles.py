@@ -598,3 +598,19 @@ def invariance_gap_reference(space, nblocks, f, g):
     tau = math.sqrt(float(sum(a * b for a, b in zip(inf_f, inf_g))))
     gamma = math.sqrt(max(float(sum(inf_f)), float(sum(inf_g))))
     return gap, tau, gamma, terms
+
+
+def commute_check_reference(blocks, g):
+    """commute_check on Fraction tables: Ug and U applied to each component
+    of g through `markov_apply_blocks`, both sides decomposed by
+    `efron_stein`, and the worst deviation taken entry by entry."""
+    from cspcover.boolanalysis import efron_stein
+    from cspcover.correlated import CommuteResult, markov_apply_blocks
+
+    dec_ug = efron_stein(markov_apply_blocks(blocks, g))
+    worst = Fraction(0)
+    for beta, comp in efron_stein(g).components.items():
+        rhs = markov_apply_blocks(blocks, comp)
+        for a, b in zip(dec_ug.components[beta].values, rhs.values):
+            worst = max(worst, abs(a - b))
+    return CommuteResult(float(worst) <= 1e-9, float(worst))

@@ -267,6 +267,35 @@ class TestExitCodes:
         assert err == "error: missing tables for 3000000 of 3000000 " \
             "vertices, the first 0\n"
 
+    @pytest.mark.parametrize("flag", ["--eps", "--tau", "--gamma"])
+    def test_exponent_rationals_exit_three_at_once(self, tmp_path, capsys,
+                                                   flag):
+        # The flags read rationals as the file formats do, so an exponent
+        # is refused before 10**3000000 is built.
+        game = game_file(tmp_path, identity_game())
+        argv = {
+            "--eps": ["reduce", "t3", "--out", str(tmp_path / "r.csp")],
+            "--tau": ["decode", "t1", "--tables", "t.txt", "--seed", "0"],
+            "--gamma": ["decode", "t2", "--tables", "t.txt", "--seed", "0"],
+        }[flag]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--source", game, flag,
+                             "1e-3000000")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err == "error: argument %s: bad rational '1e-3000000'\n" % flag
+
+    @pytest.mark.parametrize("text", ["1/4", "0.25", " 2/8 "])
+    def test_rational_flags_accept_fractions_and_decimals(self, tmp_path,
+                                                          capsys, text):
+        game = game_file(tmp_path, identity_game())
+        code, out, _ = run(
+            capsys, "reduce", "t3", "--source", game, "--eps", text,
+            "--out", str(tmp_path / "r3.csp"),
+        )
+        assert code == 0
+        assert value_of(out, "param.eps") == "1/4"
+
     def test_unknown_command_exits_three(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 3

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from cspcover import (
     ProductDomain,
     T2Params,
     TabulatedFunction,
-    blocks_left_domain,
     blocks_right_domain,
     commute_check,
     correlation_rho,
@@ -26,7 +26,6 @@ from cspcover import (
     invariance_gap,
     is_connected,
     lin,
-    markov_apply,
     markov_apply_blocks,
     pairwise_product_check,
     product_space,
@@ -228,12 +227,12 @@ class TestMarkovOperator:
     def test_constant_one_maps_to_constant_one(self):
         sp = bit_space(2, 1, 1, 3)
         g = TabulatedFunction(sp.right_marginal_domain(), [1, 1])
-        assert markov_apply(sp, g).values == (1, 1)
+        assert MarkovOperator(sp).apply(g).values == (1, 1)
 
     def test_product_measure_maps_to_expectation(self):
         sp = bit_space(2, 4, 1, 2)  # determinant zero: product measure
         g = TabulatedFunction(sp.right_marginal_domain(), [3, -5])
-        out = markov_apply(MarkovOperator(sp), g)
+        out = MarkovOperator(sp).apply(g)
         assert all(v == g.expectation() for v in out.values)
 
     def test_preserves_averages(self):
@@ -244,7 +243,7 @@ class TestMarkovOperator:
             g = TabulatedFunction(
                 dom, [Fraction(rng.randrange(-5, 6)) for _ in range(dom.size)]
             )
-            out = markov_apply(sp, g)
+            out = MarkovOperator(sp).apply(g)
             assert out.expectation() == g.expectation()
 
     def test_component_norm_decay(self):
@@ -262,7 +261,8 @@ class TestMarkovOperator:
     def test_blocks_domain_shapes(self):
         blocks = [bit_space(1, 1, 1, 1), bit_space(1, 2, 3, 4)]
         assert blocks_right_domain(blocks).sizes == (2, 2)
-        assert blocks_left_domain(blocks).sizes == (2, 2)
+        g = TabulatedFunction(blocks_right_domain(blocks), [1] * 4)
+        assert markov_apply_blocks(blocks, g).domain.sizes == (2, 2)
 
     def test_rejects_mismatched_domain(self):
         blocks = [bit_space(1, 2, 3, 4)]
@@ -294,6 +294,55 @@ class TestCommutation:
             res = commute_check(blocks, g)
             assert bool(res)
             assert res.worst_deviation == 0.0
+
+
+class TestCommutationAgainstReference:
+    def test_criterion_eight_cases(self):
+        rng = random.Random(808)
+        for _ in range(20):
+            blocks = [random_block(rng), random_block(rng)]
+            g = random_right_function(rng, blocks)
+            assert commute_check(blocks, g) == \
+                oracles.commute_check_reference(blocks, g)
+
+    def test_blocks_with_zero_atoms(self):
+        rng = random.Random(74)
+        zero_joint = bit_space(2, 0, 1, 3)
+        zero_marginal = CorrelatedSpace({
+            ((0,), (0,)): Fraction(1, 3), ((0,), (1,)): Fraction(1, 3),
+            ((1,), (1,)): Fraction(1, 3), ((2,), (0,)): 0,
+        })
+        for blocks in ([zero_joint], [zero_marginal, random_block(rng)],
+                       [zero_joint, zero_marginal]):
+            g = random_right_function(rng, blocks)
+            res = commute_check(blocks, g)
+            assert res == oracles.commute_check_reference(blocks, g)
+            assert res.ok and res.worst_deviation == 0.0
+
+    def test_a_broken_operator_deviates_as_in_the_reference(self,
+                                                            monkeypatch):
+        # Rows that do not sum to the denominator break commutation; both
+        # paths read the skewed matrices and must report one deviation.
+        real = correlated._block_matrix
+
+        def skewed(b):
+            rows, den = real(b)
+            return [[rows[0][0] + 1] + rows[0][1:]] + rows[1:], den
+
+        monkeypatch.setattr(correlated, "_block_matrix", skewed)
+        rng = random.Random(75)
+        blocks = [random_block(rng), random_block(rng)]
+        g = random_right_function(rng, blocks)
+        res = commute_check(blocks, g)
+        assert res == oracles.commute_check_reference(blocks, g)
+        assert not res.ok and res.worst_deviation > 1e-9
+
+    def test_wrong_domain_is_refused_on_both_paths(self):
+        blocks = [bit_space(1, 2, 3, 4), bit_space(4, 3, 2, 1)]
+        g = TabulatedFunction(ProductDomain.binary_uniform(1), [1, -1])
+        for check in (commute_check, oracles.commute_check_reference):
+            with pytest.raises(PreconditionError, match="right product"):
+                check(blocks, g)
 
 
 class TestInvarianceGap:
@@ -431,6 +480,35 @@ def assert_matches_reference(space, nblocks, f, g):
 GAP_VALUES = (-1, Fraction(-1, 2), Fraction(-1, 3), 0, Fraction(2, 3), 1)
 
 
+def wide_space(p, forms, swap=False):
+    """Three rows per side over Z3, each row a linear form of (a, b, c) with
+    a and b drawn from p and c uniform. Left rows read a or b alone, so they
+    share the marginal p; right rows carry c, so each is uniform and
+    independent of every left row, and the pairwise marginals factorize.
+    A zero in p leaves zero-mass atoms."""
+    left_forms, right_forms = forms
+    mu = {}
+    for a, b, c in itertools.product(range(3), repeat=3):
+        la, ra = (tuple((x * a + y * b + z * c) % 3 for x, y, z in fs)
+                  for fs in (left_forms, right_forms))
+        key = (ra, la) if swap else (la, ra)
+        mu[key] = mu.get(key, 0) + p[a] * p[b] / 3
+    return CorrelatedSpace(mu)
+
+
+A, B, C = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+# Row forms (left, right) by the number of atoms they give at most.
+WIDE_FORMS = {
+    9: ((A, A, A), ((1, 0, 1), C, (2, 0, 1))),
+    27: ((A, B, A), ((1, 0, 1), (0, 1, 1), C)),
+}
+WIDE_MASSES = (
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(1, 3),) * 3,
+    (Fraction(3, 4), 0, Fraction(1, 4)),
+)
+
+
 class TestInvarianceGapAgainstReference:
     def test_block_space_family(self):
         rng = random.Random(909)
@@ -474,6 +552,40 @@ class TestInvarianceGapAgainstReference:
             g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
                                          for _ in range(gdom.size)])
             assert_matches_reference(sp, nblocks, f, g)
+
+    @pytest.mark.parametrize("natoms, nblocks",
+                             [(9, 1), (9, 2), (9, 3), (27, 1), (27, 2)])
+    def test_sparse_wide_spaces(self, natoms, nblocks):
+        rng = random.Random(912 + nblocks)
+        for case, p in enumerate(WIDE_MASSES):
+            sp = wide_space(p, WIDE_FORMS[natoms], swap=case == 1)
+            assert sp.k_left == 3 and len(sp.support()) <= natoms
+            fdom, gdom = side_domains(sp, nblocks)
+            f = TabulatedFunction(fdom, [rng.choice(GAP_VALUES)
+                                         for _ in range(fdom.size)])
+            g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
+                                         for _ in range(gdom.size)])
+            assert_matches_reference(sp, nblocks, f, g)
+
+    def test_peak_memory_follows_the_charged_terms(self):
+        # About 4 bytes per charged term here; one table over all prefixes
+        # of the first nblocks - 1 columns would take about 32.
+        rng = random.Random(913)
+        sp = wide_space(WIDE_MASSES[0], WIDE_FORMS[27])
+        fdom, gdom = side_domains(sp, 3)
+        f = TabulatedFunction(fdom, [rng.choice(GAP_VALUES)
+                                     for _ in range(fdom.size)])
+        g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
+                                     for _ in range(gdom.size)])
+        budget = Budget(10**9)
+        tracemalloc.start()
+        try:
+            invariance_gap(sp, 3, f, g, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert budget.used == 27 ** 3 + 9 ** 3 + 27 ** 3
+        assert peak < 16 * budget.used
 
     def test_budget_is_checked_before_summing(self):
         sp = pairwise_space(Fraction(1, 4), Fraction(1, 2))

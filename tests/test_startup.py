@@ -39,8 +39,8 @@ PUBLIC = [
     "T2DecodeResult", "T2Params", "T3DecodeResult", "T3Params",
     "TabulatedFunction", "add_tuples", "all_degree_d_influences",
     "all_influences", "all_tuples", "apply_literal_shift",
-    "binary_dictator_tables", "block_image", "blocks_left_domain",
-    "blocks_right_domain", "boolanalysis", "character", "cnf",
+    "binary_dictator_tables", "block_image", "blocks_right_domain",
+    "boolanalysis", "character", "cnf",
     "commute_check", "completeness_witness", "compose_projection",
     "constant_tuple", "correlated", "correlation_rho", "cover_to_coloring",
     "covered_fraction", "covered_fractions", "covering_number",
@@ -49,7 +49,7 @@ PUBLIC = [
     "find_cover", "find_non_odd_witness", "fourier", "full", "generate_t1",
     "generate_t2", "generate_t3", "influence", "influence_variance",
     "invariance_gap", "is_c_coverable", "is_connected", "is_odd",
-    "is_shift_closed", "labelcover", "lin", "markov_apply",
+    "is_shift_closed", "labelcover", "lin",
     "markov_apply_blocks", "max_independent_set", "max_satisfiable", "nae",
     "noise", "pairwise_product_check", "pi_oplus", "pi_tilde", "predicate",
     "product_space", "reductions", "rejection_identity_check", "sample_t1",

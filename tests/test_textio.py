@@ -181,6 +181,11 @@ class TestLabelCoverFormat:
         with pytest.raises(FormatError):
             textio.parse_labelcover("1 1 2 2 1\n0 0 0\n")
 
+    def test_rejects_negative_label_count(self):
+        # With R = -1 an edge line holds one integer, too few for u and v.
+        with pytest.raises(FormatError, match="line 1: counts must be"):
+            textio.parse_labelcover("0 0 0 -1 0\n0\n")
+
 
 class TestSpaceFormat:
     def test_block_space_relabels_rows_to_symbols(self):
