@@ -77,9 +77,10 @@ class CorrelatedSpace(Frozen):
         return min(w for w in self.mu.values() if w > 0)
 
     def drop_zero_atoms(self):
-        """Restrict to atoms of positive marginal and positive joint entries."""
+        """Restrict to atoms of positive marginal and positive joint entries;
+        the space itself when every entry is positive."""
         mu = {k: w for k, w in self.mu.items() if w > 0}
-        return CorrelatedSpace(mu)
+        return self if len(mu) == len(self.mu) else CorrelatedSpace(mu)
 
     def right_marginal_domain(self):
         return _blocks_domain([self], "right")
@@ -184,10 +185,11 @@ def _normalized_joint_matrix(space):
     nl, nr = len(sp.left_atoms), len(sp.right_atoms)
     m1 = [float(sp.marginal_left[a]) for a in sp.left_atoms]
     m2 = [float(sp.marginal_right[a]) for a in sp.right_atoms]
+    rows = {a: i for i, a in enumerate(sp.left_atoms)}
+    cols = {a: j for j, a in enumerate(sp.right_atoms)}
     mat = np.zeros((nl, nr))
     for (la, ra), w in sp.mu.items():
-        i = sp.left_atoms.index(la)
-        j = sp.right_atoms.index(ra)
+        i, j = rows[la], cols[ra]
         mat[i, j] = float(w) / math.sqrt(m1[i] * m2[j])
     return sp, mat, np.array(m2)
 

@@ -57,16 +57,17 @@ def _atom_error(vars_, lits, w, k, q, n):
 class CspInstance(Frozen):
     """Predicate, variables, and weighted constraints with literal vectors.
 
-    `variables` is a sequence of hashable labels; constraints reference them by
-    index. `constraints` is any iterable, a generator included, of
-    `Constraint` objects or (vars, literals, weight) triples; it is read once.
-    Duplicate (vars, literals) pairs are merged by summing weights, in
-    first-occurrence order. The instance is held in integer columns:
-    constraint i has the scope `scopes[i]` (a tuple of variable indices), the
-    literal vector `literals[i]` (equal vectors share one tuple) and the
-    weight `numerators[i] / denominator`, where `denominator` is the lcm of
-    the given weights' denominators. The tuple `constraints` of `Constraint`
-    objects is built from the columns on first access, and kept.
+    `variables` is a sequence of hashable labels, a `range` kept as is;
+    constraints reference them by index. `constraints` is any iterable, a
+    generator included, of `Constraint` objects or (vars, literals, weight)
+    triples; it is read once. Duplicate (vars, literals) pairs are merged by
+    summing weights, in first-occurrence order. The instance is held in
+    integer columns: constraint i has the scope `scopes[i]` (a tuple of
+    variable indices), the literal vector `literals[i]` (equal vectors share
+    one tuple) and the weight `numerators[i] / denominator`, where
+    `denominator` is the lcm of the given weights' denominators. The tuple
+    `constraints` of `Constraint` objects is built from the columns on first
+    access, and kept.
     """
 
     __slots__ = (
@@ -75,12 +76,13 @@ class CspInstance(Frozen):
     )
 
     def __init__(self, predicate, variables, constraints):
-        variables = tuple(variables)
-        index = {}
-        for i, v in enumerate(variables):
-            if v in index:
-                raise PreconditionError("duplicate variable label %r" % (v,))
-            index[v] = i
+        index = None  # a range repeats no label; indexed on first use
+        if not isinstance(variables, range):
+            variables, index = tuple(variables), {}
+            for i, v in enumerate(variables):
+                if v in index:
+                    raise PreconditionError("duplicate variable label %r" % (v,))
+                index[v] = i
         k, q, n = predicate.k, predicate.q, len(variables)
         # One pass over the atoms, checked in order. A literal vector is
         # converted and range-checked once per distinct value, a weight once
@@ -157,6 +159,8 @@ class CspInstance(Frozen):
         return len(self.variables)
 
     def var_index(self, label):
+        if self._index is None:
+            self._fill(_index={v: i for i, v in enumerate(self.variables)})
         return self._index[label]
 
     def total_weight(self):

@@ -186,18 +186,6 @@ def _as_labeling(lab):
     return lab if isinstance(lab, Labeling) else Labeling(*lab)
 
 
-def _to_pm_values(f):
-    """{0,1} (or already +/-1) table values -> +/-1 convention."""
-    vals = set(f.values)
-    if vals <= {Fraction(0), Fraction(1)}:
-        return boolanalysis.TabulatedFunction(
-            f.domain, (1 - 2 * v for v in f.values)
-        )
-    if vals <= {Fraction(-1), Fraction(1)}:
-        return f
-    raise PreconditionError("table values must be bits or signs")
-
-
 # ---------------------------------------------------------------------------
 # One definition per test
 
@@ -630,18 +618,41 @@ def _spectral_pick(rng, masses, R):
 
 
 def _fourier_masses(tables, nv, rate):
-    """Per right vertex, the masks with a nonzero coefficient in its
-    sign-converted table beside the float running sums of their masses
-    rate^|mask| * coefficient^2, and the table's spectrum."""
+    """Per right vertex, its masks beside the float running sums of their
+    masses rate^|mask| * coefficient^2, and the nonzero Fourier coefficients
+    of its table in the +/-1 convention as a sparse {mask: Fraction} map,
+    both read off one integer transform."""
     masses, spectra = {}, {}
     for v in range(nv):
-        fh = spectra[v] = boolanalysis.fourier(_to_pm_values(tables[v]))
-        masks = [mask for mask, coeff in enumerate(fh.coefficients) if coeff]
-        masses[v] = masks, list(itertools.accumulate(
-            float(Fraction(rate) ** m.bit_count() * fh.coefficients[m] ** 2)
-            for m in masks
+        signs, den = boolanalysis._scaled(tables[v].values)
+        if den == 1 and set(signs) <= {0, 1}:
+            signs = [1 - 2 * x for x in signs]
+        elif den != 1 or not set(signs) <= {-1, 1}:
+            raise PreconditionError("table values must be bits or signs")
+        if not tables[v].domain.is_binary_uniform():
+            raise PreconditionError("fourier requires a binary uniform domain")
+        coeffs = spectra[v] = {
+            m: Fraction(c, len(signs))
+            for m, c in enumerate(boolanalysis.wht(signs)) if c
+        }
+        masses[v] = list(coeffs), list(itertools.accumulate(
+            float(rate ** m.bit_count() * c * c) for m, c in coeffs.items()
         ))
     return masses, spectra
+
+
+def _index_map(dom, proj, fdom):
+    """The index in fdom of compose_projection(dom.point(p), proj) for every
+    index p of dom, built one coordinate at a time: each coordinate adds its
+    value times the fdom strides of the positions that read it."""
+    reads = [*proj, *(dom.n // 2 + i for i in proj)]
+    if any(dom.sizes[c] > s for c, s in zip(reads, fdom.sizes)):
+        raise PreconditionError("point coordinate out of range")
+    out = [0]
+    for c, s in enumerate(dom.sizes):
+        stride = sum(fdom.stride(pos) for pos, r in enumerate(reads) if r == c)
+        out = [i + x * stride for x in range(s) for i in out]
+    return out
 
 
 class T1DecodeResult(Frozen):
@@ -683,22 +694,20 @@ def decode_t1(tables, source, tau, d, seed):
         return [i for i in range(L) if infl[i] >= threshold]
 
     labs_right = [labels(tables[v], tau / 2) for v in range(source.nv)]
+    scaled = [boolanalysis._scaled(tables[v].values) for v in range(source.nv)]
     labs_left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
         dom = tables[source.edges[eids[0]].v].domain
-        acc = [Fraction(0)] * dom.size
-        share = Fraction(1, len(eids))
-        for e in eids:
-            edge = source.edges[e]
-            fw = tables[edge.v]
-            for p in range(dom.size):
-                composed = boolanalysis.compose_projection(
-                    dom.point(p), edge.proj
-                )
-                acc[p] += share * fw.values[fw.domain.index(composed)]
-        f = boolanalysis.TabulatedFunction(dom, acc)
-        labs_left.append(labels(f, tau))
+        edges = [source.edges[e] for e in eids]
+        den = math.lcm(*(scaled[e.v][1] for e in edges))
+        acc = [0] * dom.size
+        for e in edges:
+            idx = _index_map(dom, e.proj, tables[e.v].domain)
+            ints, scale = scaled[e.v]
+            acc = [a + den // scale * ints[i] for a, i in zip(acc, idx)]
+        labs_left.append(labels(boolanalysis.TabulatedFunction._trusted(
+            dom, tuple(Fraction(a, den * len(eids)) for a in acc)), tau))
     left, right = (
         [c[rng.randrange(len(c))] if c else 0 for c in labs]
         for labs in (labs_left, labs_right)
@@ -752,32 +761,27 @@ def decode_t2(tables, source, gamma, seed):
     value = satisfied_fraction(source, labeling)
     # Expectation bound: per (u, edge pair), sum over left labels of the
     # products of attenuated spectral weights that project onto that label.
+    # Summed over the pairs at u, that is the squared norm of the summed
+    # profile of u's edges.
     rate2 = rate * rate
 
     def edge_profile(eid):
         proj = source.edges[eid].proj
-        fh = spectra[source.edges[eid].v]
         prof = [Fraction(0)] * L
-        for mask, coeff in enumerate(fh.coefficients):
-            if not coeff or not mask:
-                continue
-            w = rate2 ** mask.bit_count() * coeff * coeff
-            for i in boolanalysis.pi_tilde(_bit_indices(mask), proj):
-                prof[i] += w
+        for mask, coeff in spectra[source.edges[eid].v].items():
+            if mask:
+                w = rate2 ** mask.bit_count() * coeff * coeff
+                for i in boolanalysis.pi_tilde(_bit_indices(mask), proj):
+                    prof[i] += w
         return prof
 
-    profiles = {eid: edge_profile(eid) for eid in range(len(source.edges))}
+    profiles = [edge_profile(eid) for eid in range(len(source.edges))]
     expect = Fraction(0)
     for u in range(source.nu):
         eids = source.edges_at_u(u)
-        share = Fraction(1, source.nu) * Fraction(1, len(eids)) ** 2
-        for ev in eids:
-            for ew in eids:
-                tau_uvw = sum(
-                    (profiles[ev][i] * profiles[ew][i] for i in range(L)),
-                    Fraction(0),
-                )
-                expect += share * tau_uvw
+        total = [sum(col) for col in zip(*(profiles[e] for e in eids))]
+        expect += Fraction(1, source.nu * len(eids) ** 2) * sum(
+            x * x for x in total)
     bound = gamma * gamma * expect
     return T2DecodeResult(labeling, value, bound, gamma)
 

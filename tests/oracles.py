@@ -614,3 +614,184 @@ def commute_check_reference(blocks, g):
         for a, b in zip(dec_ug.components[beta].values, rhs.values):
             worst = max(worst, abs(a - b))
     return CommuteResult(float(worst) <= 1e-9, float(worst))
+
+
+# ---------------------------------------------------------------------------
+# Pointwise decoders: the Fraction-table paths `reductions` replaced
+
+
+def _reference_pm_values(f):
+    """{0,1} (or already +/-1) table values -> +/-1 convention."""
+    from cspcover.boolanalysis import TabulatedFunction
+
+    vals = set(f.values)
+    if vals <= {Fraction(0), Fraction(1)}:
+        return TabulatedFunction(f.domain, (1 - 2 * v for v in f.values))
+    if vals <= {Fraction(-1), Fraction(1)}:
+        return f
+    raise PreconditionError("table values must be bits or signs")
+
+
+def _reference_fourier_masses(tables, nv, rate):
+    """Per right vertex, the masks with a nonzero coefficient in its full
+    `fourier` table beside the float running sums of their masses, and the
+    table itself."""
+    from cspcover.boolanalysis import fourier
+
+    masses, spectra = {}, {}
+    for v in range(nv):
+        fh = spectra[v] = fourier(_reference_pm_values(tables[v]))
+        masks = [mask for mask, coeff in enumerate(fh.coefficients) if coeff]
+        masses[v] = masks, list(itertools.accumulate(
+            float(Fraction(rate) ** m.bit_count() * fh.coefficients[m] ** 2)
+            for m in masks
+        ))
+    return masses, spectra
+
+
+def reference_decode_t1(tables, source, tau, d, seed):
+    """decode_t1 with each left table averaged point by point: every point
+    composed through `compose_projection` and looked up by `index`, one
+    Fraction multiply-add per point and edge."""
+    import random
+
+    from cspcover.boolanalysis import (
+        TabulatedFunction,
+        all_degree_d_influences,
+        compose_projection,
+    )
+    from cspcover.labelcover import satisfied_fraction
+    from cspcover.reductions import T1DecodeResult, _incident_or_error
+
+    tau = Fraction(tau)
+    if tau <= 0:
+        raise PreconditionError("threshold must be positive")
+    d = int(d)
+    if d < 1:
+        raise PreconditionError("degree must be at least 1")
+    if not source.unique:
+        raise PreconditionError("source must have bijective projections")
+    rng = random.Random(seed)
+    L = source.nlabels_u
+    blocks = [(i, L + i) for i in range(L)]
+
+    def labels(f, threshold):
+        infl = all_degree_d_influences(f, d, blocks)
+        return [i for i in range(L) if infl[i] >= threshold]
+
+    labs_right = [labels(tables[v], tau / 2) for v in range(source.nv)]
+    labs_left = []
+    for u in range(source.nu):
+        eids = _incident_or_error(source, u)
+        dom = tables[source.edges[eids[0]].v].domain
+        acc = [Fraction(0)] * dom.size
+        share = Fraction(1, len(eids))
+        for e in eids:
+            edge = source.edges[e]
+            fw = tables[edge.v]
+            for p in range(dom.size):
+                composed = compose_projection(dom.point(p), edge.proj)
+                acc[p] += share * fw.values[fw.domain.index(composed)]
+        labs_left.append(labels(TabulatedFunction(dom, acc), tau))
+    left, right = (
+        [c[rng.randrange(len(c))] if c else 0 for c in labs]
+        for labs in (labs_left, labs_right)
+    )
+    labeling = Labeling(left, right)
+    return T1DecodeResult(
+        labeling,
+        satisfied_fraction(source, labeling),
+        [len(c) for c in labs_left],
+        [len(c) for c in labs_right],
+        Fraction(2 * d) / tau,
+    )
+
+
+def reference_decode_t2(tables, source, gamma, seed):
+    """decode_t2 on full Fraction `fourier` tables, scanning every mask."""
+    import random
+
+    from cspcover.boolanalysis import pi_tilde
+    from cspcover.csp import _bit_indices
+    from cspcover.labelcover import satisfied_fraction
+    from cspcover.reductions import (
+        T2DecodeResult,
+        _incident_or_error,
+        _spectral_pick,
+    )
+
+    gamma = Fraction(gamma)
+    if not Fraction(0) < gamma < 1:
+        raise PreconditionError("gamma must lie in (0, 1)")
+    rng = random.Random(seed)
+    R = source.nlabels_v
+    L = source.nlabels_u
+    rate = 1 - gamma
+    masses, spectra = _reference_fourier_masses(tables, source.nv, rate)
+    right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
+    left = []
+    for u in range(source.nu):
+        eids = _incident_or_error(source, u)
+        e = source.edges[eids[rng.randrange(len(eids))]]
+        j = _spectral_pick(rng, masses[e.v], R)
+        left.append(0 if j is None else e.proj[j])
+    labeling = Labeling(left, right)
+    value = satisfied_fraction(source, labeling)
+    rate2 = rate * rate
+
+    def edge_profile(eid):
+        proj = source.edges[eid].proj
+        fh = spectra[source.edges[eid].v]
+        prof = [Fraction(0)] * L
+        for mask, coeff in enumerate(fh.coefficients):
+            if not coeff or not mask:
+                continue
+            w = rate2 ** mask.bit_count() * coeff * coeff
+            for i in pi_tilde(_bit_indices(mask), proj):
+                prof[i] += w
+        return prof
+
+    profiles = {eid: edge_profile(eid) for eid in range(len(source.edges))}
+    expect = Fraction(0)
+    for u in range(source.nu):
+        eids = source.edges_at_u(u)
+        share = Fraction(1, source.nu) * Fraction(1, len(eids)) ** 2
+        for ev in eids:
+            for ew in eids:
+                expect += share * sum(
+                    (profiles[ev][i] * profiles[ew][i] for i in range(L)),
+                    Fraction(0),
+                )
+    return T2DecodeResult(labeling, value, gamma * gamma * expect, gamma)
+
+
+def reference_decode_t3(tables, source, seed):
+    """decode_t3 on full Fraction `fourier` tables."""
+    import random
+
+    from cspcover.boolanalysis import pi_tilde
+    from cspcover.csp import _bit_indices
+    from cspcover.labelcover import satisfied_fraction
+    from cspcover.reductions import (
+        T3DecodeResult,
+        _incident_or_error,
+        _sample_mask,
+        _spectral_pick,
+    )
+
+    rng = random.Random(seed)
+    R = source.nlabels_v
+    masses, _ = _reference_fourier_masses(tables, source.nv, 1)
+    left = []
+    for u in range(source.nu):
+        eids = _incident_or_error(source, u)
+        e = source.edges[eids[rng.randrange(len(eids))]]
+        mask = _sample_mask(rng, masses[e.v])
+        if not mask:
+            left.append(0)
+            continue
+        image = sorted(pi_tilde(_bit_indices(mask), e.proj))
+        left.append(image[rng.randrange(len(image))])
+    right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
+    labeling = Labeling(left, right)
+    return T3DecodeResult(labeling, satisfied_fraction(source, labeling))

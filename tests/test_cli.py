@@ -241,6 +241,19 @@ class TestExitCodes:
         assert err == "error: line 1: variable and constraint counts must " \
             "lie in [0, 16777216]\n"
 
+    def test_header_at_the_cap_without_constraints_exits_zero_at_once(
+        self, tmp_path, capsys
+    ):
+        # 2^24 declared variables and no constraint: the variables stay a
+        # range, so nothing is built per variable.
+        _, pred = triangle_files(tmp_path)
+        inst = write(tmp_path / "wide.csp", "2 2 16777216 0\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cover", inst, "--predicate", pred,
+                           "--budget", "10")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and value_of(out, "nu") == "0"
+
     def test_huge_game_header_exits_two_at_once(self, tmp_path, capsys):
         # 2 M + 2 M declared vertices and one edge: only touched vertices
         # get adjacency lists.

@@ -139,6 +139,37 @@ class TestCorrelatedSpace:
         assert sum(pm.values()) == 1
 
 
+class TestDropZeroAtoms:
+    def test_a_space_without_zero_atoms_comes_back_itself(self):
+        for sp in (IDENTICAL_BITS, bit_space(2, 0, 1, 3),
+                   t2_block_space(t2_params(Fraction(1, 4)))):
+            assert sp.drop_zero_atoms() is sp
+            assert MarkovOperator(sp).space is sp
+
+    def test_rho_and_commute_check_match_rebuilt_and_padded_spaces(self):
+        # A rebuilt copy of each space, and the space padded with zero-mass
+        # entries (a zero-marginal atom on each side), must give the very
+        # same rho and commute_check results as the space itself.
+        rng = random.Random(91)
+        for _ in range(10):
+            sp, other = random_block(rng), random_block(rng)
+            rebuilt = CorrelatedSpace(dict(sp.mu))
+            padded = CorrelatedSpace(
+                {**sp.mu, ((2,), (0,)): 0, ((1,), (2,)): 0})
+            dropped = padded.drop_zero_atoms()
+            assert dropped is not padded and dropped.mu == sp.mu
+            assert dropped.right_atoms == sp.right_atoms
+            rho = correlation_rho(sp)
+            assert correlation_rho(rebuilt) == rho == correlation_rho(padded)
+            pairs = {(la[0], ra[0]): w for (la, ra), w in sp.mu.items()}
+            assert abs(rho - oracles.rho_two_by_two(pairs)) <= 1e-8
+            g = random_right_function(rng, [sp, other])
+            res = commute_check([sp, other], g)
+            assert res == commute_check([rebuilt, other], g)
+            assert res == commute_check([padded, other], g)
+            assert res == oracles.commute_check_reference([padded, other], g)
+
+
 class TestConnectedness:
     def test_first_test_support_is_connected(self):
         atoms = t1_connect_atoms(2, 2, (0, 1))

@@ -117,6 +117,16 @@ class TestInstanceConstruction:
         )
         assert inst.var_index("b") == 1
 
+    def test_range_variables_are_kept_and_indexed_on_first_use(self):
+        inst = CspInstance(nae(2, 2), range(2, 5), [((0, 2), (0, 0), 1)])
+        assert inst.variables == range(2, 5) and inst.nvars == 3
+        assert inst._index is None
+        assert inst.var_index(4) == 2 and inst.var_index(2) == 0
+        with pytest.raises(KeyError):
+            inst.var_index(5)
+        with pytest.raises(PreconditionError, match="duplicate"):
+            CspInstance(nae(2, 2), [0, 1, 0], [])
+
 
 class TestCoversConstraint:
     def test_parity_one_satisfies_odd_parity(self):
