@@ -108,35 +108,46 @@ class ProductDomain(FrozenValue):
 
 
 class TabulatedFunction(FrozenValue):
-    """A function given by its full value table over a ProductDomain."""
+    """A function given by its full value table over a ProductDomain, held
+    as integer `numerators` over one `denominator` (not always in lowest
+    terms); the Fraction tuple `values` is built on first access, and kept."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ("domain", "numerators", "denominator", "_values")
     _key = attrgetter("domain", "values")
 
     def __init__(self, domain, values):
-        values = tuple(Fraction(v) for v in values)
+        values = [Fraction(v) for v in values]
         if len(values) != domain.size:
             raise PreconditionError(
                 "table has %d entries for a domain of %d points"
                 % (len(values), domain.size)
             )
-        self._fill(domain=domain, values=values)
+        nums, den = _scaled(values)
+        self._fill(domain=domain, numerators=tuple(nums), denominator=den,
+                   _values=None)
+
+    @property
+    def values(self):
+        if self._values is None:
+            den = self.denominator
+            self._fill(_values=tuple(Fraction(m, den) for m in self.numerators))
+        return self._values
 
     def __call__(self, point):
         return self.values[self.domain.index(point)]
 
     def expectation(self):
         weights, den = self.domain.point_weights()
-        ints, d = _scaled(self.values)
-        return Fraction(sum(map(mul, weights, ints)), den * d)
+        return Fraction(sum(map(mul, weights, self.numerators)),
+                        den * self.denominator)
 
     def inner(self, other):
         if self.domain != other.domain:
             raise PreconditionError("functions live on different domains")
         weights, den = self.domain.point_weights()
-        a, da = _scaled(self.values)
-        b, db = _scaled(other.values)
-        return Fraction(sum(map(mul, map(mul, weights, a), b)), den * da * db)
+        return Fraction(
+            sum(map(mul, map(mul, weights, self.numerators), other.numerators)),
+            den * self.denominator * other.denominator)
 
     def norm_sq(self):
         return self.inner(self)
@@ -146,7 +157,7 @@ class TabulatedFunction(FrozenValue):
         return self.norm_sq() - mean * mean
 
     def sup_norm(self):
-        return max(abs(v) for v in self.values)
+        return Fraction(max(map(abs, self.numerators)), self.denominator)
 
     def scale(self, c):
         c = Fraction(c)
@@ -167,7 +178,7 @@ class TabulatedFunction(FrozenValue):
         return self._pointwise(mul, other)
 
     def __repr__(self):
-        return "TabulatedFunction(%r, %d values)" % (self.domain, len(self.values))
+        return "TabulatedFunction(%r, %d values)" % (self.domain, self.domain.size)
 
 
 def _scaled(values):
@@ -256,9 +267,9 @@ def character(n, alpha):
     """chi_alpha as a +/-1 table on {0,1}^n uniform."""
     mask = _as_mask(alpha, n)
     dom = ProductDomain.binary_uniform(n)
-    return TabulatedFunction(
-        dom, (-1 if (x & mask).bit_count() % 2 else 1 for x in range(dom.size))
-    )
+    return TabulatedFunction._trusted(dom, tuple(
+        -1 if (x & mask).bit_count() % 2 else 1 for x in range(dom.size)
+    ), 1, None)
 
 
 def fourier(f):
@@ -266,10 +277,8 @@ def fourier(f):
     if not f.domain.is_binary_uniform():
         raise PreconditionError("fourier requires a binary uniform domain")
     n = f.domain.n
-    # Integer-scale so the butterfly runs over ints, then divide once.
-    ints, den = _scaled(f.values)
-    scale = den << n
-    return FourierTable(n, (Fraction(t, scale) for t in wht(ints)))
+    scale = f.denominator << n
+    return FourierTable(n, (Fraction(t, scale) for t in wht(f.numerators)))
 
 
 def noise(f, gamma):
@@ -373,13 +382,11 @@ def efron_stein(f, blocks=None):
     """
     domain = f.domain
     blocks = _normalize_blocks(domain, blocks)
-    ints, den = _scaled(f.values)
-    scale = den * domain.point_weights()[1]
-    tables = dict(_split(ints, domain, blocks))
+    scale = f.denominator * domain.point_weights()[1]
     components = {
         _members(m, len(blocks)): TabulatedFunction._trusted(
-            domain, tuple(Fraction(x, scale) for x in tables[m]))
-        for m in range(1 << len(blocks))
+            domain, tuple(t), scale, None)
+        for m, t in sorted(_split(f.numerators, domain, blocks))
     }
     return EfronSteinDecomposition(domain, blocks, components)
 
@@ -390,10 +397,9 @@ def _influences(f, blocks, d=None):
     None)."""
     blocks = _normalize_blocks(f.domain, blocks)
     weights, wden = f.domain.point_weights()
-    ints, den = _scaled(f.values)
-    scale = den * wden
+    scale = f.denominator * wden
     out = [0] * len(blocks)
-    for m, t in _split(ints, f.domain, blocks):
+    for m, t in _split(f.numerators, f.domain, blocks):
         members = _members(m, len(blocks))
         if d is None or len(members) <= d:
             nsq = sum(map(mul, map(mul, weights, t), t))
@@ -431,7 +437,7 @@ def influence_variance(f, i, blocks=None):
     domain = f.domain
     blocks = _normalize_blocks(domain, blocks)
     i = _block_index(i, len(blocks))
-    mean, den = _scaled(f.values)
+    mean, den = f.numerators, f.denominator
     meansq, scale = [x * x for x in mean], 1
     for coord in blocks[i]:
         weights, d = _scaled(domain.measures[coord])

@@ -359,21 +359,18 @@ def cmd_decode(args, em):
         if args.tau is None or args.d is None:
             raise PreconditionError("t1 decoding needs --tau and --d")
         res = reductions.decode_t1(tables, source, args.tau, args.d, args.seed)
-        em.emit("value", res.value)
-        em.emit("labeling", _labeling_line(res.labeling))
-        em.emit("size-bound", res.size_bound)
-        em.emit("sizes-ok", res.sizes_ok)
+        extra = (("size-bound", res.size_bound), ("sizes-ok", res.sizes_ok))
     elif args.test == "t2":
         if args.gamma is None:
             raise PreconditionError("t2 decoding needs --gamma")
         res = reductions.decode_t2(tables, source, args.gamma, args.seed)
-        em.emit("value", res.value)
-        em.emit("labeling", _labeling_line(res.labeling))
-        em.emit("expected-value-bound", res.expected_value_bound)
+        extra = (("expected-value-bound", res.expected_value_bound),)
     else:
-        res = reductions.decode_t3(tables, source, args.seed)
-        em.emit("value", res.value)
-        em.emit("labeling", _labeling_line(res.labeling))
+        res, extra = reductions.decode_t3(tables, source, args.seed), ()
+    em.emit("value", res.value)
+    em.emit("labeling", _labeling_line(res.labeling))
+    for key, value in extra:
+        em.emit(key, value)
     if args.out:
         _write(args.out, textio.format_labelings([res.labeling]))
     return 0
@@ -555,8 +552,7 @@ def main(argv=None):
     em = Emitter(args.format, sys.stdout)
     try:
         _echo_params(args, em)
-        rc = args.func(args, em)
-        return 0 if rc is None else rc
+        return args.func(args, em)
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -300,9 +300,9 @@ def markov_apply_blocks(blocks, g):
     """
     blocks = _checked_blocks(blocks, g)
     vals, den = _apply_blocks([_block_matrix(b) for b in blocks],
-                              *_scaled(g.values))
+                              g.numerators, g.denominator)
     return TabulatedFunction._trusted(_blocks_domain(blocks, "left"),
-                                      tuple(Fraction(v, den) for v in vals))
+                                      tuple(vals), den, None)
 
 
 def _contract_coordinate(vals, sizes, j, matrix):
@@ -350,15 +350,14 @@ def commute_check(blocks, g):
     """
     blocks = _checked_blocks(blocks, g)
     matrices = [_block_matrix(b) for b in blocks]
-    ints, den = _scaled(g.values)
-    ug, uden = _apply_blocks(matrices, ints, den)
+    ug, uden = _apply_blocks(matrices, g.numerators, g.denominator)
     singles = [(b,) for b in range(len(blocks))]
     left = _blocks_domain(blocks, "left")
     # _split scales each component by its domain's measure denominators.
     lscale, rscale = left.point_weights()[1], g.domain.point_weights()[1]
     lhs = dict(_split(ug, left, singles))
     worst = max(abs(a * rscale - b * lscale)
-                for mask, comp in _split(ints, g.domain, singles)
+                for mask, comp in _split(g.numerators, g.domain, singles)
                 for a, b in zip(lhs[mask], _apply_blocks(matrices, comp)[0]))
     worst = float(Fraction(worst, uden * lscale * rscale))
     return CommuteResult(worst <= 1e-9, worst)
@@ -405,7 +404,7 @@ def _expectation(measure, k, nblocks, indexes, tables):
     """
     atoms = [a for a, w in measure.items() if w > 0]
     weights, den = _scaled([measure[a] for a in atoms])
-    den = den ** nblocks * math.prod(d ** k for _ints, d in tables)
+    den = den ** nblocks * math.prod(t.denominator ** k for t in tables)
     rows = [tuple(tuple(index[part[r]] for part, index in zip(atom, indexes))
                   for r in range(k)) for atom in atoms]
     # Per column but the last, each atom's weight and flat row offsets,
@@ -422,7 +421,7 @@ def _expectation(measure, k, nblocks, indexes, tables):
 
     @functools.cache
     def factors(us):
-        return {x_r: math.prod(ints[u + x * s] for (ints, _d), u, x, s
+        return {x_r: math.prod(t.numerators[u + x * s] for t, u, x, s
                                in zip(tables, us, x_r, scales))
                 for x_r in symbols}
 
@@ -497,11 +496,10 @@ def invariance_gap(space, nblocks, f, g, budget=None):
         sum(1 for w in m.values() if w > 0) ** nblocks
         for m in (space.mu, left, right)
     ))
-    f_ints, g_ints = _scaled(f.values), _scaled(g.values)
     coupled = _expectation(space.mu, k, nblocks, (left_index, right_index),
-                           (f_ints, g_ints))
-    left_only = _expectation(left, k, nblocks, (left_index,), (f_ints,))
-    right_only = _expectation(right, k, nblocks, (right_index,), (g_ints,))
+                           (f, g))
+    left_only = _expectation(left, k, nblocks, (left_index,), (f,))
+    right_only = _expectation(right, k, nblocks, (right_index,), (g,))
     gap = abs(coupled - left_only * right_only)
     inf_f = all_influences(f)
     inf_g = all_influences(g)

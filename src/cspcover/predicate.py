@@ -71,10 +71,7 @@ def all_tuples(q, k):
 
 def is_odd(p):
     """True iff every x in [q]^k has some constant translate x + a inside p."""
-    for x in all_tuples(p.q, p.k):
-        if not any(add_tuples(x, constant_tuple(a, p.k), p.q) in p for a in range(p.q)):
-            return False
-    return True
+    return find_non_odd_witness(p) is None
 
 
 def find_non_odd_witness(p):

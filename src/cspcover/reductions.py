@@ -617,23 +617,26 @@ def _spectral_pick(rng, masses, R):
     return j if j < R else j - R
 
 
-def _fourier_masses(tables, nv, rate):
+def _fourier_masses(tables, nv, R, rate):
     """Per right vertex, its masks beside the float running sums of their
     masses rate^|mask| * coefficient^2, and the nonzero Fourier coefficients
     of its table in the +/-1 convention as a sparse {mask: Fraction} map,
     both read off one integer transform."""
     masses, spectra = {}, {}
     for v in range(nv):
-        signs, den = boolanalysis._scaled(tables[v].values)
-        if den == 1 and set(signs) <= {0, 1}:
-            signs = [1 - 2 * x for x in signs]
-        elif den != 1 or not set(signs) <= {-1, 1}:
+        f = tables[v]
+        nums, den = f.numerators, f.denominator
+        sign = {0: 1, den: -1} if set(nums) <= {0, den} else {-den: -1, den: 1}
+        if not set(nums) <= sign.keys():
             raise PreconditionError("table values must be bits or signs")
-        if not tables[v].domain.is_binary_uniform():
+        if not f.domain.is_binary_uniform():
             raise PreconditionError("fourier requires a binary uniform domain")
+        if f.domain.n != 2 * R:
+            raise PreconditionError(
+                "table has %d coordinates, not 2R = %d" % (f.domain.n, 2 * R))
         coeffs = spectra[v] = {
-            m: Fraction(c, len(signs))
-            for m, c in enumerate(boolanalysis.wht(signs)) if c
+            m: Fraction(c, len(nums))
+            for m, c in enumerate(boolanalysis.wht(map(sign.get, nums))) if c
         }
         masses[v] = list(coeffs), list(itertools.accumulate(
             float(rate ** m.bit_count() * c * c) for m, c in coeffs.items()
@@ -694,20 +697,20 @@ def decode_t1(tables, source, tau, d, seed):
         return [i for i in range(L) if infl[i] >= threshold]
 
     labs_right = [labels(tables[v], tau / 2) for v in range(source.nv)]
-    scaled = [boolanalysis._scaled(tables[v].values) for v in range(source.nv)]
     labs_left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
         dom = tables[source.edges[eids[0]].v].domain
         edges = [source.edges[e] for e in eids]
-        den = math.lcm(*(scaled[e.v][1] for e in edges))
+        den = math.lcm(*(tables[e.v].denominator for e in edges))
         acc = [0] * dom.size
         for e in edges:
-            idx = _index_map(dom, e.proj, tables[e.v].domain)
-            ints, scale = scaled[e.v]
-            acc = [a + den // scale * ints[i] for a, i in zip(acc, idx)]
+            f = tables[e.v]
+            idx = _index_map(dom, e.proj, f.domain)
+            share, nums = den // f.denominator, f.numerators
+            acc = [a + share * nums[i] for a, i in zip(acc, idx)]
         labs_left.append(labels(boolanalysis.TabulatedFunction._trusted(
-            dom, tuple(Fraction(a, den * len(eids)) for a in acc)), tau))
+            dom, tuple(acc), den * len(eids), None), tau))
     left, right = (
         [c[rng.randrange(len(c))] if c else 0 for c in labs]
         for labs in (labs_left, labs_right)
@@ -749,7 +752,7 @@ def decode_t2(tables, source, gamma, seed):
     R = source.nlabels_v
     L = source.nlabels_u
     rate = 1 - gamma
-    masses, spectra = _fourier_masses(tables, source.nv, rate)
+    masses, spectra = _fourier_masses(tables, source.nv, R, rate)
     right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     left = []
     for u in range(source.nu):
@@ -803,7 +806,7 @@ def decode_t3(tables, source, seed):
     """
     rng = random.Random(seed)
     R = source.nlabels_v
-    masses, _ = _fourier_masses(tables, source.nv, 1)
+    masses, _ = _fourier_masses(tables, source.nv, R, 1)
     left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
@@ -980,9 +983,9 @@ def _dictator_tables(source, labeling, q, offset):
     right = _as_labeling(labeling).right
     dom = boolanalysis.ProductDomain((q,) * (2 * source.nlabels_v))
     return {
-        v: boolanalysis.TabulatedFunction(
-            dom, (dom.point(p)[offset + right[v]] for p in range(dom.size))
-        )
+        v: boolanalysis.TabulatedFunction._trusted(dom, tuple(
+            dom.point(p)[offset + right[v]] for p in range(dom.size)
+        ), 1, None)
         for v in range(source.nv)
     }
 

@@ -616,6 +616,16 @@ def commute_check_reference(blocks, g):
     return CommuteResult(float(worst) <= 1e-9, float(worst))
 
 
+def unreduced(f, c):
+    """f as the library may hold it: numerators and denominator both c times
+    those the constructor gives, so not in lowest terms, and `values` not
+    yet built."""
+    from cspcover.boolanalysis import TabulatedFunction
+
+    return TabulatedFunction._trusted(
+        f.domain, tuple(c * x for x in f.numerators), c * f.denominator, None)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise decoders: the Fraction-table paths `reductions` replaced
 
@@ -632,15 +642,18 @@ def _reference_pm_values(f):
     raise PreconditionError("table values must be bits or signs")
 
 
-def _reference_fourier_masses(tables, nv, rate):
+def _reference_fourier_masses(tables, nv, R, rate):
     """Per right vertex, the masks with a nonzero coefficient in its full
     `fourier` table beside the float running sums of their masses, and the
-    table itself."""
+    table itself; a table must have 2R coordinates."""
     from cspcover.boolanalysis import fourier
 
     masses, spectra = {}, {}
     for v in range(nv):
         fh = spectra[v] = fourier(_reference_pm_values(tables[v]))
+        if fh.n != 2 * R:
+            raise PreconditionError(
+                "table has %d coordinates, not 2R = %d" % (fh.n, 2 * R))
         masks = [mask for mask, coeff in enumerate(fh.coefficients) if coeff]
         masses[v] = masks, list(itertools.accumulate(
             float(Fraction(rate) ** m.bit_count() * fh.coefficients[m] ** 2)
@@ -727,7 +740,7 @@ def reference_decode_t2(tables, source, gamma, seed):
     R = source.nlabels_v
     L = source.nlabels_u
     rate = 1 - gamma
-    masses, spectra = _reference_fourier_masses(tables, source.nv, rate)
+    masses, spectra = _reference_fourier_masses(tables, source.nv, R, rate)
     right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     left = []
     for u in range(source.nu):
@@ -781,7 +794,7 @@ def reference_decode_t3(tables, source, seed):
 
     rng = random.Random(seed)
     R = source.nlabels_v
-    masses, _ = _reference_fourier_masses(tables, source.nv, 1)
+    masses, _ = _reference_fourier_masses(tables, source.nv, R, 1)
     left = []
     for u in range(source.nu):
         eids = _incident_or_error(source, u)

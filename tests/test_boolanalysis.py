@@ -447,7 +447,8 @@ class TestFourierTableType:
 @st.composite
 def grouped_tables(draw):
     """A rational table on a random product domain (sizes 1-3, nonnegative
-    integer masses, some zero) with a random grouping into blocks."""
+    integer masses, some zero) with a random grouping into blocks; its
+    numerators and denominator may share a factor."""
     n = draw(st.integers(1, 4))
     sizes = [draw(st.integers(1, 3)) for _ in range(n)]
     measures = []
@@ -465,7 +466,8 @@ def grouped_tables(draw):
     order = draw(st.permutations(range(n)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
     blocks = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-    return TabulatedFunction(ProductDomain(sizes, measures), values), blocks
+    f = TabulatedFunction(ProductDomain(sizes, measures), values)
+    return oracles.unreduced(f, draw(st.integers(1, 3))), blocks
 
 
 class TestSplitAgainstMoebius:

@@ -941,6 +941,23 @@ class TestDecodeCommand:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("table", ["0110100110010110", "0101010101010101"])
+    @pytest.mark.parametrize("test", ["t2", "t3"])
+    def test_decode_refuses_tables_wider_than_2r(self, tmp_path, capsys,
+                                                 test, table):
+        # One edge with R = 1, and a parity or a dictator table on four
+        # coordinates instead of two.
+        game = write(tmp_path / "game.lc", "1 1 1 1 1\n0 0 0\n")
+        tables = write(tmp_path / "wide.txt", "1 16 2\n0 %s\n" % table)
+        flags = ["--gamma", "1/8"] if test == "t2" else []
+        for seed in range(4):
+            code, out, err = run(
+                capsys, "decode", test, "--source", game, "--tables", tables,
+                *flags, "--seed", str(seed),
+            )
+            assert code == 3 and "labeling" not in out
+            assert err == "error: table has 4 coordinates, not 2R = 2\n"
+
 
 class TestScriptEntryPoint:
     def test_module_execution_matches_in_process_run(self, tmp_path):

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cspcover import (
     Budget,
@@ -19,10 +20,13 @@ from cspcover import (
     ProductDomain,
     T2Params,
     TabulatedFunction,
+    all_influences,
     blocks_right_domain,
     commute_check,
     correlation_rho,
     efron_stein,
+    fourier,
+    influence_variance,
     invariance_gap,
     is_connected,
     lin,
@@ -300,6 +304,49 @@ class TestMarkovOperator:
         g = TabulatedFunction(ProductDomain.binary_uniform(1), [1, -1])
         with pytest.raises(PreconditionError):
             markov_apply_blocks(blocks, g)
+
+
+@st.composite
+def block_tables(draw):
+    """1-3 positive bit blocks, with uniform right marginals (a binary
+    uniform domain) or random ones, and a rational table on their right
+    product domain; also whether the marginals are uniform."""
+    uniform = draw(st.booleans())
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c, d = (draw(st.integers(1, 6)) for _ in range(4))
+        blocks.append(bit_space(a, b, b, a) if uniform
+                      else bit_space(a, b, c, d))
+    dom = blocks_right_domain(blocks)
+    values = draw(st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        min_size=dom.size, max_size=dom.size))
+    return blocks, TabulatedFunction(dom, values), uniform
+
+
+class TestUnreducedTables:
+    """A table whose numerators and denominator share a factor, as the
+    library's own producers may hold it, is the same table."""
+
+    @given(block_tables(), st.integers(2, 9))
+    def test_a_scaled_twin_gives_identical_results(self, case, c):
+        blocks, f, uniform = case
+        twin = oracles.unreduced(f, c)
+        assert twin.denominator == c * f.denominator
+        assert twin == f and hash(twin) == hash(f)
+        assert twin.values == f.values
+        assert twin.expectation() == f.expectation()
+        assert twin.inner(f) == f.inner(twin) == f.inner(f)
+        assert twin.sup_norm() == f.sup_norm()
+        if uniform:
+            assert fourier(twin).coefficients == fourier(f).coefficients
+        assert efron_stein(twin).components == efron_stein(f).components
+        assert all_influences(twin) == all_influences(f)
+        for i in range(len(blocks)):
+            assert influence_variance(twin, i) == influence_variance(f, i)
+        assert markov_apply_blocks(blocks, twin) == \
+            markov_apply_blocks(blocks, f)
+        assert commute_check(blocks, twin) == commute_check(blocks, f)
 
 
 class TestCommutation:
@@ -582,6 +629,8 @@ class TestInvarianceGapAgainstReference:
                                          for _ in range(fdom.size)])
             g = TabulatedFunction(gdom, [rng.choice(GAP_VALUES)
                                          for _ in range(gdom.size)])
+            if case % 4 == 1:  # tables not in lowest terms
+                f, g = oracles.unreduced(f, 6), oracles.unreduced(g, 4)
             assert_matches_reference(sp, nblocks, f, g)
 
     @pytest.mark.parametrize("natoms, nblocks",

@@ -6,7 +6,7 @@
 table; the oracles compose every point through `compose_projection` and
 build full `fourier` tables. Both must give the same labeling, value, set
 sizes and bounds, and refuse the same inputs with the same exception, the
-first faulty table first.
+first faulty table first, also when a table is not in lowest terms.
 """
 
 import random
@@ -74,23 +74,34 @@ def binary_tables(g, signs, rng):
     ]) for v in range(g.nv)}
 
 
+def unreduced(tables, c):
+    return {v: oracles.unreduced(f, c) for v, f in tables.items()}
+
+
+# Tables are also decoded as the library may hold them, numerators and
+# denominator scaled by a common factor; the result must not change.
+SCALES = st.integers(1, 4)
+
+
 @given(unique_games(), st.sampled_from([2, 3]), SEEDS, SEEDS,
        st.sampled_from([Fraction(1, 16), Fraction(1, 4), Fraction(1, 2)]),
-       st.integers(1, 3))
-def test_decode_t1_matches_oracle(g, q, table_seed, seed, tau, d):
+       st.integers(1, 3), SCALES)
+def test_decode_t1_matches_oracle(g, q, table_seed, seed, tau, d, c):
     tables = rational_tables(g, q, random.Random(table_seed))
     want = outcome(oracles.reference_decode_t1, tables, g, tau, d, seed)
     assert want[0] is not PreconditionError
-    assert outcome(decode_t1, tables, g, tau, d, seed) == want
+    assert outcome(decode_t1, unreduced(tables, c), g, tau, d, seed) == want
 
 
 @given(unique_games(), st.booleans(), SEEDS, SEEDS,
-       st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(7, 8)]))
-def test_decode_t2_t3_match_oracle(g, signs, table_seed, seed, gamma):
+       st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(7, 8)]),
+       SCALES)
+def test_decode_t2_t3_match_oracle(g, signs, table_seed, seed, gamma, c):
     tables = binary_tables(g, signs, random.Random(table_seed))
-    assert (outcome(decode_t2, tables, g, gamma, seed)
+    twins = unreduced(tables, c)
+    assert (outcome(decode_t2, twins, g, gamma, seed)
             == outcome(oracles.reference_decode_t2, tables, g, gamma, seed))
-    assert (outcome(decode_t3, tables, g, seed)
+    assert (outcome(decode_t3, twins, g, seed)
             == outcome(oracles.reference_decode_t3, tables, g, seed))
 
 
@@ -122,20 +133,22 @@ def faulty_tables(g, faults, rng, q=2):
     return out
 
 
-@given(unique_games(), st.data(), SEEDS, SEEDS)
-def test_refusals_match_oracle(g, data, table_seed, seed):
+@given(unique_games(), st.data(), SEEDS, SEEDS, SCALES)
+def test_refusals_match_oracle(g, data, table_seed, seed, c):
     faults = data.draw(st.lists(FAULTS, min_size=g.nv, max_size=g.nv))
     rng = random.Random(table_seed)
     for q in (2, 3):
         tables = faulty_tables(g, faults, rng, q)
-        got = outcome(decode_t1, tables, g, Fraction(1, 4), 2, seed)
+        got = outcome(decode_t1, unreduced(tables, c), g, Fraction(1, 4), 2,
+                      seed)
         assert got == outcome(oracles.reference_decode_t1, tables, g,
                               Fraction(1, 4), 2, seed)
     tables = faulty_tables(g, faults, rng)
-    assert (outcome(decode_t2, tables, g, Fraction(1, 4), seed)
+    twins = unreduced(tables, c)
+    assert (outcome(decode_t2, twins, g, Fraction(1, 4), seed)
             == outcome(oracles.reference_decode_t2, tables, g, Fraction(1, 4),
                        seed))
-    assert (outcome(decode_t3, tables, g, seed)
+    assert (outcome(decode_t3, twins, g, seed)
             == outcome(oracles.reference_decode_t3, tables, g, seed))
 
 
@@ -153,6 +166,8 @@ def two_edge_game():
     (("twos", "none"), "23", "table values must be bits or signs"),
     (("skewed", "twos"), "23", "fourier requires a binary uniform domain"),
     (("twos", "skewed"), "23", "table values must be bits or signs"),
+    (("none", "wider"), "23", "table has 5 coordinates, not 2R = 4"),
+    (("narrower", "none"), "23", "table has 3 coordinates, not 2R = 4"),
 ])
 def test_refusals_are_the_oracles(faults, decoders, message):
     g = two_edge_game()
