@@ -321,8 +321,13 @@ class EfronSteinDecomposition(Frozen):
         return self.components[frozenset(beta)]
 
     def total(self):
-        tables = (comp.values for comp in self.components.values())
-        return TabulatedFunction(self.domain, map(sum, zip(*tables)))
+        """The components' sum, as integers over their common denominator."""
+        comps = self.components.values()
+        den = math.lcm(*(c.denominator for c in comps))
+        tables = ([m * (den // c.denominator) for m in c.numerators]
+                  for c in comps)
+        return TabulatedFunction._trusted(
+            self.domain, tuple(map(sum, zip(*tables))), den, None)
 
     def __repr__(self):
         return "EfronSteinDecomposition(%d blocks)" % len(self.blocks)

@@ -146,43 +146,49 @@ def max_satisfiable(g, budget=None):
 
 
 def _class_labeling(g, cls, budget):
-    """A labeling that satisfies every edge at the left vertices of `cls`, or
-    None: the first in lexicographic order of their labels, each right vertex
-    taking its least label consistent with the class edges there."""
-    members = set(cls)
-    at_v = [[(g.edges[i].proj, g.edges[i].u) for i in g.edges_at_v(v)
-             if g.edges[i].u in members] for v in range(g.nv)]
+    """Left and right labels, as {vertex: label} dicts, that satisfy every
+    edge at the left vertices of `cls`, or None: the first in lexicographic
+    order of their labels, each right vertex with class edges taking its
+    least label consistent with them. Only vertices with class edges are
+    walked."""
+    at_v = {}
+    for u in cls:
+        for i in g.edges_at_u(u):
+            at_v.setdefault(g.edges[i].v, []).append((g.edges[i].proj, u))
+    at_v = sorted(at_v.items())
     for choice in itertools.product(range(g.nlabels_u), repeat=len(cls)):
         budget.spend()
         want = dict(zip(cls, choice))
-        right = []
-        for pairs in at_v:
-            if not pairs:
-                right.append(0)
-                continue
+        right = {}
+        for v, pairs in at_v:
             for r in range(g.nlabels_v):
                 budget.spend()
                 if all(proj[r] == want[u] for proj, u in pairs):
-                    right.append(r)
+                    right[v] = r
                     break
             else:
                 break
         else:
-            left = [0] * g.nu
-            for u, x in want.items():
-                left[u] = x
-            return Labeling(left, right)
+            return want, right
     return None
+
+
+def _labeling(g, left, right):
+    """The labeling with the given {vertex: label} labels, 0 elsewhere."""
+    return Labeling([left.get(u, 0) for u in range(g.nu)],
+                    [right.get(v, 0) for v in range(g.nv)])
 
 
 def is_c_coverable(g, c, budget=None):
     """c labelings such that each left vertex has one satisfying all its
-    edges, or None if no such family exists. Exact.
+    edges, or None if no such family exists. Exact. Only vertices with edges
+    are searched; the c * (nu + nv) labels of the answer are charged to the
+    budget before they are built.
     """
     budget = as_budget(budget)
     if c < 1:
         raise PreconditionError("c must be at least 1")
-    active = [u for u in range(g.nu) if g.edges_at_u(u)]
+    active = sorted(g._adj_u)
     # Partition the active left vertices into at most c classes, one
     # restricted-growth string at a time in lexicographic order (so no
     # partition comes twice under renaming), and search each class alone.
@@ -194,15 +200,16 @@ def is_c_coverable(g, c, budget=None):
         classes = [[] for _ in range(max(rgs, default=-1) + 1)]
         for u, k in zip(active, rgs):
             classes[k].append(u)
-        labelings = []
+        found = []
         for cls in classes:
-            lab = _class_labeling(g, cls, budget)
-            if lab is None:
+            labels = _class_labeling(g, cls, budget)
+            if labels is None:
                 break
-            labelings.append(lab)
+            found.append(labels)
         else:
-            pad = (labelings[-1] if labelings
-                   else Labeling([0] * g.nu, [0] * g.nv))
+            budget.spend(c * (g.nu + g.nv))
+            labelings = [_labeling(g, *labels) for labels in found]
+            pad = labelings[-1] if labelings else _labeling(g, {}, {})
             return labelings + [pad] * (c - len(labelings))
         i = n - 1
         while i > 0 and (rgs[i] == c - 1 or rgs[i] > peak[i]):

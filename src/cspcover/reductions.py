@@ -15,7 +15,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -45,8 +44,8 @@ from .labelcover import (
 from .predicate import lin, nae, translate_orbit
 
 # Executed on first use: only the t2 block spaces need `correlated`, and only
-# the first and third tests, the decoders and the dictator tables need
-# `boolanalysis`, so a t2 instance is built without either.
+# the decoders and the dictator tables need `boolanalysis`, so no generator,
+# sampler or witness executes `boolanalysis`.
 boolanalysis = _lazy("boolanalysis")
 correlated = _lazy("correlated")
 
@@ -173,6 +172,19 @@ def _grid_variables(g, q, width):
     check_table_size(q**width)
     points = [x[::-1] for x in itertools.product(range(q), repeat=width)]
     return [(v, x) for v in range(g.nv) for x in points]
+
+
+def _lift_places(proj, L, places):
+    """Per coordinate of a length-2L string, the sum of `places` over the
+    positions of its lift through proj that read it: position j reads
+    coordinate proj[j] and position R + j reads L + proj[j], R = len(proj).
+    The lifted point's index is the dot product of the string with it."""
+    R = len(proj)
+    out = [0] * (2 * L)
+    for j, i in enumerate(proj):
+        out[i] += places[j]
+        out[L + i] += places[R + j]
+    return out
 
 
 def _incident_or_error(g, u):
@@ -328,20 +340,19 @@ def _t1(params):
     """The first test: k edges at the left vertex and one column pair of S
     per left label; edge j queries the point read off row j of the columns."""
     g, pred = params.source, params.predicate
-    q, R = pred.q, g.nlabels_v
+    q, L, R = pred.q, g.nlabels_u, g.nlabels_v
     S = t1_column_support(q, pred.k, params.a)
-    picks = (_uniform(len(S)),) * g.nlabels_u
+    picks = (_uniform(len(S)),) * L
     # Point indices over [q]^2R, coordinate 0 lowest, as `_grid_variables`.
-    npoints, places = q ** (2 * R), [q ** i for i in range(2 * R)]
+    places = [q ** i for i in range(2 * R)]
+    lifts = [(e.v * q ** (2 * R), _lift_places(e.proj, L, places))
+             for e in g.edges]
 
     def query(combo, spick):
-        vars_ = []
-        for j, e in enumerate(combo):
-            x = tuple(S[s][0][j] for s in spick) + tuple(S[s][1][j] for s in spick)
-            edge = g.edges[e]
-            point = boolanalysis.compose_projection(x, edge.proj)
-            vars_.append(edge.v * npoints + sum(map(operator.mul, point, places)))
-        return tuple(vars_)
+        cols = [S[s][0] for s in spick] + [S[s][1] for s in spick]
+        return tuple(
+            base + sum(col[j] * m for col, m in zip(cols, lift))
+            for j, (base, lift) in enumerate(lifts[e] for e in combo))
 
     return _Test(g, pred.k, None, picks, query, pred, (0,) * pred.k)
 
@@ -645,16 +656,16 @@ def _fourier_masses(tables, nv, R, rate):
 
 
 def _index_map(dom, proj, fdom):
-    """The index in fdom of compose_projection(dom.point(p), proj) for every
-    index p of dom, built one coordinate at a time: each coordinate adds its
-    value times the fdom strides of the positions that read it."""
-    reads = [*proj, *(dom.n // 2 + i for i in proj)]
-    if any(dom.sizes[c] > s for c, s in zip(reads, fdom.sizes)):
+    """The index in fdom of the lift of dom.point(p) through proj for every
+    index p of dom, built one coordinate at a time."""
+    L, R = dom.n // 2, len(proj)
+    if any(dom.sizes[i] > fdom.sizes[j] or dom.sizes[L + i] > fdom.sizes[R + j]
+           for j, i in enumerate(proj)):
         raise PreconditionError("point coordinate out of range")
     out = [0]
-    for c, s in enumerate(dom.sizes):
-        stride = sum(fdom.stride(pos) for pos, r in enumerate(reads) if r == c)
-        out = [i + x * stride for x in range(s) for i in out]
+    strides = [fdom.stride(j) for j in range(2 * R)]
+    for s, place in zip(dom.sizes, _lift_places(proj, L, strides)):
+        out = [i + x * place for x in range(s) for i in out]
     return out
 
 
@@ -826,16 +837,38 @@ def decode_t3(tables, source, seed):
 # Test 3
 
 
-def _flips(base, support):
-    """base with each subset of the support positions flipped, one tuple per
-    subset; all distinct."""
-    out = []
-    for zbits in itertools.product((0, 1), repeat=len(support)):
-        flipped = list(base)
-        for j, b in zip(support, zbits):
-            flipped[j] ^= b
-        out.append(tuple(flipped))
-    return out
+def _t3_offsets(g, ev, ew, eps, budget):
+    """The offset pairs of the edge pair (ev, ew) as index pairs into [2]^2R,
+    coordinate j at bit j, with integer weights over one denominator:
+    (sorted (index pair, numerator) items, denominator). One budget unit per
+    noise case of nonzero weight and left string y."""
+    budget = as_budget(budget)
+    L, R = g.nlabels_u, g.nlabels_v
+    bits = [1 << j for j in range(2 * R)]
+    lifts = [_lift_places(g.edges[e].proj, L, bits) for e in (ev, ew)]
+    lifted = [[sum(itertools.compress(lift, y)) for lift in lifts]
+              for y in itertools.product((0, 1), repeat=2 * L)]
+    e, E = eps.numerator, eps.denominator
+    out = {}
+    for cases in itertools.product(range(3), repeat=L):
+        wc = math.prod((E - 2 * e, e, e)[c] for c in cases)
+        if not wc:
+            continue
+        # The noise mask of both edges: label i is refreshed in the plain
+        # half (case 1), in the shifted half (case 2), or kept (case 0). Each
+        # offset flips every subset of the mask's lift through its edge.
+        eta = [c == 1 for c in cases] + [c == 2 for c in cases]
+        sups = [sum(itertools.compress(lift, eta)) for lift in lifts]
+        w = wc << 4 * R - sum(m.bit_count() for m in sups)
+        flips = [[m for m in range(s + 1) if m & s == m] for s in sups]
+        for y in lifted:
+            budget.spend()
+            for key in itertools.product(
+                    *([b ^ m for m in f] for b, f in zip(y, flips))):
+                out[key] = out.get(key, 0) + w
+    text = "{:0%db}" % (2 * R)  # sorted as bit tuples, coordinate 0 first
+    return sorted(out.items(), key=lambda item: [
+        text.format(m)[::-1] for m in item[0]]), E ** L << 2 * L + 4 * R
 
 
 def t3_delta_table(g, ev, ew, eps, budget=None):
@@ -845,60 +878,26 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
     these offsets; enumerating them directly keeps the support small because
     the masked randomness only matters where the noise mask is set.
     """
-    budget = as_budget(budget)
-    compose = boolanalysis.compose_projection
-    L = g.nlabels_u
-    pv = g.edges[ev].proj
-    pw = g.edges[ew].proj
-    eps = Fraction(eps)
-    case_weights = (1 - 2 * eps, eps, eps)
-    out = {}
-    for cases in itertools.product(range(3), repeat=L):
-        wc = Fraction(1)
-        for c in cases:
-            wc *= case_weights[c]
-        if not wc:
-            continue
-        # The noise mask of both edges: label i is refreshed in the plain
-        # half (case 1), in the shifted half (case 2), or kept (case 0).
-        eta = [0] * (2 * L)
-        for i, c in enumerate(cases):
-            if c:
-                eta[(c - 1) * L + i] = 1
-        sup_v, sup_w = (
-            [j for j, b in enumerate(compose(tuple(eta), p)) if b]
-            for p in (pv, pw)
-        )
-        w = wc * Fraction(1, 2 ** (2 * L + len(sup_v) + len(sup_w)))
-        for y in itertools.product((0, 1), repeat=2 * L):
-            budget.spend()
-            deltas_w = _flips(compose(y, pw), sup_w)
-            for dv in _flips(compose(y, pv), sup_v):
-                for dw in deltas_w:
-                    out[(dv, dw)] = out.get((dv, dw), Fraction(0)) + w
-    return dict(sorted(out.items()))
+    items, den = _t3_offsets(g, ev, ew, Fraction(eps), budget)
+    bits = range(2 * g.nlabels_v)
+    return {tuple(tuple(m >> j & 1 for j in bits) for m in pair):
+            Fraction(w, den) for pair, w in items}
 
 
 def _t3(params):
     """The third test: an edge pair at the left vertex, one offset pair of
-    `t3_delta_table` and two uniform points x, x'; it queries x and x plus
-    the first offset at the first edge's right endpoint, x' and x' plus the
+    `_t3_offsets` and two uniform points x, x'; it queries x and x plus the
+    first offset at the first edge's right endpoint, x' and x' plus the
     second at the second's. Points and offsets are indices into [2]^2R, so
     adding an offset is XOR of indices."""
     g = params.source
     R = g.nlabels_v
-    dom = boolanalysis.ProductDomain((2,) * (2 * R))
-    point = _uniform(dom.size, lambda rng: dom.index(
-        tuple(rng.randrange(2) for _ in range(2 * R))
-    ))
+    check_table_size(1 << 2 * R)
+    point = _uniform(1 << 2 * R, lambda rng: sum(
+        rng.randrange(2) << j for j in range(2 * R)))
 
     def offsets(edges, budget):
-        table = t3_delta_table(g, *edges, params.eps, budget)
-        ints, den = boolanalysis._scaled(table.values())
-        return _weighted([
-            ((dom.index(dv), dom.index(dw)), w)
-            for (dv, dw), w in zip(table, ints)
-        ], den)
+        return _weighted(*_t3_offsets(g, *edges, params.eps, budget))
 
     base = [e.v << 2 * R for e in g.edges]
 
@@ -984,7 +983,7 @@ def _dictator_tables(source, labeling, q, offset):
     dom = boolanalysis.ProductDomain((q,) * (2 * source.nlabels_v))
     return {
         v: boolanalysis.TabulatedFunction._trusted(dom, tuple(
-            dom.point(p)[offset + right[v]] for p in range(dom.size)
+            p // dom.stride(offset + right[v]) % q for p in range(dom.size)
         ), 1, None)
         for v in range(source.nv)
     }

@@ -372,12 +372,15 @@ def parse_tables(text):
 
 
 def format_tables(tables, q):
+    """The `parse_tables` text of the tables; every value must be a digit in
+    [q]."""
     nv = len(tables)
     npoints = next(iter(tables.values())).domain.size
     out = ["%d %d %d" % (nv, npoints, q)]
     for v in sorted(tables):
-        f = tables[v]
-        out.append(
-            "%d %s" % (v, "".join(str(int(x)) for x in f.values))
-        )
+        nums, den = tables[v].numerators, tables[v].denominator
+        if any(m % den or not 0 <= m < q * den for m in nums):
+            raise FormatError("table %d has a value outside the digits [%d]"
+                              % (v, q))
+        out.append("%d %s" % (v, "".join(str(m // den) for m in nums)))
     return "\n".join(out) + "\n"

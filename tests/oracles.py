@@ -376,6 +376,9 @@ def reference_is_c_coverable(g, c, budget=None):
     for groups in partitions(active, c):
         labelings = _reference_classes_covers(g, groups, budget)
         if labelings is not None:
+            # The c * (nu + nv) labels of the answer, charged as the library
+            # charges them.
+            budget.spend(c * (g.nu + g.nv))
             if isolated and not labelings:
                 labelings = [Labeling([0] * g.nu, [0] * g.nv)]
             while len(labelings) < c:
@@ -808,3 +811,82 @@ def reference_decode_t3(tables, source, seed):
     right = [_spectral_pick(rng, masses[v], R) or 0 for v in range(source.nv)]
     labeling = Labeling(left, right)
     return T3DecodeResult(labeling, satisfied_fraction(source, labeling))
+
+
+def reference_t3_delta_table(g, ev, ew, eps, budget=None):
+    """`reductions.t3_delta_table` on tuples: each noise case's mask and
+    each left string y lifted through `compose_projection`, every subset of
+    the masked positions flipped one tuple at a time, Fraction weights
+    summed per offset pair. One budget unit per case of nonzero weight and
+    y."""
+    from cspcover.boolanalysis import compose_projection as compose
+
+    budget = as_budget(budget)
+    L = g.nlabels_u
+    pv = g.edges[ev].proj
+    pw = g.edges[ew].proj
+    eps = Fraction(eps)
+    case_weights = (1 - 2 * eps, eps, eps)
+
+    def flips(base, support):
+        out = []
+        for zbits in itertools.product((0, 1), repeat=len(support)):
+            flipped = list(base)
+            for j, b in zip(support, zbits):
+                flipped[j] ^= b
+            out.append(tuple(flipped))
+        return out
+
+    out = {}
+    for cases in itertools.product(range(3), repeat=L):
+        wc = Fraction(1)
+        for c in cases:
+            wc *= case_weights[c]
+        if not wc:
+            continue
+        eta = [0] * (2 * L)
+        for i, c in enumerate(cases):
+            if c:
+                eta[(c - 1) * L + i] = 1
+        sup_v, sup_w = (
+            [j for j, b in enumerate(compose(tuple(eta), p)) if b]
+            for p in (pv, pw)
+        )
+        w = wc * Fraction(1, 2 ** (2 * L + len(sup_v) + len(sup_w)))
+        for y in itertools.product((0, 1), repeat=2 * L):
+            budget.spend()
+            deltas_w = flips(compose(y, pw), sup_w)
+            for dv in flips(compose(y, pv), sup_v):
+                for dw in deltas_w:
+                    out[(dv, dw)] = out.get((dv, dw), Fraction(0)) + w
+    return dict(sorted(out.items()))
+
+
+def reference_t1_weights(params):
+    """The first test's {scope: weight}, in first-occurrence order, from
+    every draw: a left vertex, k incident edges and one column pair of
+    `t1_column_support` per left label; edge j queries the row-j string of
+    the columns lifted through `compose_projection`, at its index in the
+    [q]^2R grid of its right endpoint."""
+    from cspcover.boolanalysis import ProductDomain, compose_projection
+    from cspcover.reductions import t1_column_support
+
+    g, pred = params.source, params.predicate
+    q, k, L = pred.q, pred.k, g.nlabels_u
+    dom = ProductDomain((q,) * (2 * g.nlabels_v))
+    S = t1_column_support(q, k, params.a)
+    out = {}
+    for u in range(g.nu):
+        eids = g.edges_at_u(u)
+        w = Fraction(1, g.nu * len(eids) ** k * len(S) ** L)
+        for combo in itertools.product(eids, repeat=k):
+            for spick in itertools.product(range(len(S)), repeat=L):
+                scope = []
+                for j, e in enumerate(combo):
+                    y = tuple(S[s][0][j] for s in spick) + tuple(
+                        S[s][1][j] for s in spick)
+                    edge = g.edges[e]
+                    scope.append(edge.v * dom.size + dom.index(
+                        compose_projection(y, edge.proj)))
+                out[tuple(scope)] = out.get(tuple(scope), 0) + w
+    return out

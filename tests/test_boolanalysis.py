@@ -213,6 +213,21 @@ class TestEfronStein:
         f = random_rational_table(rng, dom)
         assert efron_stein(f).total() == f
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_total_adds_unreduced_components_as_integers(self, seed, c):
+        # Components over differing, unreduced denominators sum to f, and
+        # no component's Fraction values get built on the way.
+        rng = random.Random(seed)
+        dom = ProductDomain(rng.choice([(2, 3, 2), (2,) * 4, (3, 2)]))
+        f = random_rational_table(rng, dom)
+        dec = efron_stein(oracles.unreduced(f, c))
+        twins = {beta: oracles.unreduced(comp, rng.randint(1, 5))
+                 for beta, comp in dec.components.items()}
+        total = EfronSteinDecomposition(dom, dec.blocks, twins).total()
+        assert all(comp._values is None for comp in twins.values())
+        assert total == f
+        assert all(comp._values is None for comp in twins.values())
+
     def test_orthogonality_two_blocks(self):
         rng = random.Random(22)
         dom = ProductDomain((3, 2, 2))

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from cspcover import (
     Assignment,
     BudgetExceededError,
@@ -15,6 +19,7 @@ from cspcover import (
     ProductDomain,
     T1Params,
     TabulatedFunction,
+    compose_projection,
     covered_fraction,
     decode_t1,
     generate_t1,
@@ -26,6 +31,7 @@ from cspcover import (
     t1_completeness_witness,
     t1_dictator_tables,
 )
+from cspcover.reductions import _lift_places
 
 
 def identity_source(nlabels, nv=1):
@@ -301,3 +307,43 @@ class TestDecode:
         nonunique = LabelCoverInstance(1, 1, 1, 2, [Edge(0, 0, (0, 0))])
         with pytest.raises(PreconditionError):
             decode_t1(tables, nonunique, Fraction(1, 2), 1, seed=0)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 4))
+def test_lift_places_index_the_composed_point(data, L, R):
+    # Any map [R] -> [L], any mixed radix: the dot product with the lift's
+    # places is the index of the composed point.
+    proj = data.draw(st.lists(st.integers(0, L - 1), min_size=R, max_size=R))
+    dom = ProductDomain(data.draw(
+        st.lists(st.integers(2, 3), min_size=2 * R, max_size=2 * R)))
+    y = data.draw(st.lists(st.integers(0, 1), min_size=2 * L,
+                           max_size=2 * L))
+    places = [dom.stride(j) for j in range(2 * R)]
+    assert dom.index(compose_projection(y, proj)) == sum(
+        map(mul, y, _lift_places(proj, L, places)))
+
+
+@st.composite
+def unique_sources(draw):
+    """Unique games with 1-2 vertices a side and L <= 2, every left vertex
+    with an edge."""
+    nu, nv, n = (draw(st.integers(1, 2)) for _ in range(3))
+    perms = st.permutations(range(n))
+    edges = [Edge(u, draw(st.integers(0, nv - 1)), draw(perms))
+             for u in range(nu)]
+    edges += [Edge(draw(st.integers(0, nu - 1)), draw(st.integers(0, nv - 1)),
+                   draw(perms)) for _ in range(draw(st.integers(0, 1)))]
+    return LabelCoverInstance(nu, nv, n, n, edges, unique=True)
+
+
+@given(unique_sources(), st.sampled_from([
+    (2, (0, 1)), (2, (0, 0, 1)), (3, (0, 1)), (3, (0, 2)),
+]))
+def test_generate_matches_composed_oracle(g, case):
+    q, a = case
+    p = T1Params(nae(q, len(a)), a, g)
+    inst = generate_t1(p)
+    weights = [Fraction(m, inst.denominator) for m in inst.numerators]
+    assert list(zip(inst.scopes, weights)) == list(
+        oracles.reference_t1_weights(p).items())
+    assert set(inst.literals) == {(0,) * len(a)}

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from cspcover import (
+    Budget,
     BudgetExceededError,
     CoverSet,
     Edge,
@@ -11,6 +15,7 @@ from cspcover import (
     Labeling,
     PreconditionError,
     ProductDomain,
+    T1Params,
     T3Params,
     TabulatedFunction,
     binary_dictator_tables,
@@ -21,8 +26,10 @@ from cspcover import (
     nae,
     sample_t3,
     t3_completeness_witness,
+    t1_dictator_tables,
     t3_delta_table,
 )
+from cspcover.reductions import _t3_offsets
 
 
 def one_label_source(nv=1):
@@ -81,6 +88,58 @@ class TestDeltaTable:
         g = one_label_source()
         with pytest.raises(BudgetExceededError):
             t3_delta_table(g, 0, 0, Fraction(1, 4), budget=2)
+
+
+@st.composite
+def dto1_games(draw):
+    """d-to-1 games with L <= 2 and R = d L <= 4: 1-2 vertices a side and
+    1-3 edges, each projection a random arrangement of the fibers."""
+    L = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 4 // L))
+    nu, nv = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    fibers = [i for i in range(L) for _ in range(d)]
+    edges = [Edge(draw(st.integers(0, nu - 1)), draw(st.integers(0, nv - 1)),
+                  draw(st.permutations(fibers)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return LabelCoverInstance(nu, nv, L, L * d, edges)
+
+
+NOISE = st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
+                         Fraction(1, 2)])
+
+
+def table_or_error(fn, *args):
+    try:
+        return list(fn(*args).items())
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+class TestDeltaTableOracle:
+    """The offsets, enumerated on index masks, against the tuple oracle."""
+
+    @given(dto1_games(), st.data(), NOISE,
+           st.one_of(st.none(), st.integers(1, 100)))
+    def test_table_and_budget_are_the_oracles(self, g, data, eps, limit):
+        ev, ew = (data.draw(st.integers(0, len(g.edges) - 1))
+                  for _ in range(2))
+        got, want = Budget(limit), Budget(limit)
+        table = table_or_error(t3_delta_table, g, ev, ew, eps, got)
+        assert table == table_or_error(
+            oracles.reference_t3_delta_table, g, ev, ew, eps, want)
+        assert got.used == want.used
+
+    @given(dto1_games(), st.data(), NOISE)
+    def test_offset_indices_put_coordinate_j_at_bit_j(self, g, data, eps):
+        ev, ew = (data.draw(st.integers(0, len(g.edges) - 1))
+                  for _ in range(2))
+        dom = ProductDomain((2,) * (2 * g.nlabels_v))
+        items, den = _t3_offsets(g, ev, ew, eps, None)
+        table = oracles.reference_t3_delta_table(g, ev, ew, eps)
+        assert [((mv, mw), Fraction(w, den)) for (mv, mw), w in items] == [
+            ((dom.index(dv), dom.index(dw)), w)
+            for (dv, dw), w in table.items()
+        ]
 
 
 class TestGenerate:
@@ -144,6 +203,24 @@ class TestCompletenessWitness:
 
 
 class TestDecode:
+    def test_dictator_tables_read_the_labelled_coordinate(self):
+        # Each table is x -> x[offset + label(v)], the digit of the point
+        # index at that coordinate, plain half or shifted half.
+        g = LabelCoverInstance(1, 2, 2, 2, [Edge(0, 0, (0, 1)),
+                                            Edge(0, 1, (1, 0))], unique=True)
+        lab = Labeling((0,), (0, 1))
+        p1 = T1Params(nae(3, 2), (0, 1), g)
+        for tables, q, off in (
+            (binary_dictator_tables(g, lab), 2, 0),
+            (binary_dictator_tables(g, lab, shifted=True), 2, 2),
+            (t1_dictator_tables(p1, lab), 3, 0),
+        ):
+            dom = ProductDomain((q,) * 4)
+            for v, f in tables.items():
+                assert f.domain == dom
+                assert f.values == tuple(
+                    dom.point(p)[off + lab.right[v]] for p in range(dom.size))
+
     def test_dictators_recover_the_labeling(self):
         g = two_label_source()
         lab = Labeling((1,), (1,))

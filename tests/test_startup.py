@@ -113,6 +113,7 @@ def inputs(tmp_path_factory):
               "2", "--labels-u", "1", "--labels-v", "1", "--seed", "7"]
     t1_args = ["t1", "--source", game, "--predicate", pred, "--a", "01"]
     t2_args = ["t2", "--source", game, "--p0", p0, "--p1", p1, "--eps", "1/4"]
+    t3_args = ["t3", "--source", game, "--eps", "1/4"]
     for argv in (
         lc_gen + ["--out", game],
         ["lc-sat", game, "--out", labs],
@@ -147,10 +148,14 @@ def inputs(tmp_path_factory):
         "cover": ["cover"] + on_t1,
         "mis": ["mis"] + on_t1,
         "reduce t1": ["reduce"] + t1_args + ["--out", str(d / "r1.csp")],
+        "reduce t3": ["reduce"] + t3_args + ["--out", str(d / "r3.csp")],
+        "witness t1": ["witness"] + t1_args + ["--labelings", labs],
         "witness t2": ["witness"] + t2_args + ["--labelings", labs],
         "reject-id t2": ["reject-id"] + on_w2,
         "reduce --sample": ["reduce"] + t2_args + [
             "--sample", "16", "--seed", "3", "--out", str(d / "s2.csp")],
+        "reduce --sample t3": ["reduce"] + t3_args + [
+            "--sample", "16", "--seed", "3", "--out", str(d / "s3.csp")],
     }
 
 
@@ -174,9 +179,10 @@ GAMES = CORE | {"labelcover"}
 INSTANCES = CORE | {"csp", "predicate"}
 REDUCTIONS = INSTANCES | {"labelcover", "reductions"}
 
-# Modules each command executes. Only the first and third tests, the decoders
-# and the spectral commands need `boolanalysis`; only `rho`, `connected`,
-# `invariance` and the t2 block spaces need `correlated`.
+# Modules each command executes. Only the decoders and the spectral commands
+# need `boolanalysis`, so no test's generator, sampler or witness runs it;
+# only `rho`, `connected`, `invariance` and the t2 block spaces need
+# `correlated`.
 EXPECTED = {
     "lc-gen": GAMES,
     "lc-sat": GAMES,
@@ -184,10 +190,13 @@ EXPECTED = {
     "fraction": INSTANCES,
     "cover": INSTANCES,
     "mis": INSTANCES,
-    "reduce t1": REDUCTIONS | {"boolanalysis"},
+    "reduce t1": REDUCTIONS,
+    "reduce t3": REDUCTIONS,
+    "witness t1": REDUCTIONS,
     "witness t2": REDUCTIONS,
     "reject-id t2": REDUCTIONS,
     "reduce --sample": REDUCTIONS,
+    "reduce --sample t3": REDUCTIONS,
 }
 
 

@@ -21,6 +21,7 @@ from cspcover import (
     textio,
 )
 
+import oracles
 from test_reductions_t2 import params as t2_params
 
 
@@ -317,3 +318,25 @@ class TestTablesFormat:
         tables = {0: TabulatedFunction(dom, [0, 2, 1])}
         again = textio.parse_tables(textio.format_tables(tables, 3))
         assert again[0] == tables[0]
+
+    @pytest.mark.parametrize("values, q", [
+        ([Fraction(1, 2), Fraction(3, 2)], 2),  # was written as `01`
+        ([0, 2], 2),
+        ([3, 1, 0], 3),
+        ([-1, 0], 2),
+    ])
+    def test_refuses_values_that_are_not_digits(self, values, q):
+        dom = ProductDomain((len(values),))
+        tables = {0: TabulatedFunction(dom, [0] * len(values)),
+                  1: TabulatedFunction(dom, values)}
+        with pytest.raises(FormatError) as err:
+            textio.format_tables(tables, q)
+        assert str(err.value) == \
+            "table 1 has a value outside the digits [%d]" % q
+
+    def test_unreduced_digits_round_trip(self):
+        dom = ProductDomain((3, 3))
+        f = TabulatedFunction(dom, [x % 3 for x in range(9)])
+        text = textio.format_tables({0: oracles.unreduced(f, 4)}, 3)
+        assert text == "1 9 3\n0 012012012\n"
+        assert textio.parse_tables(text)[0] == f
