@@ -7,6 +7,8 @@ predicate, coordinatewise mod q. Covering semantics ignore weights (every
 positive-weight constraint must be hit); fraction semantics use weights.
 """
 
+import collections
+import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -39,19 +41,79 @@ class Constraint(FrozenValue):
         return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
 
 
-def _atom_error(vars_, lits, w, k, q, n):
-    """The error for a constraint that fails a structural check, naming the
-    first check it fails: arity, variable range, literal range. A weight that
-    is not a rational is reported instead, since the message shows it."""
-    if len(vars_) != k or len(lits) != k:
-        problem = "does not match arity %d" % k
-    elif min(vars_) < 0 or max(vars_) >= n:
-        problem = "references unknown variables"
-    else:
-        problem = "has literals outside [q]"
-    return PreconditionError(
-        "constraint %r %s" % (Constraint(vars_, lits, w), problem)
-    )
+def _first_fault(scopes, literals, weights, k, q, n):
+    """Raise the error of the first atom that fails a check, checking atom by
+    atom: arity, variable range, literal range, then the sign of its weight
+    (a rational)."""
+    for vars_, lits, w in zip(scopes, literals, weights):
+        if len(vars_) != k or len(lits) != k:
+            problem = "does not match arity %d" % k
+        elif min(vars_) < 0 or max(vars_) >= n:
+            problem = "references unknown variables"
+        elif min(lits) < 0 or max(lits) >= q:
+            problem = "has literals outside [q]"
+        elif w < 0:
+            raise PreconditionError("constraint weights must be nonnegative")
+        else:
+            continue
+        raise PreconditionError(
+            "constraint %r %s" % (Constraint(vars_, lits, w), problem)
+        )
+
+
+# Constraint columns as `CspInstance` takes them in place of constraints:
+# constraint i has the scope `scopes[i]` and the literal vector
+# `literals[i]`, int tuples (equal vectors given as one tuple), and the
+# weight numerators[i] / denominator.
+_Columns = collections.namedtuple(
+    "Columns", "scopes literals numerators denominator")
+
+
+def _triple_columns(constraints, k, q, n):
+    """The columns of (vars, literals, weight) triples or `Constraint`
+    objects, read once: int tuple scopes and literal vectors, and integer
+    numerators over the lcm of the weights' denominators. A literal vector
+    is converted once per distinct value, and equal vectors share one tuple,
+    whether given hashable or not; a weight is converted once per distinct
+    object (kept referenced, so its id stays its own). When reading fails,
+    an atom read before that fails a check is reported instead. A weight
+    that is not a rational is reported before its own atom's structural
+    checks, since their message shows it."""
+    vectors = {}  # vector as given or converted -> int tuple
+    seen = {}  # id(weight) -> (weight, index into `fractions`)
+    fractions = []
+    scopes, literals, picks = [], [], []
+    try:
+        for c in constraints:
+            vars_, lits, w = (
+                (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
+            )
+            vars_ = tuple(map(int, vars_))
+            try:
+                lits = vectors[lits]
+            except (KeyError, TypeError):
+                given = lits
+                lits = tuple(map(int, given))
+                lits = vectors.setdefault(lits, lits)
+                try:
+                    vectors[given] = lits
+                except TypeError:
+                    pass
+            pick = seen.get(id(w))
+            if pick is None:
+                f = _weight(w)
+                pick = seen[id(w)] = w, len(fractions)
+                fractions.append(f)
+            scopes.append(vars_)
+            literals.append(lits)
+            picks.append(pick[1])
+    except Exception:
+        _first_fault(scopes, literals, map(fractions.__getitem__, picks),
+                     k, q, n)
+        raise
+    den = math.lcm(*{f.denominator for f in fractions})
+    scaled = [f.numerator * (den // f.denominator) for f in fractions]
+    return scopes, literals, list(map(scaled.__getitem__, picks)), den
 
 
 class CspInstance(Frozen):
@@ -60,14 +122,24 @@ class CspInstance(Frozen):
     `variables` is a sequence of hashable labels, a `range` kept as is;
     constraints reference them by index. `constraints` is any iterable, a
     generator included, of `Constraint` objects or (vars, literals, weight)
-    triples; it is read once. Duplicate (vars, literals) pairs are merged by
-    summing weights, in first-occurrence order. The instance is held in
-    integer columns: constraint i has the scope `scopes[i]` (a tuple of
-    variable indices), the literal vector `literals[i]` (equal vectors share
-    one tuple) and the weight `numerators[i] / denominator`, where
-    `denominator` is the lcm of the given weights' denominators. The tuple
-    `constraints` of `Constraint` objects is built from the columns on first
-    access, and kept.
+    triples, read once; inside the package it may instead be `_Columns`.
+    The instance is held in integer columns: constraint i has the scope
+    `scopes[i]` (a tuple of variable indices), the literal vector
+    `literals[i]` (equal vectors share one tuple) and the weight
+    `numerators[i] / denominator`.
+
+    One column core builds every instance. The triples are read into
+    columns, with numerators over the lcm of the weights' denominators;
+    `textio.parse_instance` parses its lines into columns, and the
+    generators and samplers of `reductions` build theirs directly, with
+    integer numerators over one denominator D. The core checks the columns
+    in bulk (arity, variable and literal ranges, nonnegative weights) and
+    scans them atom by atom only to name the first failing atom. It merges
+    duplicate (scope, literals) pairs by summing numerators, in
+    first-occurrence order, and divides D and the numerators by the gcd of
+    D and all given numerators, so `denominator` is the lcm of the given
+    weights' reduced denominators. The tuple `constraints` of `Constraint`
+    objects is built from the columns on first access, and kept.
     """
 
     __slots__ = (
@@ -84,60 +156,35 @@ class CspInstance(Frozen):
                     raise PreconditionError("duplicate variable label %r" % (v,))
                 index[v] = i
         k, q, n = predicate.k, predicate.q, len(variables)
-        # One pass over the atoms, checked in order. A literal vector is
-        # converted and range-checked once per distinct value, a weight once
-        # per distinct object (kept referenced, so its id stays its own).
-        # Equal vectors share one tuple, whether given hashable or not.
-        vectors = {}  # vector as given or converted -> (int tuple, in range)
-        seen = {}  # id(weight) -> (weight, index into `fractions`)
-        fractions = []
-        slots = {}  # (scope, literals) -> position in the columns
-        scopes, literals, picks = [], [], []
-        repeats = []  # (position, weight index) of each repeated pair
-        for c in constraints:
-            vars_, lits, w = (
-                (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
-            )
-            vars_ = tuple(map(int, vars_))
-            try:
-                lits, fits = vectors[lits]
-            except (KeyError, TypeError):
-                given = lits
-                lits = tuple(map(int, given))
-                lits, fits = vectors.setdefault(lits, (
-                    lits, len(lits) == k and min(lits) >= 0 and max(lits) < q
-                ))
-                try:
-                    vectors[given] = lits, fits
-                except TypeError:
-                    pass
-            if not fits or len(vars_) != k or min(vars_) < 0 or max(vars_) >= n:
-                raise _atom_error(vars_, lits, w, k, q, n)
-            pick = seen.get(id(w))
-            if pick is None:
-                f = _weight(w)
-                if f < 0:
-                    raise PreconditionError("constraint weights must be nonnegative")
-                pick = seen[id(w)] = w, len(fractions)
-                fractions.append(f)
-            pos = slots.setdefault((vars_, lits), len(scopes))
-            if pos == len(scopes):
-                scopes.append(vars_)
-                literals.append(lits)
-                picks.append(pick[1])
-            else:
-                repeats.append((pos, pick[1]))
-        den = math.lcm(*{f.denominator for f in fractions})
-        scaled = [f.numerator * (den // f.denominator) for f in fractions]
-        numerators = list(map(scaled.__getitem__, picks))
-        for pos, j in repeats:
-            numerators[pos] += scaled[j]
+        scopes, literals, numerators, den = (
+            constraints if isinstance(constraints, _Columns)
+            else _triple_columns(constraints, k, q, n))
+        vectors = dict(zip(map(id, literals), literals)).values()  # distinct
+        used = set(itertools.chain.from_iterable(scopes))
+        if not (
+            all(len(v) == k and min(v) >= 0 and max(v) < q for v in vectors)
+            and set(map(len, scopes)) <= {k}
+            and (not used or min(used) >= 0 and max(used) < n)
+            and (not numerators or min(numerators) >= 0)
+        ):
+            _first_fault(scopes, literals, map(
+                Fraction, numerators, itertools.repeat(den)), k, q, n)
+        g = math.gcd(den, *numerators)
+        if len(set(scopes)) < len(scopes):  # (scope, literals) pairs may repeat
+            merged = {}
+            for pair, m in zip(zip(scopes, literals), numerators):
+                merged[pair] = merged.get(pair, 0) + m
+            scopes, literals = zip(*merged)
+            numerators = merged.values()
+        if g > 1:
+            numerators = [m // g for m in numerators]
+        numerators = tuple(numerators)
         if numerators and not any(numerators):
             raise PreconditionError("total constraint weight must be positive")
         self._fill(
             predicate=predicate, variables=variables, scopes=tuple(scopes),
-            literals=tuple(literals), denominator=den,
-            numerators=tuple(numerators), _index=index, _constraints=None,
+            literals=tuple(literals), denominator=den // g,
+            numerators=numerators, _index=index, _constraints=None,
         )
 
     @property
@@ -586,11 +633,8 @@ def weaken_predicate(inst, superset):
     """Same constraints and literals, predicate replaced by a superset."""
     if not inst.predicate.issubset(superset):
         raise PreconditionError("replacement predicate is not a superset")
-    return CspInstance(
-        superset,
-        inst.variables,
-        zip(inst.scopes, inst.literals, inst._weights()),
-    )
+    return CspInstance(superset, inst.variables, _Columns(
+        inst.scopes, inst.literals, inst.numerators, inst.denominator))
 
 
 def apply_literal_shift(inst, h):
@@ -603,12 +647,7 @@ def apply_literal_shift(inst, h):
     h = tuple(int(x) for x in h)
     if len(h) != inst.predicate.k or any(x < 0 or x >= q for x in h):
         raise PreconditionError("shift vector %r is not in [q]^k" % (h,))
-    return CspInstance(
-        inst.predicate,
-        inst.variables,
-        zip(
-            inst.scopes,
-            (add_tuples(lits, h, q) for lits in inst.literals),
-            inst._weights(),
-        ),
-    )
+    shifted = {lits: add_tuples(lits, h, q) for lits in set(inst.literals)}
+    return CspInstance(inst.predicate, inst.variables, _Columns(
+        inst.scopes, list(map(shifted.__getitem__, inst.literals)),
+        inst.numerators, inst.denominator))

@@ -106,6 +106,12 @@ class Budget:
                 % (_magnitude(self.used), self.limit)
             )
 
+    def spend_each(self, n):
+        """n units at once, refused as n calls of `spend()` would be: `used`
+        stops one unit past the limit, or past where it stood."""
+        if n > 0:
+            self.spend(min(n, max(1, self.limit + 1 - self.used)))
+
 
 def _magnitude(n):
     """n in decimal, or a power-of-two floor when it is too long to print; a

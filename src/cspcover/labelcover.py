@@ -182,13 +182,16 @@ def _labeling(g, left, right):
 def is_c_coverable(g, c, budget=None):
     """c labelings such that each left vertex has one satisfying all its
     edges, or None if no such family exists. Exact. Only vertices with edges
-    are searched; the c * (nu + nv) labels of the answer are charged to the
-    budget before they are built.
+    are searched, each first alone: when one has no labeling of its own, no
+    partition has one, and the answer is None at once. The c * (nu + nv)
+    labels of the answer are charged to the budget before they are built.
     """
     budget = as_budget(budget)
     if c < 1:
         raise PreconditionError("c must be at least 1")
     active = sorted(g._adj_u)
+    if any(_class_labeling(g, [u], budget) is None for u in active):
+        return None
     # Partition the active left vertices into at most c classes, one
     # restricted-growth string at a time in lexicographic order (so no
     # partition comes twice under renaming), and search each class alone.

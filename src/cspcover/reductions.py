@@ -15,6 +15,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .csp import (
     CoverSet,
     CspInstance,
     _bit_indices,
+    _Columns,
     covered_fractions,
 )
 from .errors import (
@@ -213,16 +215,20 @@ def _uniform(n, draw=None):
     return _Pick(range(n), (1,) * n, n, draw or (lambda rng: rng.randrange(n)))
 
 
-def _weighted(pairs, den):
-    """(item, numerator) pairs over den, in order. A draw takes the first
-    item whose float running sum exceeds a uniform float, or the last item
-    when rounding leaves the draw above every sum."""
-    items, numerators = zip(*pairs)
-    sums = list(itertools.accumulate(m / den for m in numerators))
+def _weighted(items, numerators, den):
+    """Items with integer numerators over den, in order. A draw takes the
+    first item whose float running sum exceeds a uniform float, or the last
+    item when rounding leaves the draw above every sum; the sums are built
+    on the first draw."""
+    sums = []
     last = len(items) - 1
-    return _Pick(items, numerators, den, lambda rng: items[
-        min(bisect_right(sums, rng.random()), last)
-    ])
+
+    def draw(rng):
+        if not sums:
+            sums.extend(itertools.accumulate(m / den for m in numerators))
+        return items[min(bisect_right(sums, rng.random()), last)]
+
+    return _Pick(items, numerators, den, draw)
 
 
 # One long-code test, the single definition behind its generator and its
@@ -261,26 +267,24 @@ def _generate(test, budget, support_cap):
             "use the sampling mode instead" % (count, cap)
         )
     variables = _grid_variables(g, test.predicate.q, 2 * g.nlabels_v)
-    query, literals = test.query, test.literals
-
-    def atoms():
-        for eids in at_u:
-            share = g.nu * len(eids) ** test.draws
-            for edges in itertools.product(eids, repeat=test.draws):
-                ps = edge_picks.get(edges, ()) + test.picks
-                den = share * math.prod(p.den for p in ps)
-                weights = {}
-                numerators = itertools.product(*(p.numerators for p in ps))
-                for items, m in zip(
-                    itertools.product(*(p.items for p in ps)),
-                    map(math.prod, numerators),
-                ):
-                    budget.spend()
-                    if m not in weights:
-                        weights[m] = Fraction(m, den)
-                    yield query(edges, items), literals, weights[m]
-
-    return CspInstance(test.predicate, variables, atoms())
+    # The draws of each edge tuple share a denominator; all draws are put
+    # over the lcm of those.
+    runs = []
+    for eids in at_u:
+        share = g.nu * len(eids) ** test.draws
+        for edges in itertools.product(eids, repeat=test.draws):
+            ps = edge_picks.get(edges, ()) + test.picks
+            runs.append((edges, ps, share * math.prod(p.den for p in ps)))
+    den = math.lcm(*(run[2] for run in runs))
+    scopes, numerators = [], []
+    for edges, ps, run_den in runs:
+        budget.spend_each(math.prod(len(p.items) for p in ps))
+        scopes += map(functools.partial(test.query, edges),
+                      itertools.product(*(p.items for p in ps)))
+        numerators += map((den // run_den).__mul__, map(
+            math.prod, itertools.product(*(p.numerators for p in ps))))
+    return CspInstance(test.predicate, variables, _Columns(
+        scopes, [test.literals] * len(scopes), numerators, den))
 
 
 def _sample(test, n, seed):
@@ -294,21 +298,18 @@ def _sample(test, n, seed):
     variables = _grid_variables(g, test.predicate.q, 2 * g.nlabels_v)
     rng = random.Random(seed)
     edge_picks = {}
-    w = Fraction(1, n)
-
-    def atoms():
-        for _ in range(n):
-            eids = at_u[rng.randrange(g.nu)]
-            edges = tuple(
-                eids[rng.randrange(len(eids))] for _ in range(test.draws)
-            )
-            if test.edge_pick is not None and edges not in edge_picks:
-                edge_picks[edges] = (test.edge_pick(edges, None),)
-            ps = edge_picks.get(edges, ()) + test.picks
-            items = tuple(p.draw(rng) for p in ps)
-            yield test.query(edges, items), test.literals, w
-
-    return CspInstance(test.predicate, variables, atoms())
+    scopes = []
+    for _ in range(n):
+        eids = at_u[rng.randrange(g.nu)]
+        edges = tuple(
+            eids[rng.randrange(len(eids))] for _ in range(test.draws)
+        )
+        if test.edge_pick is not None and edges not in edge_picks:
+            edge_picks[edges] = (test.edge_pick(edges, None),)
+        ps = edge_picks.get(edges, ()) + test.picks
+        scopes.append(test.query(edges, tuple(p.draw(rng) for p in ps)))
+    return CspInstance(test.predicate, variables, _Columns(
+        scopes, [test.literals] * n, [1] * n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +395,25 @@ def t1_completeness_witness(params, labelings, inst=None):
 
 def _half_products(dist, d, scale):
     """Integer product weights, over scale^d, of d independent columns from
-    dist, in column-tuple order."""
+    dist, in column-tuple order, each tuple of d columns packed into one int
+    of their bits, the first column's first bit most significant."""
     ints = {c: w.numerator * (scale // w.denominator) for c, w in dist.items()}
     return [
-        (cols, math.prod(ints[c] for c in cols))
+        (int("".join(str(b) for col in cols for b in col), 2),
+         math.prod(map(ints.get, cols)))
         for cols in itertools.product(sorted(dist), repeat=d)
     ]
 
 
 def _t2_block_numerators(params):
-    """The block table over integers: sorted (key, numerator) pairs and their
-    common denominator. Refused above the full-table cap, counted before
-    anything is built: each of the two orders of (p0, p1) has
-    (|p0| |p1|)^(2d) terms keeping both halves and 2 (|p0| |p1|)^d 4^(kd)
-    refreshing one."""
+    """The block table over integers: its keys in increasing order, their
+    numerators and the common denominator. A key packs the bits of the 2d
+    X-columns, then of the 2d Y-columns (the first d of each on the plain
+    fiber, the last d on the shifted copy), first bit most significant, so
+    int order is the order of the nested column tuples. Refused above the
+    full-table cap, counted before anything is built: each of the two
+    orders of (p0, p1) has (|p0| |p1|)^(2d) terms keeping both halves and
+    2 (|p0| |p1|)^d 4^(kd) refreshing one."""
     k, d, eps = params.k, params.d, params.eps
     pairs = len(params.p0) * len(params.p1)
     check_table_size(2 * pairs ** (2 * d) + 4 * pairs ** d * 4 ** (k * d))
@@ -415,34 +421,61 @@ def _t2_block_numerators(params):
         *(w.denominator for p in (params.p0, params.p1) for w in p.values())
     )
     e, E = eps.numerator, eps.denominator
-    unif = 4 ** (k * d)
-    unif_cols = list(itertools.product(itertools.product((0, 1), repeat=k), repeat=d))
-    # Every term over 2 * E * scale^(4d) * unif, with eps = e / E: a term
-    # keeping both halves has numerator (E - 2e) * unif times its four column
+    w = k * d  # the bits of d columns
+    # Every term over 2 * E * scale^(4d) * 4^w, with eps = e / E: a term
+    # keeping both halves has numerator (E - 2e) * 4^w times its four column
     # products, a term refreshing one half e * scale^(2d) times its two.
-    stay = (E - 2 * e) * unif
+    stay = (E - 2 * e) << 2 * w
     refresh = e * scale ** (2 * d)
+    # The uniform X and Y columns of a refreshed half, laid on the shifted
+    # halves (bits 2w and 0) or on the plain halves (bits 3w and w).
+    free = range(1 << w)
+    shifted = [xr << 2 * w | yr for xr in free for yr in free]
+    plain = [r << w for r in shifted]
+    h0 = _half_products(params.p0, d, scale)
+    h1 = _half_products(params.p1, d, scale)
     table = {}
-
-    def add(key, w):
-        if w:
-            table[key] = table.get(key, 0) + w
-
-    for px, py in ((params.p0, params.p1), (params.p1, params.p0)):
-        hx = _half_products(px, d, scale)
-        hy = _half_products(py, d, scale)
+    get = table.get
+    for hx, hy in ((h0, h1), (h1, h0)):
         for (xu, wxu), (xp, wxp), (yu, wyu), (yp, wyp) in itertools.product(
             hx, hx, hy, hy
         ):
-            add((xu + xp, yu + yp), stay * wxu * wxp * wyu * wyp)
-        # One half kept, the other refreshed uniformly: the plain half kept
-        # first, then the shifted half (the order keeps the final sort fast).
-        for plain in (True, False):
-            for (xh, wxh), (yh, wyh) in itertools.product(hx, hy):
-                base = refresh * wxh * wyh
-                for xr, yr in itertools.product(unif_cols, unif_cols):
-                    add((xh + xr, yh + yr) if plain else (xr + xh, yr + yh), base)
-    return sorted(table.items()), 2 * E * scale ** (4 * d) * unif
+            key = xu << 3 * w | xp << 2 * w | yu << w | yp
+            table[key] = get(key, 0) + stay * wxu * wxp * wyu * wyp
+        # One half kept, the other refreshed uniformly. These terms reach
+        # every key above, so none is left at 0 when eps = 1/2 zeroes `stay`.
+        for (xh, wxh), (yh, wyh) in itertools.product(hx, hy):
+            base = refresh * wxh * wyh
+            for key in map((xh << 3 * w | yh << w).__add__, shifted):
+                table[key] = get(key, 0) + base
+            for key in map((xh << 2 * w | yh).__add__, plain):
+                table[key] = get(key, 0) + base
+    keys = sorted(table)
+    den = 2 * E * scale ** (4 * d) << 2 * w
+    return keys, list(map(table.__getitem__, keys)), den
+
+
+def _t2_columns(params):
+    """The map from one side of a key to its 2d column tuples of k bits."""
+    k, n = params.k, 2 * params.k * params.d
+
+    def columns(side):
+        bits = tuple(side >> b & 1 for b in range(n - 1, -1, -1))
+        return tuple(bits[c:c + k] for c in range(0, n, k))
+
+    return columns
+
+
+def _t2_view(params, read):
+    """The block table as exact probabilities keyed by (read(X columns),
+    read(Y columns)), each side read once; `read` must tell sides apart."""
+    keys, numerators, den = _t2_block_numerators(params)
+    half = 2 * params.k * params.d
+    low = (1 << half) - 1
+    columns = _t2_columns(params)
+    side = functools.cache(lambda bits: read(columns(bits)))
+    return {(side(key >> half), side(key & low)): Fraction(m, den)
+            for key, m in zip(keys, numerators)}
 
 
 def t2_block_table(params):
@@ -452,21 +485,15 @@ def t2_block_table(params):
     first d on the plain fiber, the last d on the shifted copy); values are
     exact probabilities summing to 1.
     """
-    pairs, den = _t2_block_numerators(params)
-    return {key: Fraction(n, den) for key, n in pairs}
+    return _t2_view(params, lambda cols: cols)
 
 
 def _t2_row_space(params, split):
     """The block distribution over row tuples (each row 2d bits), with the k
     X-rows and k Y-rows divided between the two sides by `split`."""
-    k = params.k
-    mu = {}
-    for (xcols, ycols), w in t2_block_table(params).items():
-        xrows = tuple(tuple(col[j] for col in xcols) for j in range(k))
-        yrows = tuple(tuple(col[j] for col in ycols) for j in range(k))
-        key = split(xrows, yrows)
-        mu[key] = mu.get(key, Fraction(0)) + w
-    return correlated.CorrelatedSpace(mu)
+    table = _t2_view(params, lambda cols: tuple(zip(*cols)))
+    return correlated.CorrelatedSpace(
+        {split(*key): w for key, w in table.items()})
 
 
 def t2_block_space(params):
@@ -490,24 +517,30 @@ def _t2(params):
     g, k = params.source, params.k
     R = g.nlabels_v
     picks = (_weighted(*_t2_block_numerators(params)),) * g.nlabels_u
+    columns = _t2_columns(params)
+    half = 2 * k * params.d
+    low = (1 << half) - 1
 
     @functools.cache
-    def rows(e, i, cols):
-        """The point-index contribution of 2d columns laid on fiber i of
-        edge e (positions fiber + (R + fiber)) to each of the k rows."""
+    def rows(e, i, side):
+        """The point-index contribution of one side of a block, its 2d
+        columns laid on fiber i of edge e (positions fiber + (R + fiber)), to
+        each of the k rows; fiber 0 adds the grid base of e's endpoint."""
         fiber = [j for j in range(R) if g.edges[e].proj[j] == i]
         shifts = fiber + [R + j for j in fiber]
-        return tuple(
-            sum(col[j] << s for col, s in zip(cols, shifts)) for j in range(k)
-        )
+        base = g.edges[e].v << 2 * R if i == 0 else 0
+        return tuple(base + sum(col[j] << s for col, s in zip(
+            columns(side), shifts)) for j in range(k))
 
     def query(edges, blocks):
         ev, ew = edges
-        vars_ = [g.edges[ev].v << 2 * R] * k + [g.edges[ew].v << 2 * R] * k
-        for i, (xcols, ycols) in enumerate(blocks):
-            for j, o in enumerate(rows(ev, i, xcols) + rows(ew, i, ycols)):
-                vars_[j] += o
-        return tuple(vars_)
+        key = blocks[0]
+        vars_ = rows(ev, 0, key >> half) + rows(ew, 0, key & low)
+        for i in range(1, len(blocks)):
+            key = blocks[i]
+            vars_ = tuple(map(operator.add, vars_, rows(ev, i, key >> half)
+                              + rows(ew, i, key & low)))
+        return vars_
 
     return _Test(g, 2, None, picks, query, params.predicate, (0,) * (2 * k))
 
@@ -897,7 +930,8 @@ def _t3(params):
         rng.randrange(2) << j for j in range(2 * R)))
 
     def offsets(edges, budget):
-        return _weighted(*_t3_offsets(g, *edges, params.eps, budget))
+        items, den = _t3_offsets(g, *edges, params.eps, budget)
+        return _weighted(*zip(*items), den)
 
     base = [e.v << 2 * R for e in g.edges]
 

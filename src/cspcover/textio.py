@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from . import _lazy
-from .errors import MAX_TABLE, FormatError, PreconditionError
+from .errors import MAX_TABLE, FormatError, check_table_size
 
 # The record types of each format come from modules that execute on first
 # use, so reading a game never runs the CSP or spectral code.
@@ -118,22 +118,17 @@ def parse_instance(text, predicate):
         raise FormatError(
             "expected %d constraints, found %d" % (ncons, len(body))
         )
-    atoms = _instance_atoms(body, k, q)
-    try:
-        return csp.CspInstance(predicate, range(nvars), atoms)
-    except PreconditionError:
-        # A malformed line anywhere is reported before any constraint that
-        # parses but fails the instance's checks.
-        for _ in atoms:
-            pass
-        raise
+    return csp.CspInstance(
+        predicate, range(nvars), _instance_columns(body, k, q))
 
 
-def _instance_atoms(body, k, q):
-    """The (vars, literals, weight) triple of each constraint line, in order;
-    equal literal and weight tokens share one parsed object."""
-    literals = {}
+def _instance_columns(body, k, q):
+    """The scopes, literal vectors and integer weight numerators of the
+    constraint lines, and the numerators' common denominator; equal literal
+    tokens share one vector, and each distinct token is parsed once."""
+    vectors = {}
     weights = {}
+    scopes, literals, tokens = [], [], []
     for lineno, line in body:
         toks = line.split()
         if len(toks) != k + 2:
@@ -141,33 +136,36 @@ def _instance_atoms(body, k, q):
                 "line %d: expected %d tokens, got %d" % (lineno, k + 2, len(toks))
             )
         try:
-            vars_ = tuple(map(int, toks[:k]))
+            scopes.append(tuple(map(int, toks[:k])))
         except ValueError:
             raise FormatError("line %d: bad variable indices" % lineno)
         lits, w = toks[k:]
-        if lits not in literals:
-            literals[lits] = _digits(lits, lineno, k, q)
+        if lits not in vectors:
+            vectors[lits] = _digits(lits, lineno, k, q)
         if w not in weights:
             weights[w] = _rational(w, lineno)
-        yield vars_, literals[lits], weights[w]
+        literals.append(vectors[lits])
+        tokens.append(w)
+    den = math.lcm(*(f.denominator for f in weights.values()))
+    scaled = {w: f.numerator * (den // f.denominator) for w, f in weights.items()}
+    return csp._Columns(
+        scopes, literals, list(map(scaled.__getitem__, tokens)), den)
 
 
 def format_instance(inst):
+    """The `parse_instance` text of an instance; each distinct literal
+    vector and weight is formatted once."""
     pred = inst.predicate
-    out = [
-        "%d %d %d %d" % (pred.q, pred.k, inst.nvars, len(inst.numerators))
-    ]
     den = inst.denominator
-    for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators):
+    vectors = {lits: "".join(map(str, lits)) for lits in set(inst.literals)}
+    weights = {}
+    for m in set(inst.numerators):
         g = math.gcd(m, den)
-        out.append(
-            "%s %s %s"
-            % (
-                " ".join(map(str, vars_)),
-                "".join(map(str, lits)),
-                "%d/%d" % (m // g, den // g),
-            )
-        )
+        weights[m] = "%d/%d" % (m // g, den // g)
+    line = " ".join(["%d"] * pred.k) + " %s %s"
+    out = ["%d %d %d %d" % (pred.q, pred.k, inst.nvars, len(inst.numerators))]
+    out += [line % (vars_ + (vectors[lits], weights[m]))
+            for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)]
     return "\n".join(out) + "\n"
 
 
@@ -346,7 +344,9 @@ def parse_tables(text):
         raise FormatError(
             "line %d: npoints must be a power of the alphabet size" % head
         )
-    dom = boolanalysis.ProductDomain((q,) * width)
+    check_table_size(npoints)
+    # Built with the first row: its measures hold q Fractions a coordinate.
+    dom = None
     tables = {}
     for lineno, line in body:
         toks = line.split()
@@ -359,6 +359,7 @@ def parse_tables(text):
         if not 0 <= v < nv:
             raise FormatError("line %d: vertex out of range" % lineno)
         values = _digits(toks[1], lineno, npoints, q)
+        dom = dom or boolanalysis.ProductDomain((q,) * width)
         tables[v] = boolanalysis.TabulatedFunction(dom, values)
     if len(tables) < nv:
         # Every row is a vertex below nv, so one below len(tables) + 1 is
@@ -372,15 +373,16 @@ def parse_tables(text):
 
 
 def format_tables(tables, q):
-    """The `parse_tables` text of the tables; every value must be a digit in
-    [q]."""
+    """The `parse_tables` text of the tables; every value must be a single
+    digit in [q]."""
     nv = len(tables)
     npoints = next(iter(tables.values())).domain.size
     out = ["%d %d %d" % (nv, npoints, q)]
+    digits = min(q, 10)  # a value is written as one character
     for v in sorted(tables):
         nums, den = tables[v].numerators, tables[v].denominator
-        if any(m % den or not 0 <= m < q * den for m in nums):
+        if any(m % den or not 0 <= m < digits * den for m in nums):
             raise FormatError("table %d has a value outside the digits [%d]"
-                              % (v, q))
+                              % (v, digits))
         out.append("%d %s" % (v, "".join(str(m // den) for m in nums)))
     return "\n".join(out) + "\n"

@@ -5,7 +5,10 @@ correct algorithm available so that library outputs are checked against a
 second, structurally different derivation.
 """
 
+import bisect
 import itertools
+import math
+import random
 from fractions import Fraction
 
 from cspcover.csp import Assignment, Constraint
@@ -344,13 +347,18 @@ def _reference_classes_covers(g, classes, budget):
 def reference_is_c_coverable(g, c, budget=None):
     """`labelcover.is_c_coverable` as it stood before its search became
     iterative: partitions from a recursive restricted-growth generator, and
-    class edge lists rebuilt for every left-label choice. Recurses once per
-    active left vertex, so it is for small games only."""
+    class edge lists rebuilt for every left-label choice, after each active
+    left vertex is tried alone. Recurses once per active left vertex, so it
+    is for small games only."""
     budget = as_budget(budget)
     if c < 1:
         raise PreconditionError("c must be at least 1")
     isolated = [u for u in range(g.nu) if not g.edges_at_u(u)]
     active = [u for u in range(g.nu) if g.edges_at_u(u)]
+    # Each active vertex alone first, charged as the library charges it.
+    for u in active:
+        if _reference_classes_covers(g, [[u]], budget) is None:
+            return None
     # Partition active left vertices into at most c classes (restricted-growth
     # strings avoid symmetric repeats), then check each class independently.
     def partitions(items, maxc):
@@ -890,3 +898,102 @@ def reference_t1_weights(params):
                         compose_projection(y, edge.proj)))
                 out[tuple(scope)] = out.get(tuple(scope), 0) + w
     return out
+
+
+def reference_t2_block_numerators(params):
+    """`reductions._t2_block_numerators` as it stood before its keys were
+    packed: sorted ((xcols, ycols), numerator) pairs, each side a tuple of
+    2d column tuples (the first d on the plain fiber, the last d on the
+    shifted copy), and their common denominator."""
+    k, d, eps = params.k, params.d, params.eps
+    scale = math.lcm(
+        *(w.denominator for p in (params.p0, params.p1) for w in p.values())
+    )
+
+    def half_products(dist):
+        ints = {c: w.numerator * (scale // w.denominator)
+                for c, w in dist.items()}
+        return [
+            (cols, math.prod(ints[c] for c in cols))
+            for cols in itertools.product(sorted(dist), repeat=d)
+        ]
+
+    e, E = eps.numerator, eps.denominator
+    unif = 4 ** (k * d)
+    unif_cols = list(itertools.product(
+        itertools.product((0, 1), repeat=k), repeat=d))
+    stay = (E - 2 * e) * unif
+    refresh = e * scale ** (2 * d)
+    table = {}
+
+    def add(key, w):
+        if w:
+            table[key] = table.get(key, 0) + w
+
+    for px, py in ((params.p0, params.p1), (params.p1, params.p0)):
+        hx, hy = half_products(px), half_products(py)
+        for (xu, wxu), (xp, wxp), (yu, wyu), (yp, wyp) in itertools.product(
+            hx, hx, hy, hy
+        ):
+            add((xu + xp, yu + yp), stay * wxu * wxp * wyu * wyp)
+        for plain in (True, False):
+            for (xh, wxh), (yh, wyh) in itertools.product(hx, hy):
+                base = refresh * wxh * wyh
+                for xr, yr in itertools.product(unif_cols, unif_cols):
+                    add((xh + xr, yh + yr) if plain else (xr + xh, yr + yh),
+                        base)
+    return sorted(table.items()), 2 * E * scale ** (4 * d) * unif
+
+
+def reference_t2_atoms(params, n=None, seed=None):
+    """The second test's (scope, literals, weight) atoms from the tuple-key
+    table. Without n: every draw in order (a left vertex, an edge pair at it
+    and one block per left label) with its exact weight. With n: n seeded
+    draws of weight 1/n, made as the sampler makes them (a uniform left
+    vertex, two uniform incident edges, then per left label the first block
+    whose float running sum exceeds a uniform float). The X side of the
+    blocks is laid on the first edge and the Y side on the second: row j of
+    the columns of left label i is written at the positions of i's fiber
+    (plain columns) and R past them (shifted columns) of a 2R-bit string,
+    whose index (position p at bit p) in the endpoint's grid is queried."""
+    g = params.source
+    k, d, R, L = params.k, params.d, g.nlabels_v, g.nlabels_u
+    pairs, den = reference_t2_block_numerators(params)
+    lits = (0,) * (2 * k)
+
+    def points(e, blocks, side):
+        edge = g.edges[e]
+        strings = [[0] * (2 * R) for _ in range(k)]
+        for i, block in enumerate(blocks):
+            cols = block[side]
+            fiber = [r for r in range(R) if edge.proj[r] == i]
+            for c, r in enumerate(fiber):
+                for j in range(k):
+                    strings[j][r] = cols[c][j]
+                    strings[j][R + r] = cols[d + c][j]
+        return [edge.v * 4 ** R + sum(b << p for p, b in enumerate(s))
+                for s in strings]
+
+    def scope(ev, ew, blocks):
+        return tuple(points(ev, blocks, 0) + points(ew, blocks, 1))
+
+    if n is None:
+        for u in range(g.nu):
+            eids = g.edges_at_u(u)
+            share = g.nu * len(eids) ** 2 * den ** L
+            for ev, ew in itertools.product(eids, repeat=2):
+                for picks in itertools.product(pairs, repeat=L):
+                    w = Fraction(math.prod(m for _, m in picks), share)
+                    yield scope(ev, ew, [key for key, _ in picks]), lits, w
+        return
+    rng = random.Random(seed)
+    sums = list(itertools.accumulate(m / den for _, m in pairs))
+    for _ in range(n):
+        eids = g.edges_at_u(rng.randrange(g.nu))
+        ev, ew = (eids[rng.randrange(len(eids))] for _ in range(2))
+        blocks = [
+            pairs[min(bisect.bisect_right(sums, rng.random()),
+                      len(pairs) - 1)][0]
+            for _ in range(L)
+        ]
+        yield scope(ev, ew, blocks), lits, Fraction(1, n)

@@ -266,7 +266,8 @@ class TestExitCodes:
             "(2000000 > 10 candidate evaluations)\n"
 
     def test_huge_game_cover_exits_two_at_once(self, tmp_path, capsys):
-        # The same game: the search walks the one edge, and the 4 M labels
+        # The same game: the search walks the one edge, its left vertex
+        # alone and then as the one class (2 units each), and the 4 M labels
         # of the answer are charged before any is built.
         game = write(tmp_path / "huge.lc", "2000000 2000000 1 1 0\n0 0 0\n")
         start = time.perf_counter()
@@ -275,7 +276,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert code == 2 and "coverable = " not in out
         assert err == "error: enumeration budget exceeded " \
-            "(4000002 > 10 candidate evaluations)\n"
+            "(4000004 > 10 candidate evaluations)\n"
 
     def test_tables_header_without_rows_exits_three_with_one_line(
         self, tmp_path, capsys

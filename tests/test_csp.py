@@ -16,9 +16,14 @@ from cspcover import (
     Constraint,
     CoverSet,
     CspInstance,
+    Edge,
+    LabelCoverInstance,
     Predicate,
     PreconditionError,
     RejectionIdentityResult,
+    T1Params,
+    T2Params,
+    T3Params,
     apply_literal_shift,
     cnf,
     cover_to_coloring,
@@ -39,7 +44,8 @@ from cspcover import (
     trivial_odd_cover,
     weaken_predicate,
 )
-from cspcover.csp import _coverage_masks
+from cspcover.csp import _Columns, _coverage_masks
+from cspcover import reductions
 from cspcover import textio
 from cspcover.predicate import add_tuples
 
@@ -531,6 +537,22 @@ class TestColumnarInstance:
         ])
         assert inst.literals[0] is inst.literals[1] is inst.literals[2]
 
+    def test_an_atom_read_before_a_fault_is_reported_first(self):
+        # The atoms are checked once all are read; an atom that fails a
+        # check is still reported before a later one that cannot be read.
+        error = BudgetExceededError("enumeration budget exceeded")
+
+        def atoms():
+            yield (0, 1), (0, 0), 1
+            yield (0, 5), (0, 0), 1
+            raise error
+
+        for bad in (atoms(), [((0, 1), (0, 0), 1), ((0, 5), (0, 0), 1),
+                              ((0, 1), (0, 0), "zz")]):
+            with pytest.raises(PreconditionError,
+                               match="references unknown variables"):
+                CspInstance(nae(2, 2), range(2), bad)
+
     @pytest.mark.parametrize("weight", [None, "zz", "1/0", object()])
     @pytest.mark.parametrize("vars_", [(0, 1), (0, 5)])
     def test_a_weight_that_is_no_rational_is_a_precondition_error(
@@ -544,6 +566,100 @@ class TestColumnarInstance:
                                                (vars_, (0, 0), weight)])
         with pytest.raises(PreconditionError):
             Constraint(vars_, (0, 0), weight)
+
+
+def small_games():
+    """A unique game with two vertices a side, and a one-edge 2-to-1 game."""
+    unique = LabelCoverInstance(2, 2, 1, 1, [Edge(u, v, (0,)) for u in range(2)
+                                              for v in range(2)], unique=True)
+    dto1 = LabelCoverInstance(1, 1, 1, 2, [Edge(0, 0, (0, 0))])
+    return unique, dto1
+
+
+def built_by_the_reductions():
+    """(name, instance) of every generator and sampler on small games."""
+    unique, dto1 = small_games()
+    half = Fraction(1, 2)
+    p0, p1 = {(0, 0): half, (1, 1): half}, {(0, 1): half, (1, 0): half}
+    params = {
+        "t1": T1Params(nae(2, 2), (0, 1), unique),
+        "t2": T2Params(lin(4), p0, p1, Fraction(1, 4), dto1),
+        "t3": T3Params(Fraction(1, 3), unique),
+    }
+    for test, p in params.items():
+        yield "generate_" + test, getattr(reductions, "generate_" + test)(p)
+        yield "sample_" + test, getattr(reductions, "sample_" + test)(p, 300, 7)
+
+
+@st.composite
+def columns_and_triples(draw):
+    """Faulty or valid atoms as columns over a random multiple of the lcm
+    of their weights' denominators, with equal literal vectors sharing one
+    tuple, beside the same atoms as triples."""
+    pred, n, triples = draw(raw_atoms())
+    pairs = draw(st.lists(st.integers(0, len(triples) - 1), max_size=3)
+                 ) if triples else []
+    triples += [triples[i] for i in pairs]  # repeated pairs
+    weights = [Fraction(w) for _, _, w in triples]
+    den = math.lcm(*(w.denominator for w in weights)) * draw(
+        st.sampled_from((1, 2, 6)))
+    shared = {}
+    columns = _Columns(
+        [tuple(v) for v, _, _ in triples],
+        [shared.setdefault(tuple(l), tuple(l)) for _, l, _ in triples],
+        [int(w * den) for w in weights], den)
+    return pred, n, columns, triples
+
+
+def instance_or_error(pred, n, constraints):
+    try:
+        inst = CspInstance(pred, range(n), constraints)
+    except PreconditionError as exc:
+        return str(exc)
+    return inst.scopes, inst.literals, inst.denominator, inst.numerators
+
+
+class TestColumnCore:
+    """Columns handed to `CspInstance` against the triple constructor."""
+
+    def test_generators_and_samplers_match_the_triples(self, monkeypatch):
+        # The columns each generator and sampler hands over, repeated pairs
+        # included, give the instance their atoms give as triples.
+        given = []
+
+        def capture(predicate, variables, columns):
+            given.append(columns)
+            return CspInstance(predicate, variables, columns)
+
+        monkeypatch.setattr(reductions, "CspInstance", capture)
+        for name, inst in built_by_the_reductions():
+            scopes, literals, numerators, den = given.pop()
+            triples = list(zip(scopes, literals,
+                               (Fraction(m, den) for m in numerators)))
+            again = CspInstance(inst.predicate, inst.variables, triples)
+            assert (inst.scopes, inst.literals, inst.denominator,
+                    inst.numerators) == (again.scopes, again.literals,
+                                         again.denominator,
+                                         again.numerators), name
+            if name.startswith("sample_"):
+                assert len(inst.numerators) < len(triples) == 300, name
+            # Merged, the same weights come back from the constraints.
+            assert [(c.vars, c.literals, c.weight) for c in CspInstance(
+                inst.predicate, inst.variables, inst.constraints
+            ).constraints] == [(c.vars, c.literals, c.weight)
+                               for c in inst.constraints], name
+
+    @given(columns_and_triples())
+    def test_columns_match_the_triples(self, case):
+        pred, n, columns, triples = case
+        assert instance_or_error(pred, n, columns) == instance_or_error(
+            pred, n, triples)
+
+    def test_a_gcd_reduces_the_denominator(self):
+        inst = CspInstance(nae(2, 2), range(3), _Columns(
+            [(0, 1), (1, 2), (0, 1)], [(0, 0)] * 3, [2, 4, 6], 12))
+        assert (inst.scopes, inst.denominator, inst.numerators) == (
+            ((0, 1), (1, 2)), 6, (4, 2))
 
 
 def no_constraint_objects(monkeypatch):

@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of every `textio.parse_*` function.
 
-Each example is a header line of integers, drawn from [-3, 50] plus two
-sentinels above the full-table cap, followed by lines of random tokens. The
+Each example is a header line of integers, drawn from [-3, 50] plus
+sentinels up to, at and above the full-table cap, followed by lines of
+random tokens. The
 only exception a parser may raise is `PreconditionError` (its `FormatError`
 included), and each example must finish within a second, whatever sizes the
 header declares: an alarm turns a parser that runs longer into a failure
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 from cspcover import PreconditionError, lin, nae, textio
 from cspcover.errors import MAX_TABLE
 
-# Header integers. Instance headers between about 10^4 and 2^24 are not
-# drawn: the counts are accepted there and allocated in full (see ROADMAP
-# item 2).
+# Header integers: small ones, large ones up to and at the full-table cap
+# (accepted, so they must cost nothing until used), and two above it.
 COUNTS = st.one_of(
-    st.integers(-3, 50), st.sampled_from([MAX_TABLE + 1, 10**12])
+    st.integers(-3, 50),
+    st.sampled_from([10**4, MAX_TABLE - 1, MAX_TABLE, MAX_TABLE + 1, 10**12]),
 )
 
 TOKENS = st.one_of(

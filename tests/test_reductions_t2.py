@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cspcover import (
     Assignment,
     Budget,
@@ -34,8 +38,9 @@ from cspcover import (
     t2_completeness_witness,
     binary_dictator_tables,
     completeness_witness,
+    textio,
 )
-from cspcover import errors, reductions
+from cspcover import CspInstance, errors, reductions
 
 HALF = Fraction(1, 2)
 P0 = {(0, 0): HALF, (1, 1): HALF}
@@ -522,3 +527,88 @@ class TestBlockTableCap:
             t2_block_table(params(source=fiber_source(3)))
         assert sizes == [2 * 4**6 + 4 * 4**3 * 4**6]
         assert sizes[0] <= errors.MAX_TABLE
+
+
+# (k, d, L): every shape of valid parameters whose tables stay small. No
+# k = 1 parameters exist: an even-parity one-bit distribution sits on (0,),
+# so its marginal is not uniform.
+SHAPES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (4, 1, 1)]
+# Complementary pairs of 4-bit columns, by parity: half the mass on each
+# column of a pair leaves every single-coordinate marginal uniform.
+PAIRS4 = {
+    0: [((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 0, 1, 1), (1, 1, 0, 0)),
+        ((0, 1, 0, 1), (1, 0, 1, 0)), ((0, 1, 1, 0), (1, 0, 0, 1))],
+    1: [((0, 0, 0, 1), (1, 1, 1, 0)), ((0, 0, 1, 0), (1, 1, 0, 1)),
+        ((0, 1, 0, 0), (1, 0, 1, 1)), ((1, 0, 0, 0), (0, 1, 1, 1))],
+}
+
+
+@st.composite
+def column_distributions(draw, k, parity):
+    if k < 4:  # the marginals force the uniform distribution on the parity
+        keys = [c for c in itertools.product((0, 1), repeat=k)
+                if sum(c) % 2 == parity]
+        return {c: Fraction(1, len(keys)) for c in keys}
+    pairs = draw(st.lists(st.sampled_from(PAIRS4[parity]), min_size=1,
+                          max_size=2, unique=True))
+    a = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+    masses = [a, 1 - a] if len(pairs) == 2 else [Fraction(1)]
+    return {c: m / 2 for pair, m in zip(pairs, masses) for c in pair}
+
+
+@st.composite
+def t2_params(draw):
+    """Valid parameters over small d-to-1 games: with the 192-block table
+    of k = 2, d = 1 and one left label, every left vertex has one or two
+    edges; with a larger table, one left vertex has one edge."""
+    k, d, L = draw(st.sampled_from(SHAPES))
+    small = (k, d, L) == (2, 1, 1)
+    nu = draw(st.integers(1, 2)) if small else 1
+    nv = draw(st.integers(1, 2))
+    fibers = [i for i in range(L) for _ in range(d)]
+    edges = [Edge(u, draw(st.integers(0, nv - 1)), draw(st.permutations(fibers)))
+             for u in range(nu)
+             for _ in range(draw(st.integers(1, 2)) if small else 1)]
+    source = LabelCoverInstance(nu, nv, L, L * d, edges)
+    eps = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
+                                Fraction(1, 2)]))
+    return T2Params(lin(2 * k), draw(column_distributions(k, 0)),
+                    draw(column_distributions(k, 1)), eps, source)
+
+
+class TestPackedBlockTable:
+    """The packed table and everything drawn from it against the tuple-key
+    oracle."""
+
+    @settings(max_examples=20)
+    @given(t2_params())
+    def test_keys_numerators_and_order_are_the_oracles(self, p):
+        keys, numerators, den = reductions._t2_block_numerators(p)
+        assert keys == sorted(keys)
+        table = t2_block_table(p)
+        assert (list(zip(table, numerators)), den) == (
+            oracles.reference_t2_block_numerators(p))
+        assert list(table.values()) == [Fraction(m, den) for m in numerators]
+
+    @settings(max_examples=12)
+    @given(t2_params(), st.one_of(st.none(), st.integers(1, 40_000)))
+    def test_generated_text_and_budget_are_the_oracles(self, p, limit):
+        atoms = list(oracles.reference_t2_atoms(p))
+        budget = Budget(limit)
+        if limit is not None and len(atoms) > limit:
+            with pytest.raises(BudgetExceededError):
+                generate_t2(p, budget=budget)
+            assert budget.used == limit + 1
+            return
+        inst = generate_t2(p, budget=budget)
+        assert budget.used == len(atoms)
+        want = CspInstance(p.predicate, inst.variables, atoms)
+        assert textio.format_instance(inst) == textio.format_instance(want)
+
+    @settings(max_examples=20)
+    @given(t2_params(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_sampled_text_is_the_oracles(self, p, n, seed):
+        inst = sample_t2(p, n, seed)
+        want = CspInstance(p.predicate, inst.variables,
+                           oracles.reference_t2_atoms(p, n, seed))
+        assert textio.format_instance(inst) == textio.format_instance(want)

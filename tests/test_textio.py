@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,29 @@ class TestTablesFormat:
             textio.format_tables(tables, q)
         assert str(err.value) == \
             "table 1 has a value outside the digits [%d]" % q
+
+    def test_a_wide_alphabet_header_costs_nothing_without_rows(self):
+        # One coordinate over 2^24 symbols: the domain's measures would hold
+        # 2^24 Fractions, so they wait for the first row.
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="missing tables for 1 of 1"):
+            textio.parse_tables("1 16777216 16777216\n")
+        assert time.perf_counter() - start < 1
+
+    def test_refuses_a_value_of_two_characters(self):
+        # Over q = 11 the value 10 was written as `10`, and the file did not
+        # parse back.
+        dom = ProductDomain((11,))
+        with pytest.raises(FormatError) as err:
+            textio.format_tables({0: TabulatedFunction(dom, range(11))}, 11)
+        assert str(err.value) == "table 0 has a value outside the digits [10]"
+
+    def test_single_digits_over_eleven_symbols_round_trip(self):
+        dom = ProductDomain((11,))
+        f = TabulatedFunction(dom, list(range(10)) + [9])
+        text = textio.format_tables({0: f}, 11)
+        assert text == "1 11 11\n0 01234567899\n"
+        assert textio.parse_tables(text)[0] == f
 
     def test_unreduced_digits_round_trip(self):
         dom = ProductDomain((3, 3))
