@@ -9,7 +9,7 @@ coordinate i.
 
 import math
 from fractions import Fraction
-from operator import add, attrgetter, mul, sub
+from operator import attrgetter, mul
 
 from .errors import Frozen, FrozenValue, PreconditionError, check_table_size
 
@@ -159,24 +159,6 @@ class TabulatedFunction(FrozenValue):
     def sup_norm(self):
         return Fraction(max(map(abs, self.numerators)), self.denominator)
 
-    def scale(self, c):
-        c = Fraction(c)
-        return TabulatedFunction(self.domain, (c * v for v in self.values))
-
-    def _pointwise(self, op, other):
-        if self.domain != other.domain:
-            raise PreconditionError("functions live on different domains")
-        return TabulatedFunction(self.domain, map(op, self.values, other.values))
-
-    def add(self, other):
-        return self._pointwise(add, other)
-
-    def sub(self, other):
-        return self._pointwise(sub, other)
-
-    def mul(self, other):
-        return self._pointwise(mul, other)
-
     def __repr__(self):
         return "TabulatedFunction(%r, %d values)" % (self.domain, self.domain.size)
 
@@ -225,28 +207,6 @@ class FourierTable(Frozen):
             raise PreconditionError("need exactly 2^n coefficients")
         self._fill(n=n, coefficients=coefficients)
 
-    def coefficient(self, alpha):
-        return self.coefficients[_as_mask(alpha, self.n)]
-
-    def weight_sq(self):
-        return sum((c * c for c in self.coefficients), Fraction(0))
-
-    def inverse(self):
-        """The unique function with these coefficients, reproduced exactly."""
-        vals = wht(self.coefficients)
-        return TabulatedFunction(ProductDomain.binary_uniform(self.n), vals)
-
-    def attenuate(self, rate):
-        """Multiply coefficient alpha by rate^|alpha|."""
-        rate = Fraction(rate)
-        return FourierTable(
-            self.n,
-            (
-                c * rate ** m.bit_count()
-                for m, c in enumerate(self.coefficients)
-            ),
-        )
-
     def __repr__(self):
         return "FourierTable(n=%d)" % self.n
 
@@ -272,22 +232,37 @@ def character(n, alpha):
     ), 1, None)
 
 
-def fourier(f):
-    """Exact Fourier coefficients of f on a binary uniform domain."""
+def _check_binary_uniform(f):
     if not f.domain.is_binary_uniform():
         raise PreconditionError("fourier requires a binary uniform domain")
+
+
+def fourier(f):
+    """Exact Fourier coefficients of f on a binary uniform domain."""
+    _check_binary_uniform(f)
     n = f.domain.n
     scale = f.denominator << n
     return FourierTable(n, (Fraction(t, scale) for t in wht(f.numerators)))
 
 
 def noise(f, gamma):
-    """Attenuate coefficient alpha by (1-gamma)^|alpha|; exact."""
+    """Attenuate coefficient alpha by (1-gamma)^|alpha|; exact.
+
+    With 1 - gamma = a/b, the integer transform of the numerators is scaled
+    at m by a^|m| * b^(n-|m|) and transformed back, over the denominator
+    den * 2^n * b^n.
+    """
     gamma = Fraction(gamma)
     if gamma < 0 or gamma > 1:
         raise PreconditionError("noise rate must lie in [0, 1]")
-    table = fourier(f).attenuate(1 - gamma)
-    return table.inverse()
+    _check_binary_uniform(f)
+    n = f.domain.n
+    a, b = (1 - gamma).as_integer_ratio()
+    factors = [a ** k * b ** (n - k) for k in range(n + 1)]
+    vals = wht([c * factors[m.bit_count()]
+                for m, c in enumerate(wht(f.numerators))])
+    return TabulatedFunction._trusted(
+        f.domain, tuple(vals), (f.denominator << n) * b ** n, None)
 
 
 def _normalize_blocks(domain, blocks):
@@ -346,14 +321,16 @@ def _sum_out(values, stride, weights):
     return out
 
 
-def _split(ints, domain, blocks):
+def _split(ints, domain, blocks, cap=None):
     """(block mask, table) for every Efron-Stein component of an integer
-    table, depth first.
+    table, depth first; with a cap, for every component of at most cap
+    blocks.
 
     Each partial table t is split at block b into E_b t and t - E_b t, where
-    E_b averages out the block's coordinates. The projections run over
-    integers, so each yielded table is its component times the product of
-    every coordinate's measure denominator.
+    E_b averages out the block's coordinates; a branch that already holds
+    cap blocks keeps only E_b t. The projections run over integers, so each
+    yielded table is its component times the product of every coordinate's
+    measure denominator.
     """
     measures = [_scaled(m) for m in domain.measures]
     stack = [(0, 0, ints)]
@@ -367,8 +344,9 @@ def _split(ints, domain, blocks):
             weights, d = measures[coord]
             mean = _sum_out(mean, domain.stride(coord), weights)
             scale *= d
-        stack.append((b + 1, mask | 1 << b,
-                      [scale * x - y for x, y in zip(t, mean)]))
+        if cap is None or mask.bit_count() < cap:
+            stack.append((b + 1, mask | 1 << b,
+                          [scale * x - y for x, y in zip(t, mean)]))
         stack.append((b + 1, mask, mean))
 
 
@@ -396,23 +374,6 @@ def efron_stein(f, blocks=None):
     return EfronSteinDecomposition(domain, blocks, components)
 
 
-def _influences(f, blocks, d=None):
-    """Influence of every block: the sum of E[f_beta^2] over the component
-    sets beta that contain it and have at most d blocks (any size when d is
-    None)."""
-    blocks = _normalize_blocks(f.domain, blocks)
-    weights, wden = f.domain.point_weights()
-    scale = f.denominator * wden
-    out = [0] * len(blocks)
-    for m, t in _split(f.numerators, f.domain, blocks):
-        members = _members(m, len(blocks))
-        if d is None or len(members) <= d:
-            nsq = sum(map(mul, map(mul, weights, t), t))
-            for b in members:
-                out[b] += nsq
-    return [Fraction(x, wden * scale * scale) for x in out]
-
-
 def _block_index(i, nblocks):
     i = int(i)
     if i < 0 or i >= nblocks:
@@ -420,48 +381,61 @@ def _block_index(i, nblocks):
     return i
 
 
-def influence(f, i, blocks=None):
-    """Sum of squared component norms over sets containing block i.
-
-    With the default singleton blocks this is the usual coordinate influence
-    E[Var_{x_i} f].
-    """
-    out = _influences(f, blocks)
-    return out[_block_index(i, len(out))]
-
-
-def degree_d_influence(f, i, d, blocks=None):
-    """Like influence, restricted to component sets of size at most d."""
-    out = _influences(f, blocks, int(d))
-    return out[_block_index(i, len(out))]
-
-
-def influence_variance(f, i, blocks=None):
-    """The variance form: E over the other coordinates of Var over block i,
-    that is E[E_i(f^2) - (E_i f)^2], with no Efron-Stein components."""
+def _block_influence(f, block):
+    """E[Var_block f] by the variance form E[E_b(f^2) - (E_b f)^2]: the
+    block's coordinates summed out of f and of f^2, with no Efron-Stein
+    components."""
     domain = f.domain
-    blocks = _normalize_blocks(domain, blocks)
-    i = _block_index(i, len(blocks))
     mean, den = f.numerators, f.denominator
     meansq, scale = [x * x for x in mean], 1
-    for coord in blocks[i]:
+    for coord in block:
         weights, d = _scaled(domain.measures[coord])
         mean = _sum_out(mean, domain.stride(coord), weights)
         meansq = _sum_out(meansq, domain.stride(coord), weights)
         scale *= d
-    # mean is scale * den * E_i f and meansq is scale * den^2 * E_i(f^2).
+    # mean is scale * den * E_b f and meansq is scale * den^2 * E_b(f^2).
     var = [scale * b - a * a for a, b in zip(mean, meansq)]
     weights, wden = domain.point_weights()
     return Fraction(sum(map(mul, weights, var)), wden * (scale * den) ** 2)
 
 
+def influence(f, i, blocks=None):
+    """Influence of block i: the sum of squared component norms over the
+    sets containing it, computed as E over the other coordinates of Var over
+    block i. With the default singleton blocks this is the usual coordinate
+    influence E[Var_{x_i} f]."""
+    blocks = _normalize_blocks(f.domain, blocks)
+    return _block_influence(f, blocks[_block_index(i, len(blocks))])
+
+
+influence_variance = influence
+
+
 def all_influences(f, blocks=None):
-    """Influence of every block from a single split."""
-    return _influences(f, blocks)
+    """Influence of every block, each by the variance form."""
+    blocks = _normalize_blocks(f.domain, blocks)
+    return [_block_influence(f, block) for block in blocks]
 
 
 def all_degree_d_influences(f, d, blocks=None):
-    return _influences(f, blocks, int(d))
+    """Degree-d influence of every block: the sum of E[f_beta^2] over the
+    component sets beta that contain it and have at most d blocks, read
+    from a split capped at d blocks."""
+    blocks = _normalize_blocks(f.domain, blocks)
+    weights, wden = f.domain.point_weights()
+    scale = f.denominator * wden
+    out = [0] * len(blocks)
+    for m, t in _split(f.numerators, f.domain, blocks, int(d)):
+        nsq = sum(map(mul, map(mul, weights, t), t))
+        for b in _members(m, len(blocks)):
+            out[b] += nsq
+    return [Fraction(x, wden * scale * scale) for x in out]
+
+
+def degree_d_influence(f, i, d, blocks=None):
+    """Like influence, restricted to component sets of size at most d."""
+    out = all_degree_d_influences(f, d, blocks)
+    return out[_block_index(i, len(out))]
 
 
 def block_image(alpha, blocks, n):

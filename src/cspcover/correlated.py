@@ -67,38 +67,14 @@ class CorrelatedSpace(Frozen):
             k_right=next(iter(rlens)),
         )
 
-    def mu_value(self, la, ra):
-        return self.mu.get((tuple(la), tuple(ra)), Fraction(0))
-
     def support(self):
         return tuple(sorted(k for k, w in self.mu.items() if w > 0))
-
-    def min_atom(self):
-        return min(w for w in self.mu.values() if w > 0)
 
     def drop_zero_atoms(self):
         """Restrict to atoms of positive marginal and positive joint entries;
         the space itself when every entry is positive."""
         mu = {k: w for k, w in self.mu.items() if w > 0}
         return self if len(mu) == len(self.mu) else CorrelatedSpace(mu)
-
-    def right_marginal_domain(self):
-        return _blocks_domain([self], "right")
-
-    def single_coordinate_marginal(self, side, coord):
-        """Distribution of one coordinate of one side, as a symbol -> mass map."""
-        if side not in ("left", "right"):
-            raise PreconditionError("side must be 'left' or 'right'")
-        left, right, den, _ = _marginals(self)
-        marg = (left if side == "left" else right)[coord]
-        return {s: Fraction(n, den) for s, n in marg.items()}
-
-    def pair_marginal(self, left_coord, right_coord):
-        out = {}
-        for (la, ra), w in self.mu.items():
-            key = (la[left_coord], ra[right_coord])
-            out[key] = out.get(key, Fraction(0)) + w
-        return out
 
     def __repr__(self):
         return "CorrelatedSpace(%d x %d atoms, k=(%d,%d))" % (

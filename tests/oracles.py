@@ -410,6 +410,17 @@ def direct_dft(values):
     return out
 
 
+def reference_noise(values, gamma):
+    """The noise operator by direct character sums: each `direct_dft`
+    coefficient times (1 - gamma)^|alpha|, summed back at every point."""
+    rate = 1 - Fraction(gamma)
+    coeffs = [c * rate ** bin(alpha).count("1")
+              for alpha, c in enumerate(direct_dft(values))]
+    return [sum((-c if bin(x & alpha).count("1") % 2 else c
+                 for alpha, c in enumerate(coeffs)), Fraction(0))
+            for x in range(len(values))]
+
+
 def variance_influence(values, sizes, measures, i):
     """E over the other coordinates of the variance along coordinate i."""
     n = len(sizes)
@@ -547,6 +558,24 @@ def moebius_influences(values, sizes, measures, blocks, d=None):
         for b in members:
             out[b] += nsq
     return out
+
+
+def marginal(space, left_coords, right_coords):
+    """The joint law of some left and some right coordinates of a space, as
+    a map from (left symbols, right symbols) to the sum of the `mu` masses
+    that show them; every atom counts, zero ones included."""
+    out = {}
+    for (la, ra), w in space.mu.items():
+        key = (tuple(la[c] for c in left_coords),
+               tuple(ra[c] for c in right_coords))
+        out[key] = out.get(key, Fraction(0)) + w
+    return out
+
+
+def coordinate_marginal(space, side, coord):
+    """One coordinate of one side as a symbol -> mass map, from `marginal`."""
+    coords = ((coord,), ()) if side == "left" else ((), (coord,))
+    return {(la + ra)[0]: w for (la, ra), w in marginal(space, *coords).items()}
 
 
 def invariance_gap_reference(space, nblocks, f, g):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,10 @@ from cspcover import (
     noise,
     pi_oplus,
     pi_tilde,
+    wht,
 )
+from cspcover import boolanalysis
+from cspcover.boolanalysis import _split
 
 import oracles
 
@@ -101,15 +105,6 @@ class TestTabulatedFunction:
         g = TabulatedFunction(dom, [1, 1])
         assert f.inner(g) == Fraction(1, 4) - Fraction(3, 4)
 
-    def test_pointwise_arithmetic(self):
-        f = pm_table(2, 0b0110)
-        g = pm_table(2, 0b0011)
-        assert f.mul(g).values == tuple(
-            a * b for a, b in zip(f.values, g.values)
-        )
-        assert f.add(g).sub(g) == f
-        assert f.scale(2).values == tuple(2 * a for a in f.values)
-
 
 class TestFourier:
     def test_character_is_its_own_indicator(self):
@@ -122,17 +117,17 @@ class TestFourier:
     def test_constant_function(self):
         dom = ProductDomain.binary_uniform(2)
         table = fourier(TabulatedFunction(dom, [1, 1, 1, 1]))
-        assert table.coefficient(()) == 1
+        assert table.coefficients[0] == 1
         assert all(c == 0 for c in table.coefficients[1:])
 
     def test_three_bit_majority(self):
         table = fourier(MAJORITY3)
         for i in range(3):
-            assert table.coefficient((i,)) == Fraction(1, 2)
-        assert table.coefficient((0, 1, 2)) == Fraction(-1, 2)
-        assert table.coefficient(()) == 0
-        for pair in itertools.combinations(range(3), 2):
-            assert table.coefficient(pair) == 0
+            assert table.coefficients[1 << i] == Fraction(1, 2)
+        assert table.coefficients[0b111] == Fraction(-1, 2)
+        assert table.coefficients[0] == 0
+        for a, b in itertools.combinations(range(3), 2):
+            assert table.coefficients[1 << a | 1 << b] == 0
 
     def test_matches_direct_sums(self):
         rng = random.Random(11)
@@ -146,7 +141,8 @@ class TestFourier:
     def test_inverse_round_trip(self):
         rng = random.Random(12)
         f = random_rational_table(rng, ProductDomain.binary_uniform(3))
-        assert fourier(f).inverse() == f
+        assert wht(wht(f.values)) == [8 * v for v in f.values]
+        assert wht(wht(f.numerators)) == [8 * m for m in f.numerators]
 
     def test_rejects_non_binary_domain(self):
         dom = ProductDomain((3,))
@@ -161,12 +157,13 @@ class TestFourier:
     def test_parseval_exhaustive_n3(self):
         for bits in range(256):
             f = pm_table(3, bits)
-            assert fourier(f).weight_sq() == f.norm_sq() == 1
+            coeffs = fourier(f).coefficients
+            assert sum(c * c for c in coeffs) == f.norm_sq() == 1
 
     @given(st.lists(st.fractions(), min_size=8, max_size=8))
     def test_parseval_rational(self, vals):
         f = TabulatedFunction(ProductDomain.binary_uniform(3), vals)
-        assert fourier(f).weight_sq() == f.norm_sq()
+        assert sum(c * c for c in fourier(f).coefficients) == f.norm_sq()
 
     @given(
         st.lists(st.fractions(), min_size=4, max_size=4),
@@ -342,6 +339,32 @@ class TestInfluence:
         assert influence(f, 0, blocks=[(0, 1), (2,)]) == 1
         assert influence(f, 1, blocks=[(0, 1), (2,)]) == 0
 
+    def test_total_influence_runs_no_split(self, monkeypatch):
+        """The three total-influence names read the variance form alone; the
+        values were recorded while they still summed component norms."""
+        dom = ProductDomain((2, 3, 2), (
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+            (Fraction(3, 5), Fraction(2, 5)),
+        ))
+        f = TabulatedFunction(dom, [Fraction(v) for v in (
+            "1 -1/2 0 2/3 -1 1/4 3 -2 1/5 0 -3/4 1").split()])
+        single = [Fraction(150871, 108000), Fraction(12727, 12000),
+                  Fraction(68819, 180000)]
+        cases = ((None, single),
+                 ([(0, 2), (1,)], [Fraction(21589, 15000), single[1]]),
+                 ([(1,), (2,), (0,)], [single[1], single[2], single[0]]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("total influence ran the Efron-Stein split")
+
+        monkeypatch.setattr(boolanalysis, "_split", refuse)
+        for blocks, want in cases:
+            assert all_influences(f, blocks) == want
+            for i, w in enumerate(want):
+                assert influence(f, i, blocks) == w
+                assert influence_variance(f, i, blocks) == w
+
 
 class TestNoise:
     def test_gamma_zero_is_identity(self):
@@ -378,6 +401,28 @@ class TestNoise:
             noise(f, 2)
         with pytest.raises(PreconditionError):
             noise(f, Fraction(-1, 2))
+
+    def test_rejects_non_binary_domain_after_the_rate(self):
+        f = TabulatedFunction(ProductDomain((3,)), [1, 2, 3])
+        with pytest.raises(PreconditionError,
+                           match=r"^noise rate must lie in \[0, 1\]$"):
+            noise(f, 2)
+        with pytest.raises(PreconditionError,
+                           match="^fourier requires a binary uniform domain$"):
+            noise(f, Fraction(1, 2))
+
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+               st.fractions(max_denominator=12), min_size=1 << n,
+               max_size=1 << n)),
+           st.sampled_from((0, 1, Fraction(1, 3), Fraction(2, 7),
+                            Fraction(1, 2))),
+           st.integers(1, 3))
+    def test_matches_direct_sums(self, vals, gamma, c):
+        f = TabulatedFunction(
+            ProductDomain.binary_uniform(len(vals).bit_length() - 1), vals)
+        want = oracles.reference_noise(vals, gamma)
+        assert list(noise(f, gamma).values) == want
+        assert list(noise(oracles.unreduced(f, c), gamma).values) == want
 
     def test_total_influence_bound_after_noise(self):
         rng = random.Random(44)
@@ -542,3 +587,52 @@ class TestSplitAgainstMoebius:
                      lambda: influence_variance(MAJORITY3, 3)):
             with pytest.raises(PreconditionError):
                 call()
+
+
+class TestCappedSplit:
+    """A split capped at d blocks yields exactly the components of at most
+    d blocks, each equal to the uncapped split's."""
+
+    def test_yields_the_components_of_at_most_cap_blocks(self):
+        rng = random.Random(16)
+        for nb in range(7):
+            sizes = [rng.choice((1, 2, 2, 3)) for _ in range(nb)]
+            measures = []
+            for size in sizes:
+                masses = [rng.randrange(4) for _ in range(size)]
+                masses[rng.randrange(size)] += 1
+                measures.append([Fraction(m, sum(masses)) for m in masses])
+            f = random_rational_table(rng, ProductDomain(sizes, measures))
+            blocks = [(c,) for c in range(nb)]
+            full = dict(_split(f.numerators, f.domain, blocks))
+            assert len(full) == 1 << nb
+            for d in range(nb + 2):
+                capped = list(_split(f.numerators, f.domain, blocks, cap=d))
+                masks = [m for m, _t in capped]
+                assert len(masks) == len(set(masks)) == sum(
+                    math.comb(nb, j) for j in range(min(d, nb) + 1))
+                assert set(masks) == {m for m in full if m.bit_count() <= d}
+                for m, t in capped:
+                    assert t == full[m], (nb, d, m)
+
+    @given(grouped_tables(), st.integers(0, 4))
+    def test_influences_are_the_component_norms(self, case, d):
+        """Both influence kernels against the uncapped decomposition."""
+        f, blocks = case
+        comps = efron_stein(f, blocks=blocks).components
+
+        def norms(cap):
+            return [sum((c.norm_sq() for beta, c in comps.items()
+                         if b in beta and len(beta) <= cap), Fraction(0))
+                    for b in range(len(blocks))]
+
+        assert all_influences(f, blocks) == norms(len(blocks))
+        assert all_degree_d_influences(f, d, blocks) == norms(d)
+
+    @given(grouped_tables(), st.integers(0, 4))
+    def test_grouped_blocks(self, case, d):
+        f, blocks = case
+        blocks = [tuple(sorted(b)) for b in blocks]
+        full = dict(_split(f.numerators, f.domain, blocks))
+        capped = dict(_split(f.numerators, f.domain, blocks, cap=d))
+        assert capped == {m: t for m, t in full.items() if m.bit_count() <= d}

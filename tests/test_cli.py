@@ -6,6 +6,8 @@ files are produced with the same text formats the commands consume, so these
 tests also exercise the parse/format round trip under realistic use.
 """
 
+import random
+import signal
 import subprocess
 import sys
 import time
@@ -532,6 +534,37 @@ class TestAnalysisCommands:
         assert "coef:e" not in keys_of(out)
         for i in range(3):
             assert value_of(out, "influence:%d" % i) == "1/2"
+
+    def test_fourier_on_twelve_variables_within_two_seconds(
+        self, tmp_path, capsys
+    ):
+        # An alarm turns a run past 2 s into a failure instead of a wait:
+        # influences read the variance form, not all 2^12 Efron-Stein
+        # components.
+        rng = random.Random(12)
+        signs = [rng.choice((1, -1)) for _ in range(1 << 12)]
+        table = write(tmp_path / "signs.tt",
+                      "12\n" + "".join("%d\n" % v for v in signs))
+
+        def too_slow(signum, frame):
+            raise AssertionError("fourier ran for more than 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 2)
+            try:
+                code, out, _ = run(capsys, "fourier", table)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        # Each coordinate's influence of a sign table is the share of edges
+        # along it whose ends differ.
+        for i in range(12):
+            flips = sum(signs[x] != signs[x ^ 1 << i] for x in range(1 << 12))
+            assert Fraction(value_of(out, "influence:%d" % i)) == Fraction(
+                flips, 1 << 12)
 
     @pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_rho_refuses_a_negative_or_nan_tolerance(

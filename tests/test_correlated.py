@@ -117,7 +117,7 @@ class TestCorrelatedSpace:
 
     def test_min_atom_and_support(self):
         sp = bit_space(1, 2, 3, 4)
-        assert sp.min_atom() == Fraction(1, 10)
+        assert min(sp.mu[key] for key in sp.support()) == Fraction(1, 10)
         assert len(sp.support()) == 4
 
     def test_accepts_pair_iterables_and_list_lookups(self):
@@ -127,8 +127,8 @@ class TestCorrelatedSpace:
                 (((1,), (1,)), Fraction(1, 4)),
             ]
         )
-        assert sp.mu_value((0,), (0,)) == Fraction(3, 4)
-        assert sp.mu_value([0], [0]) == Fraction(3, 4)
+        assert sp.mu == {((0,), (0,)): Fraction(3, 4),
+                         ((1,), (1,)): Fraction(1, 4)}
 
     def test_drop_zero_atoms(self):
         sp = CorrelatedSpace(
@@ -139,8 +139,14 @@ class TestCorrelatedSpace:
 
     def test_pair_marginal(self):
         sp = t2_block_space(t2_params(Fraction(1, 4)))
-        pm = sp.pair_marginal(0, 1)
+        pm = oracles.marginal(sp, (0,), (1,))
         assert sum(pm.values()) == 1
+        # The pairwise marginals of a t2 block factorize.
+        assert pairwise_product_check(sp)
+        left = oracles.coordinate_marginal(sp, "left", 0)
+        right = oracles.coordinate_marginal(sp, "right", 1)
+        for (a, b), w in pm.items():
+            assert w == left[a[0]] * right[b[0]]
 
 
 class TestDropZeroAtoms:
@@ -261,12 +267,12 @@ class TestCorrelationRho:
 class TestMarkovOperator:
     def test_constant_one_maps_to_constant_one(self):
         sp = bit_space(2, 1, 1, 3)
-        g = TabulatedFunction(sp.right_marginal_domain(), [1, 1])
+        g = TabulatedFunction(blocks_right_domain([sp]), [1, 1])
         assert MarkovOperator(sp).apply(g).values == (1, 1)
 
     def test_product_measure_maps_to_expectation(self):
         sp = bit_space(2, 4, 1, 2)  # determinant zero: product measure
-        g = TabulatedFunction(sp.right_marginal_domain(), [3, -5])
+        g = TabulatedFunction(blocks_right_domain([sp]), [3, -5])
         out = MarkovOperator(sp).apply(g)
         assert all(v == g.expectation() for v in out.values)
 
@@ -274,7 +280,7 @@ class TestMarkovOperator:
         rng = random.Random(61)
         for _ in range(10):
             sp = random_block(rng)
-            dom = sp.right_marginal_domain()
+            dom = blocks_right_domain([sp])
             g = TabulatedFunction(
                 dom, [Fraction(rng.randrange(-5, 6)) for _ in range(dom.size)]
             )
@@ -352,7 +358,7 @@ class TestUnreducedTables:
 class TestCommutation:
     def test_single_block(self):
         sp = bit_space(3, 1, 1, 3)
-        g = TabulatedFunction(sp.right_marginal_domain(), [1, -1])
+        g = TabulatedFunction(blocks_right_domain([sp]), [1, -1])
         res = commute_check([sp], g)
         assert res.ok
         assert res.worst_deviation == 0.0
@@ -534,7 +540,7 @@ def pairwise_space(p, lam, zero_atom=False, swap=False):
 def side_domains(space, nblocks):
     out = []
     for side in ("left", "right"):
-        marg = space.single_coordinate_marginal(side, 0)
+        marg = oracles.coordinate_marginal(space, side, 0)
         measure = tuple(marg[s] for s in sorted(marg))
         out.append(ProductDomain((len(measure),) * nblocks,
                                  (measure,) * nblocks))

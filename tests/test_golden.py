@@ -1,4 +1,4 @@
-"""Golden outputs of the reduction commands, pinned byte for byte.
+"""Golden outputs of the CLI commands, pinned byte for byte.
 
 The CLI promises byte-identical output for identical inputs, flags and seed.
 These tests run `reduce` (exact and sampled), `witness`, `fraction`,
@@ -22,6 +22,12 @@ The label-cover commands are pinned the same way: `lc-gen` for each of the
 four kinds, `lc-sat`, and `lc-cover` at c = 1, 2 and 3 on generated games,
 on a game with an isolated left vertex and on one without edges. Their
 digests were recorded before the c-cover search became iterative.
+
+The analysis commands are pinned on stdout: `fourier` (coefficients and
+influences) on a rational and a sign table, and `invariance` on a coupled
+space with a non-uniform side, at one and three blocks. Their digests were
+recorded before the influences moved to the variance form and the capped
+Efron-Stein split.
 """
 
 import contextlib
@@ -174,6 +180,56 @@ def lc_golden_digests(workdir):
             path = workdir / fname
             digests["%s %s" % (call, fname)] = (
                 _sha256(path.read_bytes()) if path.exists() else "absent")
+    return digests
+
+
+# Analysis inputs: a 5-variable rational table and a 4-variable sign table
+# for `fourier`; for `invariance`, a space with two rows per side whose
+# left coordinates are 1 with probability 1/3 and whose right coordinates
+# are uniform, coupled half way (pairwise marginals factorize), with value
+# files for one and three blocks.
+RATIONAL_TABLE = "5\n" + "\n".join((
+    "-1/5 1/3 0 1 0 -3/2 -2 -2/3 2 5/7 -2 3 1 -3 6/7 4 "
+    "1/5 1 -1 -1/3 0 -1/5 0 2 1 3 -2 6 2/3 -3/5 -4/3 -2/3").split()) + "\n"
+SIGN_TABLE = "4\n" + "".join(
+    "1\n" if c == "+" else "-1\n" for c in "--++-+--+-+-+-++")
+COUPLED_SPACE = (
+    "2 2 2 2\n"
+    "00 00 14/81\n00 01 4/81\n00 10 4/81\n00 11 14/81\n"
+    "01 00 5/162\n01 01 13/162\n01 10 13/162\n01 11 5/162\n"
+    "10 00 5/162\n10 01 13/162\n10 10 13/162\n10 11 5/162\n"
+    "11 00 7/162\n11 01 1/81\n11 10 1/81\n11 11 7/162\n"
+)
+ANALYSIS_FILES = {
+    "rational.tt": RATIONAL_TABLE,
+    "sign.tt": SIGN_TABLE,
+    "coupled.sp": COUPLED_SPACE,
+    "f1.vals": "1\n-1/3\n",
+    "g1.vals": "1/2\n-1\n",
+    "f3.vals": "-1/4\n1/2\n1/4\n-1\n1\n-1\n1/2\n1/4\n",
+    "g3.vals": "0\n1/3\n2/3\n1\n1\n2/3\n2/3\n1\n",
+}
+ANALYSIS_CALLS = {
+    "fourier rational": ["fourier", "rational.tt"],
+    "fourier sign": ["fourier", "sign.tt"],
+    "invariance --blocks 1": ["invariance", "coupled.sp", "--blocks", "1",
+                              "--f", "f1.vals", "--g", "g1.vals"],
+    "invariance --blocks 3": ["invariance", "coupled.sp", "--blocks", "3",
+                              "--f", "f3.vals", "--g", "g3.vals"],
+}
+
+
+def analysis_golden_digests(workdir):
+    """Digest of the stdout of every analysis call."""
+    for fname, text in ANALYSIS_FILES.items():
+        (workdir / fname).write_text(text, encoding="utf-8")
+    digests = {}
+    for call, argv in ANALYSIS_CALLS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, call
+        digests[call + " stdout"] = _sha256(out.getvalue().encode("utf-8"))
     return digests
 
 
@@ -410,3 +466,20 @@ GOLDEN_LC = {
 def test_golden_label_cover_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert lc_golden_digests(tmp_path) == GOLDEN_LC
+
+
+GOLDEN_ANALYSIS = {
+    'fourier rational stdout':
+        '912377820857a8f1bd704d0f13b280c01c4c95a5c6717f877acf172725b8cb46',
+    'fourier sign stdout':
+        '04c7fced8d250b492f33abaf5a0f1ef2efd3db38ad81d13cf1d43deebf5f77b0',
+    'invariance --blocks 1 stdout':
+        'c5b636da8a488c4d62824ba58fec984aa7578f373f8446703e70b3974deb0b0d',
+    'invariance --blocks 3 stdout':
+        'fa5bc36c181fea0cb0bbbf7043ddddde1a60ae35490694e66553ab3336d044dc',
+}
+
+
+def test_golden_analysis_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert analysis_golden_digests(tmp_path) == GOLDEN_ANALYSIS

@@ -119,14 +119,14 @@ class TestBlockTable:
         # block; its two bits (plain and shifted column) must be uniform.
         sp = t2_block_space(params(Fraction(1, 8)))
         for coord in range(sp.k_left):
-            marg = sp.single_coordinate_marginal("left", coord)
+            marg = oracles.coordinate_marginal(sp, "left", coord)
             assert len(marg) == 4
             assert all(w == Fraction(1, 4) for w in marg.values())
 
     def test_every_y_row_is_uniform(self):
         sp = t2_block_space(params(Fraction(1, 4)))
         for coord in range(sp.k_right):
-            marg = sp.single_coordinate_marginal("right", coord)
+            marg = oracles.coordinate_marginal(sp, "right", coord)
             assert len(marg) == 4
             assert all(w == Fraction(1, 4) for w in marg.values())
 

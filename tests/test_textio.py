@@ -214,7 +214,7 @@ class TestSpaceFormat:
     def test_duplicate_lines_are_summed(self):
         text = "2 1 2 1\n0 0 1/4\n0 0 1/4\n1 1 1/2\n"
         sp = textio.parse_space(text)
-        assert sp.mu_value((0,), (0,)) == Fraction(1, 2)
+        assert sp.mu[((0,), (0,))] == Fraction(1, 2)
 
     def test_rejects_wrong_token_count(self):
         with pytest.raises(FormatError):
