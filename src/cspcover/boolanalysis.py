@@ -11,14 +11,19 @@ import math
 from fractions import Fraction
 from operator import attrgetter, mul
 
-from .errors import Frozen, FrozenValue, PreconditionError, check_table_size
+from .errors import (
+    Frozen, FrozenValue, PreconditionError, as_rational, check_table_size)
 
 
 class ProductDomain(FrozenValue):
-    """Finite product of coordinate spaces with exact per-coordinate measures."""
+    """Finite product of coordinate spaces with exact per-coordinate measures,
+    each held once as `weights[c]`: integer masses over one denominator, in
+    lowest terms (a uniform coordinate of s symbols is ((1,) * s, s)). The
+    Fraction view `measures` is built on first access, and kept; the hash
+    reads it, so it is the hash of (sizes, measures)."""
 
-    __slots__ = ("sizes", "measures", "_strides", "size", "_weights")
-    _key = attrgetter("sizes", "measures")
+    __slots__ = ("sizes", "weights", "_strides", "size", "_points", "_measures")
+    _key = attrgetter("sizes", "weights")
 
     def __init__(self, sizes, measures=None):
         sizes = tuple(int(s) for s in sizes)
@@ -27,29 +32,37 @@ class ProductDomain(FrozenValue):
         size = math.prod(sizes) if sizes else 1
         check_table_size(size)
         if measures is None:
-            measures = tuple(
-                tuple(Fraction(1, s) for _ in range(s)) for s in sizes
-            )
+            weights = tuple(((1,) * s, s) for s in sizes)
         else:
-            measures = tuple(
-                tuple(Fraction(m) for m in coord) for coord in measures
-            )
-            if len(measures) != len(sizes):
+            weights = [_scaled([as_rational(m, "measure") for m in coord])
+                       for coord in measures]
+            if len(weights) != len(sizes):
                 raise PreconditionError("one measure per coordinate required")
-            for s, coord in zip(sizes, measures):
-                if len(coord) != s:
+            for s, (ints, den) in zip(sizes, weights):
+                if len(ints) != s:
                     raise PreconditionError("measure length mismatches its coordinate")
-                if any(m < 0 for m in coord):
+                if min(ints) < 0:
                     raise PreconditionError("measures must be nonnegative")
-                if sum(coord) != 1:
+                if sum(ints) != den:
                     raise PreconditionError("each coordinate measure must sum to 1")
+            weights = tuple((tuple(ints), den) for ints, den in weights)
         strides = []
         acc = 1
         for s in sizes:
             strides.append(acc)
             acc *= s
-        self._fill(sizes=sizes, measures=measures, _strides=tuple(strides),
-                   size=size, _weights=None)
+        self._fill(sizes=sizes, weights=weights, _strides=tuple(strides),
+                   size=size, _points=None, _measures=None)
+
+    @property
+    def measures(self):
+        if self._measures is None:
+            self._fill(_measures=tuple(tuple(Fraction(m, den) for m in ints)
+                                       for ints, den in self.weights))
+        return self._measures
+
+    def __hash__(self):
+        return hash((self.sizes, self.measures))
 
     @classmethod
     def binary_uniform(cls, n):
@@ -80,28 +93,26 @@ class ProductDomain(FrozenValue):
         return idx
 
     def weight(self, index):
-        w = Fraction(1)
-        for s, coord in zip(self.sizes, self.measures):
-            w *= coord[index % s]
+        num = den = 1
+        for s, (ints, d) in zip(self.sizes, self.weights):
+            num *= ints[index % s]
+            den *= d
             index //= s
-        return w
+        return Fraction(num, den)
 
     def point_weights(self):
         """Every point's weight as integers over one common denominator,
         computed once per domain: (weights in index order, denominator)."""
-        if self._weights is None:
+        if self._points is None:
             weights, den = [1], 1
-            for coord in self.measures:
-                ints, d = _scaled(coord)
+            for ints, d in self.weights:
                 weights = [a * b for b in ints for a in weights]
                 den *= d
-            self._fill(_weights=(weights, den))
-        return self._weights
+            self._fill(_points=(weights, den))
+        return self._points
 
     def is_binary_uniform(self):
-        return all(s == 2 for s in self.sizes) and all(
-            coord == (Fraction(1, 2), Fraction(1, 2)) for coord in self.measures
-        )
+        return all(w == ((1, 1), 2) for w in self.weights)
 
     def __repr__(self):
         return "ProductDomain(sizes=%r)" % (self.sizes,)
@@ -151,10 +162,6 @@ class TabulatedFunction(FrozenValue):
 
     def norm_sq(self):
         return self.inner(self)
-
-    def variance(self):
-        mean = self.expectation()
-        return self.norm_sq() - mean * mean
 
     def sup_norm(self):
         return Fraction(max(map(abs, self.numerators)), self.denominator)
@@ -295,15 +302,6 @@ class EfronSteinDecomposition(Frozen):
     def component(self, beta):
         return self.components[frozenset(beta)]
 
-    def total(self):
-        """The components' sum, as integers over their common denominator."""
-        comps = self.components.values()
-        den = math.lcm(*(c.denominator for c in comps))
-        tables = ([m * (den // c.denominator) for m in c.numerators]
-                  for c in comps)
-        return TabulatedFunction._trusted(
-            self.domain, tuple(map(sum, zip(*tables))), den, None)
-
     def __repr__(self):
         return "EfronSteinDecomposition(%d blocks)" % len(self.blocks)
 
@@ -332,7 +330,6 @@ def _split(ints, domain, blocks, cap=None):
     yielded table is its component times the product of every coordinate's
     measure denominator.
     """
-    measures = [_scaled(m) for m in domain.measures]
     stack = [(0, 0, ints)]
     while stack:
         b, mask, t = stack.pop()
@@ -341,7 +338,7 @@ def _split(ints, domain, blocks, cap=None):
             continue
         mean, scale = t, 1
         for coord in blocks[b]:
-            weights, d = measures[coord]
+            weights, d = domain.weights[coord]
             mean = _sum_out(mean, domain.stride(coord), weights)
             scale *= d
         if cap is None or mask.bit_count() < cap:
@@ -389,7 +386,7 @@ def _block_influence(f, block):
     mean, den = f.numerators, f.denominator
     meansq, scale = [x * x for x in mean], 1
     for coord in block:
-        weights, d = _scaled(domain.measures[coord])
+        weights, d = domain.weights[coord]
         mean = _sum_out(mean, domain.stride(coord), weights)
         meansq = _sum_out(meansq, domain.stride(coord), weights)
         scale *= d

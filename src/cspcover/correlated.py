@@ -27,6 +27,7 @@ from .errors import (
     GuaranteeError,
     PreconditionError,
     as_budget,
+    as_rational,
 )
 
 
@@ -37,13 +38,14 @@ class CorrelatedSpace(Frozen):
                  "marginal_right", "k_left", "k_right")
 
     def __init__(self, mu):
+        # Atoms become tuples first, so a repeated pair keeps its last mass.
         table = {}
-        for (la, ra), w in dict(mu).items():
-            la, ra = tuple(la), tuple(ra)
-            w = Fraction(w)
+        for (la, ra), w in (mu.items() if hasattr(mu, "items") else mu):
+            table[tuple(la), tuple(ra)] = w
+        for key, w in table.items():
+            table[key] = w = as_rational(w, "measure entry")
             if w < 0:
                 raise PreconditionError("measure entries must be nonnegative")
-            table[(la, ra)] = table.get((la, ra), Fraction(0)) + w
         lefts = {la for (la, _ra) in table}
         rights = {ra for (_la, ra) in table}
         if not table or all(w == 0 for w in table.values()):

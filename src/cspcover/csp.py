@@ -13,20 +13,8 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import Frozen, FrozenValue, PreconditionError, as_budget
+from .errors import Frozen, FrozenValue, PreconditionError, as_budget, as_rational
 from .predicate import add_tuples, is_odd, is_shift_closed, sub_tuples
-
-
-def _weight(w):
-    """A constraint weight as a Fraction; anything but a rational is refused."""
-    if type(w) is Fraction:
-        return w
-    try:
-        return Fraction(w)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise PreconditionError(
-            "constraint weight %r is not a rational" % (w,)
-        ) from None
 
 
 class Constraint(FrozenValue):
@@ -35,7 +23,8 @@ class Constraint(FrozenValue):
 
     def __init__(self, vars, literals, weight):
         self._fill(vars=tuple(map(int, vars)),
-                   literals=tuple(map(int, literals)), weight=_weight(weight))
+                   literals=tuple(map(int, literals)),
+                   weight=as_rational(weight, "constraint weight"))
 
     def __repr__(self):
         return "Constraint(%r, %r, %s)" % (self.vars, self.literals, self.weight)
@@ -74,15 +63,12 @@ def _triple_columns(constraints, k, q, n):
     objects, read once: int tuple scopes and literal vectors, and integer
     numerators over the lcm of the weights' denominators. A literal vector
     is converted once per distinct value, and equal vectors share one tuple,
-    whether given hashable or not; a weight is converted once per distinct
-    object (kept referenced, so its id stays its own). When reading fails,
-    an atom read before that fails a check is reported instead. A weight
-    that is not a rational is reported before its own atom's structural
-    checks, since their message shows it."""
+    whether given hashable or not; an int weight is kept as it is. When
+    reading fails, an atom read before that fails a check is reported
+    instead. A weight that is not a rational is reported before its own
+    atom's structural checks, since their message shows it."""
     vectors = {}  # vector as given or converted -> int tuple
-    seen = {}  # id(weight) -> (weight, index into `fractions`)
-    fractions = []
-    scopes, literals, picks = [], [], []
+    scopes, literals, weights = [], [], []
     try:
         for c in constraints:
             vars_, lits, w = (
@@ -99,21 +85,16 @@ def _triple_columns(constraints, k, q, n):
                     vectors[given] = lits
                 except TypeError:
                     pass
-            pick = seen.get(id(w))
-            if pick is None:
-                f = _weight(w)
-                pick = seen[id(w)] = w, len(fractions)
-                fractions.append(f)
+            weights.append(
+                w if type(w) is int else as_rational(w, "constraint weight"))
             scopes.append(vars_)
             literals.append(lits)
-            picks.append(pick[1])
     except Exception:
-        _first_fault(scopes, literals, map(fractions.__getitem__, picks),
-                     k, q, n)
+        _first_fault(scopes, literals, weights, k, q, n)
         raise
-    den = math.lcm(*{f.denominator for f in fractions})
-    scaled = [f.numerator * (den // f.denominator) for f in fractions]
-    return scopes, literals, list(map(scaled.__getitem__, picks)), den
+    den = math.lcm(*{w.denominator for w in weights})
+    return scopes, literals, [
+        w.numerator * (den // w.denominator) for w in weights], den
 
 
 class CspInstance(Frozen):

@@ -5,6 +5,8 @@ status 1, BudgetExceededError to 2, PreconditionError (and its FormatError
 subclass) to 3.
 """
 
+from fractions import Fraction
+
 DEFAULT_BUDGET = 10**9
 
 # Largest product domain, in points, that is ever tabulated in full.
@@ -33,6 +35,17 @@ def check_table_size(size):
         raise PreconditionError(
             "domain has %d points; full tables are capped at %d" % (size, MAX_TABLE)
         )
+
+
+def as_rational(value, what):
+    """value as a Fraction; anything but a rational is refused, naming it
+    as `what`."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise PreconditionError("%s %r is not a rational" % (what, value)) from None
 
 
 class Frozen:

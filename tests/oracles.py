@@ -666,6 +666,19 @@ def unreduced(f, c):
         f.domain, tuple(c * x for x in f.numerators), c * f.denominator, None)
 
 
+def integer_sum(tables):
+    """The pointwise sum of tables on one domain, added as integers over the
+    lcm of their denominators, so no table's Fraction values get built."""
+    from cspcover.boolanalysis import TabulatedFunction
+
+    tables = list(tables)
+    den = math.lcm(*(t.denominator for t in tables))
+    scaled = ([m * (den // t.denominator) for m in t.numerators]
+              for t in tables)
+    return TabulatedFunction._trusted(
+        tables[0].domain, tuple(map(sum, zip(*scaled))), den, None)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise decoders: the Fraction-table paths `reductions` replaced
 

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -81,11 +83,63 @@ class TestProductDomain:
         with pytest.raises(PreconditionError):
             ProductDomain((2,), ([Fraction(1, 2), Fraction(1, 3)],))
 
+    @pytest.mark.parametrize("mass", ["x", None, float("inf")])
+    def test_a_measure_that_is_no_rational_is_a_precondition_error(self, mass):
+        with pytest.raises(PreconditionError, match="is not a rational"):
+            ProductDomain((2,), ([mass, Fraction(1, 2)],))
+
     def test_binary_uniform(self):
         dom = ProductDomain.binary_uniform(3)
         assert dom.sizes == (2, 2, 2)
         assert dom.is_binary_uniform()
         assert dom.weight(5) == Fraction(1, 8)
+
+    def test_a_wide_coordinate_costs_only_its_integer_weights(self, deadline):
+        # 2^20 symbols: as 2^20 Fraction measures a coordinate, two builds,
+        # a comparison and the uniformity test took over 3 s.
+        with deadline(1):
+            dom, twin = ProductDomain((1 << 20,)), ProductDomain((1 << 20,))
+            assert dom == twin
+            assert not dom.is_binary_uniform()
+
+
+MASSES = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any)
+
+
+def as_measure(masses):
+    return tuple(Fraction(m, sum(masses)) for m in masses)
+
+
+class TestDomainWeights:
+    """A domain holds each coordinate's measure once, as integer masses over
+    one denominator in lowest terms; `measures` is a view of them."""
+
+    @given(st.lists(MASSES, max_size=3), st.data())
+    def test_weights_equality_and_hash_follow_the_measures(self, masses, data):
+        sizes = [len(m) for m in masses]
+        measures = tuple(map(as_measure, masses))
+        # A twin of the same sizes: each coordinate's masses scaled (an
+        # equal measure) or drawn afresh (equal only by chance).
+        twin_masses = [data.draw(st.one_of(
+            st.integers(1, 4).map(lambda c, m=m: [c * x for x in m]),
+            st.lists(st.integers(0, 3), min_size=len(m), max_size=len(m))
+            .filter(any),
+        )) for m in masses]
+        dom = ProductDomain(sizes, measures)
+        twin = ProductDomain(sizes, map(as_measure, twin_masses))
+        copies = [copy.copy(dom), copy.deepcopy(dom),
+                  pickle.loads(pickle.dumps(dom))]
+        for (ints, den), measure in zip(dom.weights, measures):
+            assert (list(ints), den) == boolanalysis._scaled(measure)
+            assert math.gcd(den, *ints) == 1
+        assert (dom == twin) == (twin.measures == measures)
+        assert all(c._measures is None for c in copies)
+        for c in copies:
+            assert c == dom
+            assert hash(c) == hash(dom) == hash((tuple(sizes), measures))
+            assert c.measures == measures
+        uniform = [[Fraction(1, s)] * s for s in sizes]
+        assert ProductDomain(sizes, uniform) == ProductDomain(sizes)
 
 
 class TestTabulatedFunction:
@@ -96,7 +150,7 @@ class TestTabulatedFunction:
     def test_expectation_and_variance(self):
         f = pm_table(2, 0b0001)
         assert f.expectation() == Fraction(-1, 2)
-        assert f.variance() == Fraction(3, 4)
+        assert f.norm_sq() - f.expectation() ** 2 == Fraction(3, 4)
         assert f.norm_sq() == 1
 
     def test_inner_product_uses_the_measure(self):
@@ -208,7 +262,7 @@ class TestEfronStein:
         rng = random.Random(21)
         dom = ProductDomain((2, 3, 2))
         f = random_rational_table(rng, dom)
-        assert efron_stein(f).total() == f
+        assert oracles.integer_sum(efron_stein(f).components.values()) == f
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_total_adds_unreduced_components_as_integers(self, seed, c):
@@ -220,7 +274,7 @@ class TestEfronStein:
         dec = efron_stein(oracles.unreduced(f, c))
         twins = {beta: oracles.unreduced(comp, rng.randint(1, 5))
                  for beta, comp in dec.components.items()}
-        total = EfronSteinDecomposition(dom, dec.blocks, twins).total()
+        total = oracles.integer_sum(twins.values())
         assert all(comp._values is None for comp in twins.values())
         assert total == f
         assert all(comp._values is None for comp in twins.values())

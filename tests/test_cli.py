@@ -7,7 +7,6 @@ tests also exercise the parse/format round trip under realistic use.
 """
 
 import random
-import signal
 import subprocess
 import sys
 import time
@@ -536,7 +535,7 @@ class TestAnalysisCommands:
             assert value_of(out, "influence:%d" % i) == "1/2"
 
     def test_fourier_on_twelve_variables_within_two_seconds(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, deadline
     ):
         # An alarm turns a run past 2 s into a failure instead of a wait:
         # influences read the variance form, not all 2^12 Efron-Stein
@@ -545,19 +544,8 @@ class TestAnalysisCommands:
         signs = [rng.choice((1, -1)) for _ in range(1 << 12)]
         table = write(tmp_path / "signs.tt",
                       "12\n" + "".join("%d\n" % v for v in signs))
-
-        def too_slow(signum, frame):
-            raise AssertionError("fourier ran for more than 2 s")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 2)
-            try:
-                code, out, _ = run(capsys, "fourier", table)
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-        finally:
-            signal.signal(signal.SIGALRM, previous)
+        with deadline(2):
+            code, out, _ = run(capsys, "fourier", table)
         assert code == 0
         # Each coordinate's influence of a sign table is the share of edges
         # along it whose ends differ.

@@ -130,6 +130,25 @@ class TestCorrelatedSpace:
         assert sp.mu == {((0,), (0,)): Fraction(3, 4),
                          ((1,), (1,)): Fraction(1, 4)}
 
+    def test_list_atoms_build_the_tuple_keyed_space(self):
+        # A repeated pair keeps its last mass, as a dict does.
+        listed = CorrelatedSpace([
+            (([0], [0]), Fraction(1, 2)),
+            (([1], [1]), 1),
+            (([1], [1]), Fraction(1, 2)),
+        ])
+        keyed = CorrelatedSpace({((0,), (0,)): Fraction(1, 2),
+                                 ((1,), (1,)): Fraction(1, 2)})
+        assert listed.mu == keyed.mu
+        assert listed.marginal_left == keyed.marginal_left
+        assert listed.right_atoms == keyed.right_atoms
+
+    @pytest.mark.parametrize(
+        "mass", ["x", None, float("nan"), float("inf"), "1/0", 1j])
+    def test_refuses_a_mass_that_is_not_a_rational(self, mass):
+        with pytest.raises(PreconditionError, match="is not a rational"):
+            CorrelatedSpace({((0,), (0,)): mass})
+
     def test_drop_zero_atoms(self):
         sp = CorrelatedSpace(
             {((0,), (0,)): 1, ((1,), (1,)): 0},

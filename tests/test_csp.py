@@ -567,6 +567,13 @@ class TestColumnarInstance:
         with pytest.raises(PreconditionError):
             Constraint(vars_, (0, 0), weight)
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_a_float_that_is_no_rational_is_a_precondition_error(self, weight):
+        # Infinity ended in a bare OverflowError.
+        with pytest.raises(PreconditionError,
+                           match=r"^constraint weight .* is not a rational$"):
+            CspInstance(nae(2, 2), range(2), [((0, 1), (0, 0), weight)])
+
 
 def small_games():
     """A unique game with two vertices a side, and a one-edge 2-to-1 game."""

@@ -336,12 +336,21 @@ class TestTablesFormat:
             "table 1 has a value outside the digits [%d]" % q
 
     def test_a_wide_alphabet_header_costs_nothing_without_rows(self):
-        # One coordinate over 2^24 symbols: the domain's measures would hold
-        # 2^24 Fractions, so they wait for the first row.
+        # One coordinate over 2^24 symbols: the domain's uniform weights
+        # would hold 2^24 ints, so they wait for the first row.
         start = time.perf_counter()
         with pytest.raises(FormatError, match="missing tables for 1 of 1"):
             textio.parse_tables("1 16777216 16777216\n")
         assert time.perf_counter() - start < 1
+
+    def test_a_wide_alphabet_row_is_read_as_its_digits(self, deadline):
+        # One row over a 2^22-symbol coordinate took over 11 s when the
+        # domain held Fraction measures and each digit became a Fraction.
+        text = "1 %d %d\n0 %s\n" % (1 << 22, 1 << 22, "7" * (1 << 22))
+        with deadline(2):
+            table = textio.parse_tables(text)[0]
+        assert table.denominator == 1
+        assert table.numerators == (7,) * (1 << 22)
 
     def test_refuses_a_value_of_two_characters(self):
         # Over q = 11 the value 10 was written as `10`, and the file did not
