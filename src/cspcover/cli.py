@@ -381,7 +381,7 @@ def cmd_reject_id(args, em):
     assignments = textio.parse_assignments(
         _read(args.assignments), inst.nvars, pred.q
     )
-    res = reductions.rejection_identity_check(assignments, inst, budget=args.budget)
+    res = csp.rejection_identity_check(assignments, inst, budget=args.budget)
     em.emit("t", res.t)
     em.emit("lhs", res.lhs)
     em.emit("rhs", res.rhs)

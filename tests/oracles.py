@@ -726,8 +726,9 @@ def reference_decode_t1(tables, source, tau, d, seed):
         all_degree_d_influences,
         compose_projection,
     )
+    from cspcover.decoding import T1DecodeResult
     from cspcover.labelcover import satisfied_fraction
-    from cspcover.reductions import T1DecodeResult, _incident_or_error
+    from cspcover.reductions import _incident_or_error
 
     tau = Fraction(tau)
     if tau <= 0:
@@ -779,12 +780,9 @@ def reference_decode_t2(tables, source, gamma, seed):
 
     from cspcover.boolanalysis import pi_tilde
     from cspcover.csp import _bit_indices
+    from cspcover.decoding import T2DecodeResult, _spectral_pick
     from cspcover.labelcover import satisfied_fraction
-    from cspcover.reductions import (
-        T2DecodeResult,
-        _incident_or_error,
-        _spectral_pick,
-    )
+    from cspcover.reductions import _incident_or_error
 
     gamma = Fraction(gamma)
     if not Fraction(0) < gamma < 1:
@@ -837,13 +835,9 @@ def reference_decode_t3(tables, source, seed):
 
     from cspcover.boolanalysis import pi_tilde
     from cspcover.csp import _bit_indices
+    from cspcover.decoding import T3DecodeResult, _sample_mask, _spectral_pick
     from cspcover.labelcover import satisfied_fraction
-    from cspcover.reductions import (
-        T3DecodeResult,
-        _incident_or_error,
-        _sample_mask,
-        _spectral_pick,
-    )
+    from cspcover.reductions import _incident_or_error
 
     rng = random.Random(seed)
     R = source.nlabels_v

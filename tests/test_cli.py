@@ -279,6 +279,25 @@ class TestExitCodes:
         assert err == "error: enumeration budget exceeded " \
             "(4000004 > 10 candidate evaluations)\n"
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["reduce", "witness"])
+    def test_nonpositive_support_cap_exits_three(
+        self, tmp_path, capsys, command, cap
+    ):
+        # A precondition, as a nonpositive --budget is, and not a budget
+        # error naming a support above the cap.
+        game = game_file(tmp_path, identity_game())
+        extra = {
+            "reduce": ["--out", str(tmp_path / "r.csp")],
+            "witness": ["--labelings", write(tmp_path / "labs.txt", "0 0\n")],
+        }[command]
+        code, out, err = run(capsys, command, "t3", "--source", game,
+                             "--eps", "1/4", "--support-cap", cap, *extra)
+        assert code == 3
+        assert err == "error: support cap must be positive\n"
+        assert "nvars" not in out and "union" not in out
+        assert not (tmp_path / "r.csp").exists()
+
     def test_tables_header_without_rows_exits_three_with_one_line(
         self, tmp_path, capsys
     ):

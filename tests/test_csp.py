@@ -44,7 +44,8 @@ from cspcover import (
     trivial_odd_cover,
     weaken_predicate,
 )
-from cspcover.csp import _Columns, _coverage_masks
+from cspcover.csp import _Columns
+from cspcover.search import _coverage_masks
 from cspcover import reductions
 from cspcover import textio
 from cspcover.predicate import add_tuples

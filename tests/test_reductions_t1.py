@@ -148,6 +148,12 @@ class TestGenerate:
         with pytest.raises(BudgetExceededError):
             generate_t1(params_single_edge(), support_cap=3)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_support_cap_is_a_precondition(self, cap):
+        with pytest.raises(PreconditionError,
+                           match="support cap must be positive"):
+            generate_t1(params_single_edge(), support_cap=cap)
+
 
 class TestCompletenessWitness:
     def test_single_labeling_gives_two_covering_assignments(self):

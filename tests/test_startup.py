@@ -9,7 +9,8 @@ an audit hook on the `exec` event: lazily registered modules sit in
 The traced benchmark (`perfbench/tracing.py`) redirects the module objects
 and names found in each module's namespace to its wrappers; the attribution
 test pins that every span it relies on is still recorded through lazy
-references.
+references, and through the old homes that answer for the names moved to
+`search`, `games`, `decoding` and `spectralio`.
 """
 
 import json
@@ -45,15 +46,16 @@ PUBLIC = [
     "constant_tuple", "correlated", "correlation_rho", "cover_to_coloring",
     "covered_fraction", "covered_fractions", "covering_number",
     "covers_constraint", "csp", "decode_t1", "decode_t2", "decode_t3",
-    "degree_d_influence", "edge_satisfied", "efron_stein", "errors",
-    "find_cover", "find_non_odd_witness", "fourier", "full", "generate_t1",
-    "generate_t2", "generate_t3", "influence", "influence_variance",
+    "decoding", "degree_d_influence", "edge_satisfied", "efron_stein",
+    "errors", "find_cover", "find_non_odd_witness", "fourier", "full",
+    "games", "generate_t1", "generate_t2", "generate_t3", "influence",
+    "influence_variance",
     "invariance_gap", "is_c_coverable", "is_connected", "is_odd",
     "is_shift_closed", "labelcover", "lin",
     "markov_apply_blocks", "max_independent_set", "max_satisfiable", "nae",
     "noise", "pairwise_product_check", "pi_oplus", "pi_tilde", "predicate",
     "product_space", "reductions", "rejection_identity_check", "sample_t1",
-    "sample_t2", "sample_t3", "satisfied_fraction", "shift",
+    "sample_t2", "sample_t3", "satisfied_fraction", "search", "shift",
     "smoothness_profile", "sub_tuples", "synthesize", "t1_column_support",
     "t1_completeness_witness", "t1_connect_atoms", "t1_dictator_tables",
     "t2_block_last_row_space", "t2_block_space", "t2_block_table",
@@ -63,9 +65,23 @@ PUBLIC = [
 ]
 
 SUBMODULES = [
-    "boolanalysis", "correlated", "csp", "errors", "labelcover", "predicate",
-    "reductions",
+    "boolanalysis", "correlated", "csp", "decoding", "errors", "games",
+    "labelcover", "predicate", "reductions", "search",
 ]
+
+# Old home -> (new home, the public names it took), for the names that left
+# the modules every reduce-loop call executes.
+MOVED = {
+    "csp": ("search", """cover_to_coloring covering_number find_cover
+        max_independent_set"""),
+    "labelcover": ("games", """SYNTHESIS_RETRIES is_c_coverable
+        max_satisfiable smoothness_profile synthesize"""),
+    "reductions": ("decoding", """T1DecodeResult T2DecodeResult
+        T3DecodeResult binary_dictator_tables decode_t1 decode_t2 decode_t3
+        t1_dictator_tables"""),
+    "textio": ("spectralio", """format_space format_tables parse_space
+        parse_tables parse_truth_table parse_values"""),
+}
 
 
 class TestPublicApi:
@@ -91,6 +107,41 @@ class TestPublicApi:
     def test_unknown_attribute_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cspcover.no_such_name
+        for old in MOVED:
+            with pytest.raises(AttributeError, match="no_such_name"):
+                getattr(sys.modules["cspcover." + old], "no_such_name")
+
+    @pytest.mark.parametrize("old", sorted(MOVED))
+    def test_moved_names_are_one_object_in_both_homes(self, old):
+        new, names = MOVED[old]
+        code = """
+import importlib, json, sys
+old, new, names = sys.argv[1], sys.argv[2], sys.argv[3].split()
+first, second = (old, new) if sys.argv[4] == "old" else (new, old)
+a = importlib.import_module("cspcover." + first)
+a_values = [getattr(a, name) for name in names]
+b = importlib.import_module("cspcover." + second)
+out = [x is getattr(b, name) for x, name in zip(a_values, names)]
+cached = all(name in vars(sys.modules["cspcover." + old]) for name in names)
+print(json.dumps([out, cached]))
+"""
+        for order in ("old", "new"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, old, new, names, order],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            same, cached = json.loads(proc.stdout)
+            assert same == [True] * len(names.split()), order
+            assert cached, order
+
+    def test_rejection_identity_is_read_from_csp_and_reductions(self):
+        from cspcover import csp, reductions
+
+        assert reductions.rejection_identity_check is \
+            csp.rejection_identity_check
+        assert reductions.RejectionIdentityResult is \
+            csp.RejectionIdentityResult
 
 
 def write(path, text):
@@ -175,9 +226,15 @@ sys.exit(rc)
 """
 
 CORE = {"__init__", "cli", "errors", "textio"}
-GAMES = CORE | {"labelcover"}
+GAMES = CORE | {"labelcover", "games"}
 INSTANCES = CORE | {"csp", "predicate"}
+SEARCH = INSTANCES | {"search"}
 REDUCTIONS = INSTANCES | {"labelcover", "reductions"}
+SPECTRAL = CORE | {"boolanalysis", "spectralio"}
+SPACES = SPECTRAL | {"correlated"}
+# The modules of code no reduce-loop call runs: the searches, the game
+# solvers, the decoders and the spectral formats.
+OFF_PATH = {"search", "games", "decoding", "spectralio"}
 
 # Modules each command executes. Only the decoders and the spectral commands
 # need `boolanalysis`, so no test's generator, sampler or witness runs it;
@@ -187,16 +244,22 @@ EXPECTED = {
     "lc-gen": GAMES,
     "lc-sat": GAMES,
     "lc-cover": GAMES,
+    "lc-smooth": GAMES,
     "fraction": INSTANCES,
-    "cover": INSTANCES,
-    "mis": INSTANCES,
+    "cover": SEARCH,
+    "mis": SEARCH,
     "reduce t1": REDUCTIONS,
     "reduce t3": REDUCTIONS,
     "witness t1": REDUCTIONS,
     "witness t2": REDUCTIONS,
-    "reject-id t2": REDUCTIONS,
+    "reject-id t2": INSTANCES,
     "reduce --sample": REDUCTIONS,
     "reduce --sample t3": REDUCTIONS,
+    "decode t1": REDUCTIONS | {"boolanalysis", "decoding", "spectralio"},
+    "fourier": SPECTRAL,
+    "rho": SPACES,
+    "connected": SPACES,
+    "invariance": SPACES,
 }
 
 
@@ -209,11 +272,18 @@ def test_subcommand_executes_only_the_modules_it_uses(inputs, command):
     assert proc.returncode == 0, proc.stderr
     ran = set(proc.stdout.splitlines()[-1].split())
     assert ran == EXPECTED[command]
-    assert "correlated" not in ran
+    if ran != SPACES:
+        assert "correlated" not in ran
     if command.startswith("lc-"):
         assert not ran & {"csp", "reductions", "boolanalysis"}
-    if command in ("fraction", "cover", "mis"):
+    if command in ("fraction", "cover", "mis", "reject-id t2"):
         assert not ran & {"reductions", "boolanalysis"}
+    if command.startswith(("reduce", "witness", "reject-id", "fraction")):
+        assert not ran & OFF_PATH
+
+
+def test_every_subcommand_has_a_pin(inputs):
+    assert set(EXPECTED) == set(inputs)
 
 
 ALL_COMMANDS = """
@@ -256,12 +326,13 @@ print(json.dumps(sorted({s["name"] for s in tracer.spans})))
 
 
 def test_traced_run_attributes_the_lazy_calls(inputs):
-    """The traced benchmark still books each layer's work to its spans."""
-    calls = [
-        inputs["lc-gen"],
-        inputs["reduce t1"],
-        inputs["reduce --sample"],
-    ]
+    """The traced benchmark still books each layer's work to its spans, the
+    names that moved out of their modules included: it looks each target up
+    in its old home and fails on a package module bound in a traced one."""
+    calls = [inputs[command] for command in (
+        "lc-gen", "reduce t1", "reduce --sample", "cover", "mis", "lc-sat",
+        "lc-cover", "reject-id t2", "decode t1", "rho", "fourier",
+    )]
     proc = subprocess.run(
         [sys.executable, "-c", TRACED, str(PERFBENCH), json.dumps(calls)],
         capture_output=True, text=True,
@@ -272,4 +343,9 @@ def test_traced_run_attributes_the_lazy_calls(inputs):
     assert {
         "labelcover.synthesize", "reductions.generate_t1",
         "reductions.sample_t2", "textio.format_instance", "csp.CspInstance",
+        "csp.find_cover", "csp.max_independent_set",
+        "labelcover.max_satisfiable", "labelcover.is_c_coverable",
+        "reductions.rejection_identity_check", "reductions.decode_t1",
+        "textio.parse_space", "textio.parse_truth_table",
+        "textio.parse_tables",
     } <= names
