@@ -12,15 +12,15 @@ from fractions import Fraction
 from operator import attrgetter, mul
 
 from .errors import (
-    Frozen, FrozenValue, PreconditionError, as_rational, check_table_size)
+    Frozen, FrozenValue, PreconditionError, _scaled, as_rational, check_table_size)
 
 
 class ProductDomain(FrozenValue):
     """Finite product of coordinate spaces with exact per-coordinate measures,
     each held once as `weights[c]`: integer masses over one denominator, in
-    lowest terms (a uniform coordinate of s symbols is ((1,) * s, s)). The
-    Fraction view `measures` is built on first access, and kept; the hash
-    reads it, so it is the hash of (sizes, measures)."""
+    lowest terms (a uniform coordinate of s symbols is ((1,) * s, s)), so
+    equality and the hash read (sizes, weights). The Fraction view
+    `measures` is built on first access, and kept."""
 
     __slots__ = ("sizes", "weights", "_strides", "size", "_points", "_measures")
     _key = attrgetter("sizes", "weights")
@@ -60,9 +60,6 @@ class ProductDomain(FrozenValue):
             self._fill(_measures=tuple(tuple(Fraction(m, den) for m in ints)
                                        for ints, den in self.weights))
         return self._measures
-
-    def __hash__(self):
-        return hash((self.sizes, self.measures))
 
     @classmethod
     def binary_uniform(cls, n):
@@ -127,7 +124,7 @@ class TabulatedFunction(FrozenValue):
     _key = attrgetter("domain", "values")
 
     def __init__(self, domain, values):
-        values = [Fraction(v) for v in values]
+        values = [as_rational(v, "table value") for v in values]
         if len(values) != domain.size:
             raise PreconditionError(
                 "table has %d entries for a domain of %d points"
@@ -170,13 +167,6 @@ class TabulatedFunction(FrozenValue):
         return "TabulatedFunction(%r, %d values)" % (self.domain, self.domain.size)
 
 
-def _scaled(values):
-    """Fractions as integers over their least common denominator:
-    (integers, denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def wht(values):
     """In-place-style unnormalized Walsh-Hadamard transform of a sequence.
 
@@ -209,7 +199,7 @@ class FourierTable(Frozen):
 
     def __init__(self, n, coefficients):
         n = int(n)
-        coefficients = tuple(Fraction(c) for c in coefficients)
+        coefficients = tuple(as_rational(c, "coefficient") for c in coefficients)
         if len(coefficients) != 1 << n:
             raise PreconditionError("need exactly 2^n coefficients")
         self._fill(n=n, coefficients=coefficients)
@@ -259,7 +249,7 @@ def noise(f, gamma):
     at m by a^|m| * b^(n-|m|) and transformed back, over the denominator
     den * 2^n * b^n.
     """
-    gamma = Fraction(gamma)
+    gamma = as_rational(gamma, "noise rate")
     if gamma < 0 or gamma > 1:
         raise PreconditionError("noise rate must lie in [0, 1]")
     _check_binary_uniform(f)

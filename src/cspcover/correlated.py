@@ -14,18 +14,13 @@ import math
 from fractions import Fraction
 from operator import add, attrgetter, mul
 
-from .boolanalysis import (
-    ProductDomain,
-    TabulatedFunction,
-    _scaled,
-    _split,
-    all_influences,
-)
+from .boolanalysis import ProductDomain, TabulatedFunction, _split, all_influences
 from .errors import (
     Frozen,
     FrozenValue,
     GuaranteeError,
     PreconditionError,
+    _scaled,
     as_budget,
     as_rational,
 )
@@ -90,7 +85,7 @@ def product_space(mu_left, mu_right):
     mu = {}
     for la, wl in dict(mu_left).items():
         for ra, wr in dict(mu_right).items():
-            w = Fraction(wl) * Fraction(wr)
+            w = as_rational(wl, "mass") * as_rational(wr, "mass")
             if w:
                 mu[(tuple(la), tuple(ra))] = w
     return CorrelatedSpace(mu)

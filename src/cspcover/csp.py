@@ -15,7 +15,8 @@ from fractions import Fraction
 from operator import attrgetter
 
 from . import _forward
-from .errors import Frozen, FrozenValue, PreconditionError, as_budget, as_rational
+from .errors import (
+    Frozen, FrozenValue, PreconditionError, _scaled, as_budget, as_rational)
 from .predicate import add_tuples, is_odd, sub_tuples
 
 __getattr__ = _forward(globals(), dict.fromkeys("""cover_to_coloring
@@ -97,9 +98,7 @@ def _triple_columns(constraints, k, q, n):
     except Exception:
         _first_fault(scopes, literals, weights, k, q, n)
         raise
-    den = math.lcm(*{w.denominator for w in weights})
-    return scopes, literals, [
-        w.numerator * (den // w.denominator) for w in weights], den
+    return (scopes, literals) + _scaled(weights)
 
 
 class CspInstance(Frozen):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import _lazy
 from .csp import _bit_indices
-from .errors import Frozen, PreconditionError
+from .errors import Frozen, PreconditionError, as_rational
 from .labelcover import Labeling, satisfied_fraction
 from .reductions import _as_labeling, _incident_or_error, _lift_places
 
@@ -49,8 +49,7 @@ def _fourier_masses(tables, nv, R, rate):
         sign = {0: 1, den: -1} if set(nums) <= {0, den} else {-den: -1, den: 1}
         if not set(nums) <= sign.keys():
             raise PreconditionError("table values must be bits or signs")
-        if not f.domain.is_binary_uniform():
-            raise PreconditionError("fourier requires a binary uniform domain")
+        boolanalysis._check_binary_uniform(f)
         if f.domain.n != 2 * R:
             raise PreconditionError(
                 "table has %d coordinates, not 2R = %d" % (f.domain.n, 2 * R))
@@ -100,7 +99,7 @@ def decode_t1(tables, source, tau, d, seed):
     neighbors' composed tables and use threshold tau. Empty sets fall back
     to label 0. Also reports the 2d/tau cap on the set sizes.
     """
-    tau = Fraction(tau)
+    tau = as_rational(tau, "threshold")
     if tau <= 0:
         raise PreconditionError("threshold must be positive")
     d = int(d)
@@ -165,7 +164,7 @@ def decode_t2(tables, source, gamma, seed):
     probability falls back to label 0. Reports the gamma^2-scaled
     expectation bound alongside the achieved value.
     """
-    gamma = Fraction(gamma)
+    gamma = as_rational(gamma, "gamma")
     if not Fraction(0) < gamma < 1:
         raise PreconditionError("gamma must lie in (0, 1)")
     rng = random.Random(seed)

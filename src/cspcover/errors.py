@@ -1,10 +1,12 @@
-"""Shared error types, enumeration budgets and the immutable-record base.
+"""Shared error types, enumeration budgets, the immutable-record base, and
+the one reader of rationals and the one scaling of them to integers.
 
 Exit-code discipline for the CLI hangs off these: GuaranteeError maps to exit
 status 1, BudgetExceededError to 2, PreconditionError (and its FormatError
 subclass) to 3.
 """
 
+import math
 from fractions import Fraction
 
 DEFAULT_BUDGET = 10**9
@@ -38,14 +40,24 @@ def check_table_size(size):
 
 
 def as_rational(value, what):
-    """value as a Fraction; anything but a rational is refused, naming it
-    as `what`."""
+    """value as a Fraction, a Fraction kept as it is; anything but a rational
+    is refused, naming it as `what`, and so is a string in exponent form, for
+    which Fraction would build 10**exp for any exp."""
     if type(value) is Fraction:
         return value
     try:
-        return Fraction(value)
+        if not (isinstance(value, str) and "e" in value.lower()):
+            return Fraction(value)
     except (TypeError, ValueError, ArithmeticError):
-        raise PreconditionError("%s %r is not a rational" % (what, value)) from None
+        pass
+    raise PreconditionError("%s %r is not a rational" % (what, value))
+
+
+def _scaled(values):
+    """Rationals or ints as (integers, denominator) over the lcm of their
+    denominators; in lowest terms when the values are."""
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class Frozen:

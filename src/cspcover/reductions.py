@@ -34,7 +34,9 @@ from .errors import (
     Frozen,
     GuaranteeError,
     PreconditionError,
+    _scaled,
     as_budget,
+    as_rational,
     check_table_size,
 )
 from .labelcover import (
@@ -92,7 +94,7 @@ def _check_distribution(dist, k):
         key = tuple(int(b) for b in key)
         if len(key) != k or any(b not in (0, 1) for b in key):
             raise PreconditionError("distribution keys must be k-bit tuples")
-        w = Fraction(w)
+        w = as_rational(w, "distribution weight")
         if w < 0:
             raise PreconditionError("distribution weights must be nonnegative")
         if w:
@@ -134,7 +136,7 @@ class T2Params(Frozen):
                     raise PreconditionError(
                         "both concatenation orders must satisfy the predicate"
                     )
-        eps = Fraction(eps)
+        eps = as_rational(eps, "noise rate")
         if not Fraction(0) < eps <= Fraction(1, 2):
             raise PreconditionError("noise rate must lie in (0, 1/2]")
         L, R = source.nlabels_u, source.nlabels_v
@@ -159,7 +161,7 @@ class T3Params(Frozen):
     __slots__ = ("eps", "source")
 
     def __init__(self, eps, source):
-        eps = Fraction(eps)
+        eps = as_rational(eps, "noise rate")
         if not Fraction(0) < eps < Fraction(1):
             raise PreconditionError("noise rate must lie in (0, 1)")
         self._fill(eps=eps, source=source)
@@ -396,11 +398,10 @@ def t1_completeness_witness(params, labelings, inst=None):
 # Test 2
 
 
-def _half_products(dist, d, scale):
+def _half_products(dist, d, ints):
     """Integer product weights, over scale^d, of d independent columns from
-    dist, in column-tuple order, each tuple of d columns packed into one int
-    of their bits, the first column's first bit most significant."""
-    ints = {c: w.numerator * (scale // w.denominator) for c, w in dist.items()}
+    dist, read from `ints` over scale, in column-tuple order, each tuple of d
+    columns packed into one int of their bits, first bit most significant."""
     return [
         (int("".join(str(b) for col in cols for b in col), 2),
          math.prod(map(ints.get, cols)))
@@ -420,9 +421,8 @@ def _t2_block_numerators(params):
     k, d, eps = params.k, params.d, params.eps
     pairs = len(params.p0) * len(params.p1)
     check_table_size(2 * pairs ** (2 * d) + 4 * pairs ** d * 4 ** (k * d))
-    scale = math.lcm(
-        *(w.denominator for p in (params.p0, params.p1) for w in p.values())
-    )
+    nums, scale = _scaled([*params.p0.values(), *params.p1.values()])
+    ints = dict(zip([*params.p0, *params.p1], nums))  # disjoint by parity
     e, E = eps.numerator, eps.denominator
     w = k * d  # the bits of d columns
     # Every term over 2 * E * scale^(4d) * 4^w, with eps = e / E: a term
@@ -435,8 +435,8 @@ def _t2_block_numerators(params):
     free = range(1 << w)
     shifted = [xr << 2 * w | yr for xr in free for yr in free]
     plain = [r << w for r in shifted]
-    h0 = _half_products(params.p0, d, scale)
-    h1 = _half_products(params.p1, d, scale)
+    h0 = _half_products(params.p0, d, ints)
+    h1 = _half_products(params.p1, d, ints)
     table = {}
     get = table.get
     for hx, hy in ((h0, h1), (h1, h0)):
@@ -617,7 +617,7 @@ def t3_delta_table(g, ev, ew, eps, budget=None):
     these offsets; enumerating them directly keeps the support small because
     the masked randomness only matters where the noise mask is set.
     """
-    items, den = _t3_offsets(g, ev, ew, Fraction(eps), budget)
+    items, den = _t3_offsets(g, ev, ew, as_rational(eps, "noise rate"), budget)
     bits = range(2 * g.nlabels_v)
     return {tuple(tuple(m >> j & 1 for j in bits) for m in pair):
             Fraction(w, den) for pair, w in items}

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from . import _forward, _lazy
-from .errors import MAX_TABLE, FormatError
+from .errors import MAX_TABLE, FormatError, PreconditionError, _scaled, as_rational
 
 # The record types of each format come from modules that execute on first
 # use, so reading a game never runs the CSP code.
@@ -45,13 +45,11 @@ def _ints(line, lineno, count):
 
 def _rational(token, lineno):
     """The rational `token`; errors cite line `lineno` unless it is None."""
-    try:  # Fraction also reads exponents, building 10**exp for any exp
-        if "e" not in token.lower():
-            return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        pass
-    where = "" if lineno is None else "line %d: " % lineno
-    raise FormatError("%sbad rational %r" % (where, token))
+    try:
+        return as_rational(token, "token")
+    except PreconditionError:
+        where = "" if lineno is None else "line %d: " % lineno
+        raise FormatError("%sbad rational %r" % (where, token)) from None
 
 
 def _header(text, what, count):
@@ -81,7 +79,7 @@ def _digits(token, lineno, count, base):
 
 
 def format_rational(x):
-    x = Fraction(x)
+    x = as_rational(x, "value")
     return "%d/%d" % (x.numerator, x.denominator)
 
 
@@ -152,8 +150,8 @@ def _instance_columns(body, k, q):
             weights[w] = _rational(w, lineno)
         literals.append(vectors[lits])
         tokens.append(w)
-    den = math.lcm(*(f.denominator for f in weights.values()))
-    scaled = {w: f.numerator * (den // f.denominator) for w, f in weights.items()}
+    nums, den = _scaled(list(weights.values()))
+    scaled = dict(zip(weights, nums))
     return csp._Columns(
         scopes, literals, list(map(scaled.__getitem__, tokens)), den)
 

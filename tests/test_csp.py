@@ -575,6 +575,15 @@ class TestColumnarInstance:
                            match=r"^constraint weight .* is not a rational$"):
             CspInstance(nae(2, 2), range(2), [((0, 1), (0, 0), weight)])
 
+    def test_a_weight_in_exponent_form_is_refused_at_once(self, deadline):
+        # Fraction reads it by building 10**3000000: over 1 s, and the
+        # instance was then accepted.
+        with deadline(0.5):
+            with pytest.raises(PreconditionError, match=(
+                    r"^constraint weight '1e-3000000' is not a rational$")):
+                CspInstance(nae(2, 2), range(2),
+                            [((0, 1), (0, 0), "1e-3000000")])
+
 
 def small_games():
     """A unique game with two vertices a side, and a one-edge 2-to-1 game."""

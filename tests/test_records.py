@@ -71,7 +71,7 @@ RECORDS = {
     "CoverSet": (lambda: CoverSet([(0, 1), (1, 0)]), None, None),
     "ProductDomain": (lambda: ProductDomain((2, 3)),
                       "ProductDomain(sizes=(2, 3))",
-                      lambda d: (d.sizes, d.measures)),
+                      lambda d: (d.sizes, d.weights)),
     "TabulatedFunction": (
         table, "TabulatedFunction(ProductDomain(sizes=(2, 2)), 4 values)",
         lambda f: (f.domain, f.values)),
