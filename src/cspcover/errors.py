@@ -7,6 +7,7 @@ subclass) to 3.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 DEFAULT_BUDGET = 10**9
@@ -42,12 +43,14 @@ def check_table_size(size):
 def as_rational(value, what):
     """value as a Fraction, a Fraction kept as it is; anything but a rational
     is refused, naming it as `what`, and so is a string in exponent form, for
-    which Fraction would build 10**exp for any exp."""
+    which Fraction would build 10**exp for any exp. A Decimal is read as the
+    string it prints, so the same rule covers it."""
     if type(value) is Fraction:
         return value
+    text = str(value) if isinstance(value, Decimal) else value
     try:
-        if not (isinstance(value, str) and "e" in value.lower()):
-            return Fraction(value)
+        if not (isinstance(text, str) and "e" in text.lower()):
+            return Fraction(text)
     except (TypeError, ValueError, ArithmeticError):
         pass
     raise PreconditionError("%s %r is not a rational" % (what, value))

@@ -3,10 +3,25 @@ cover, the maximum independent set, and the cover-to-coloring translation.
 """
 
 import math
+from itertools import count, product
 
-from .csp import Assignment, CoverSet, _bit_indices, _check_assignment
+from .csp import CoverSet, _bit_indices, _check_assignment
 from .errors import PreconditionError, as_budget
 from .predicate import is_shift_closed, nae, sub_tuples
+
+
+# Leaves per block of `_coverage_masks`, whose bit strings take
+# O(BLOCK * constraints) memory; up to SMALL masks are filtered as a list.
+BLOCK = 1 << 12
+SMALL = 64
+
+
+def _transpose(rows, n):
+    """Bit r of column i is bit i of rows[r], for n-bit rows; the bits go
+    through one string, sliced in C."""
+    fmt = "0%db" % n
+    bits = "".join([format(row, fmt) for row in reversed(rows)])
+    return [int(bits[i::n], 2) for i in range(n - 1, -1, -1)]
 
 
 def _coverage_masks(inst, budget):
@@ -20,138 +35,118 @@ def _coverage_masks(inst, budget):
     translation the first touched variable is fixed to 0; translates then
     produce identical masks, so nothing is lost.
 
-    The constraints on one variable set share a table attached to the depth
-    of the set's last variable. Row i of the table, for the earlier variables'
-    values read as base-q digits, packs the constraints satisfied under each
-    value v of the last variable at bit offset v * len(cons), so one OR per
-    table and tree node yields the masks of all of a node's children.
+    Leaves are numbered in mixed radix over the touched variables, the first
+    most significant, and taken in blocks of at most BLOCK leaves. In a
+    block, each constraint's satisfying leaves form one integer: the sum of
+    the leaf sets of the rows of its scope's variables that satisfy it, and
+    constraints on one variable set share those leaf sets. Transposing the
+    integers gives each leaf's mask.
     """
     q = inst.predicate.q
-    cons = [
-        (vars_, lits)
-        for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)
-        if m
-    ]
+    cons = [(vars_, lits) for vars_, lits, m in zip(
+        inst.scopes, inst.literals, inst.numerators) if m]
     touched = sorted({v for vars_, _ in cons for v in vars_})
     t = len(touched)
     if t == 0:
         return [], []
-    radix = [q] * t
-    if is_shift_closed(inst.predicate):
-        radix[0] = 1
-    width = len(cons)
-    budget.spend(width * math.prod(radix))
+    radix = [1 if is_shift_closed(inst.predicate) else q] + [q] * (t - 1)
+    width, total = len(cons), math.prod(radix)
+    budget.spend(width * total)
 
     depth = {v: d for d, v in enumerate(touched)}
-    members = inst.predicate.members
-    tables = {}
     cells = {}
-    for j, (vars_, lits) in enumerate(cons):
-        scope = sorted(set(vars_))
-        digit = tuple(scope.index(v) for v in vars_)
+    plan = []
+    for vars_, lits in cons:
+        scope = tuple(sorted(set(vars_)))
+        digit = tuple(map(scope.index, vars_))
         key = (digit, lits)
         if key not in cells:
-            # (row, offset) of each member minus the literals, read on the
-            # scope's distinct variables; repeated variables must agree.
-            cell = []
-            for p in members:
-                x = [None] * len(scope)
-                for i, xi in zip(digit, sub_tuples(p, lits, q)):
-                    if x[i] is None:
-                        x[i] = xi
-                    elif x[i] != xi:
-                        break
-                else:
-                    row = 0
-                    for xi in x[:-1]:
-                        row = row * q + xi
-                    cell.append((row, x[-1] * width))
-            cells[key] = cell
-        scope = tuple(scope)
-        rows = tables.get(scope)
-        if rows is None:
-            rows = tables[scope] = [0] * q ** (len(scope) - 1)
-        for row, offset in cells[key]:
-            rows[row] |= 1 << (offset + j)
-    attached = [[] for _ in range(t)]
-    for scope, rows in tables.items():
-        attached[depth[scope[-1]]].append((rows, [depth[v] for v in scope[:-1]]))
-    spread = sum(1 << (v * width) for v in range(q))
-    full = (1 << width) - 1
-    vals = [0] * t
+            # Rows (base-q values on the scope's distinct variables, the
+            # first least significant) of the members minus the literals on
+            # which repeated variables agree.
+            cells[key] = []
+            for p in inst.predicate.members:
+                y = sub_tuples(p, lits, q)
+                x = dict(zip(digit, y))
+                if all(x[i] == yi for i, yi in zip(digit, y)):
+                    cells[key].append(sum(xi * q**i for i, xi in x.items()))
+        plan.append((scope, cells[key]))
+    scopes = dict.fromkeys(scope for scope, _ in plan)
 
-    def expand(d, m):
-        """Masks of the children of a depth-d node with prefix mask m."""
-        p = m * spread
-        for rows, earlier in attached[d]:
-            i = 0
-            for e in earlier:
-                i = i * q + vals[e]
-            p |= rows[i]
-        return [(p >> s) & full for s in range(0, radix[d] * width, width)]
-
-    # Iterative depth-first walk; kids[d] holds the child masks of the
-    # current node at depth d, vals[d] the value taken at depth d.
-    last = t - 1
-    kids = [None] * t
-    kids[0] = expand(0, 0)
+    # Digits from `low` on vary inside a block of `size` leaves; the others
+    # are fixed per block. runs[d][x] holds the leaves of a block where digit
+    # d is x: runs of `period` ones, one every radix[d] runs.
+    low, size = t - 1, radix[-1]
+    while low and size * radix[low - 1] <= BLOCK:
+        low -= 1
+        size *= radix[low]
+    ones = (1 << size) - 1
+    runs, period = [], 1
+    for r in reversed(radix[low:]):
+        repunit = ones // ((1 << period * r) - 1)
+        runs.insert(0, [((1 << period) - 1 << x * period) * repunit
+                        for x in range(r)] + [0] * (q - r))
+        period *= r
     first = {}
-    leaf = 0
-    d = 0
-    while True:
-        while d < last:
-            m = kids[d][vals[d]]
-            d += 1
-            vals[d] = 0
-            kids[d] = expand(d, m)
-        for m in kids[last]:
-            if m not in first:
-                first[m] = leaf
-            leaf += 1
-        d = last - 1
-        while d >= 0 and vals[d] + 1 == radix[d]:
-            d -= 1
-        if d < 0:
-            break
-        vals[d] += 1
+    down = count(total - 1, -1)
+    for high in product(*(range(r - 1, -1, -1) for r in radix[:low])):
+        leaves = [[ones * (x == h) for x in range(q)] for h in high] + runs
+        for scope in scopes:
+            rows = leaves[depth[scope[0]]]
+            for v in scope[1:]:
+                rows = [m & b for b in leaves[depth[v]] for m in rows]
+            scopes[scope] = rows
+        # The rows of one scope hold disjoint leaf sets, so a sum is a union.
+        sets = [sum(map(scopes[s].__getitem__, cell)) for s, cell in plan]
+        # Blocks and leaves are taken last first, so each mask keeps its
+        # first leaf.
+        first.update(zip(reversed(_transpose(sets, size)), down))
     first.pop(0, None)
 
     # Drop masks dominated by a superset mask; lossless for minimum covers.
-    # holders[j] has bit r set when kept mask r contains constraint j, so a
-    # mask is dominated iff the AND of holders over its bits is nonzero.
-    holders = [0] * width
+    # Masks are taken by popcount, ties in order of first leaf. The first
+    # mask left is never dominated: keep it and drop every mask it contains.
+    # Few masks are dropped from a list; more, from a bitset over `order`,
+    # where supersets[j] has bit r set when order[r] contains constraint j.
+    order = sorted(first, key=first.__getitem__)
+    order.sort(key=int.bit_count, reverse=True)
     kept = []
-    for m in sorted(first, key=int.bit_count, reverse=True):
-        bits = _bit_indices(m)
-        common = -1
-        for j in bits:
-            common &= holders[j]
-            if not common:
-                break
-        if common:
-            continue
-        flag = 1 << len(kept)
-        for j in bits:
-            holders[j] |= flag
-        kept.append(m)
+    if len(order) <= SMALL:
+        while order:
+            k = order[0]
+            kept.append(k)
+            order = [m for m in order if m | k != k]
+    else:
+        supersets = _transpose(order, width)
+        full = (1 << width) - 1
+        left = (1 << len(order)) - 1
+        while left:
+            k = order[(left & -left).bit_length() - 1]
+            kept.append(k)
+            outside = 0
+            for j in _bit_indices(full & ~k):
+                outside |= supersets[j]
+            left &= outside
+    # holders[j] has bit r set when kept mask r contains constraint j.
+    holders = _transpose(kept, width) if kept else [0] * width
 
     # Decode the kept masks' first leaves digit by digit, one column per
     # touched variable; untouched variables stay 0.
     index = [first[m] for m in kept]
     columns = [[0] * len(kept)] * inst.nvars
-    for d in range(last, -1, -1):
-        r = radix[d]
-        columns[touched[d]] = [i % r for i in index]
+    for v, r in zip(reversed(touched), reversed(radix)):
+        columns[v] = [i % r for i in index]
         index = [i // r for i in index]
     return list(zip(kept, zip(*columns))), holders
 
 
 def _cover_search(inst, max_c, budget):
-    """Smallest cover of size <= max_c, or None. Exact."""
+    """(c, the value tuples of a cover of size c) for the smallest c <= max_c,
+    or (None, None). Exact."""
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
     if not any(inst.numerators):
-        return 0, CoverSet([Assignment([0] * inst.nvars)]) if inst.nvars else None
+        return 0, [(0,) * inst.nvars] if inst.nvars else None
     pairs, holders = _coverage_masks(inst, budget)
     full_mask = (1 << len(holders)) - 1
     if not all(holders):
@@ -191,11 +186,11 @@ def _cover_search(inst, max_c, budget):
                 return found
         return None
 
-    by_mask = dict(pairs)
     for c in range(1, max_c + 1):
         found = search(0, [], c)
         if found is not None:
-            return c, CoverSet(by_mask[m] for m in found)
+            by_mask = dict(pairs)
+            return c, [by_mask[m] for m in found]
     return None, None
 
 
@@ -205,13 +200,13 @@ def covering_number(inst, max_c, budget=None):
     Exact enumeration with pruning; empty instances have covering number 0.
     Raises BudgetExceededError (distinct from returning None) past the budget.
     """
-    c, _ = _cover_search(inst, max_c, as_budget(budget))
-    return c
+    return _cover_search(inst, max_c, as_budget(budget))[0]
 
 
 def find_cover(inst, max_c, budget=None):
     """A witness CoverSet of minimum size <= max_c, or None."""
-    return _cover_search(inst, max_c, as_budget(budget))[1]
+    values = _cover_search(inst, max_c, as_budget(budget))[1]
+    return None if values is None else CoverSet(values)
 
 
 def max_independent_set(inst, budget=None):

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,24 @@ def touches_every_variable(inst):
     return len(touched) == inst.nvars
 
 
+# Instances whose leaves span several blocks of `_coverage_masks`: 2^13
+# leaves (q = 2, shift-closed, 14 touched variables) and 3^8 = 6,561 (q = 3,
+# shift-closed, 9 touched variables). Each has a scope with a repeated
+# variable and nonzero literals, and no assignment satisfies every
+# constraint, so several masks are kept.
+PAST_ONE_BLOCK = {
+    "q2": CspInstance(
+        Predicate(2, 3, {(0, 0, 1), (1, 1, 0)}), range(14),
+        [((i, i + 1, i + 2), (i % 3 == 0, i % 2, 0), 1) for i in range(12)]
+        + [((5, 5, 13), (0, 1, 1), 1), ((0, 13, 7), (1, 0, 0), 2)]),
+    "q3": CspInstance(
+        Predicate(3, 2, {(0, 1), (1, 2), (2, 0)}), range(9),
+        [((i, i + 1), (i % 3, 2 * i % 3), 1) for i in range(8)]
+        + [((4, 4), (0, 1), 1), ((8, 0), (2, 0), 1), ((2, 6), (0, 1), 3),
+           ((7, 3), (1, 0), 1)]),
+}
+
+
 class TestCoverageMasks:
     @given(small_instances())
     def test_matches_the_full_enumeration(self, inst):
@@ -288,6 +307,32 @@ class TestCoverageMasks:
         ]
         if touches_every_variable(inst):
             assert fast.used == slow.used
+
+    @pytest.mark.parametrize("name", sorted(PAST_ONE_BLOCK))
+    def test_matches_the_full_enumeration_past_one_block(self, name):
+        inst = PAST_ONE_BLOCK[name]
+        fast, slow = Budget(10**6), Budget(10**6)
+        pairs, holders = _coverage_masks(inst, fast)
+        ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
+        assert len(pairs) > 1
+        assert pairs == [(m, a.values) for m, a in ref_pairs]
+        assert holders == [
+            sum(1 << i for i, (m, _) in enumerate(pairs) if m >> j & 1)
+            for j in range(len(cons))
+        ]
+        assert fast.used == slow.used
+
+    def test_memory_stays_bounded_across_blocks(self):
+        # 9 disjoint edges on 18 variables: 2^17 leaves.
+        inst = graph_instance(18, [(v, v + 1) for v in range(0, 18, 2)])
+        tracemalloc.start()
+        try:
+            pairs, _ = _coverage_masks(inst, Budget(10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [m for m, _ in pairs] == [2**9 - 1]
+        assert peak <= 4 * 2**20
 
     def test_single_constraint_among_many_variables(self):
         inst = graph_instance(18, [(0, 1)])

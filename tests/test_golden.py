@@ -28,6 +28,12 @@ influences) on a rational and a sign table, and `invariance` on a coupled
 space with a non-uniform side, at one and three blocks. Their digests were
 recorded before the influences moved to the variance form and the capped
 Efron-Stein split.
+
+The searches are pinned through `cover --max-c 4` (stdout and witness file)
+and `mis` (stdout) on a 7-vertex NAE(2,2) graph, a NAE(3,2) instance with 9
+variables, shifted literals and mixed weights, and the `reduce t1` and
+`reduce t3` outputs of one unique game. Their digests were recorded before
+the coverage masks were computed from bit-parallel leaf sets.
 """
 
 import contextlib
@@ -483,3 +489,94 @@ GOLDEN_ANALYSIS = {
 def test_golden_analysis_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert analysis_golden_digests(tmp_path) == GOLDEN_ANALYSIS
+
+
+# Search inputs: a 7-cycle with chords 0-3 and 2-5 under NAE(2,2), and a
+# NAE(3,2) instance on 9 variables whose 3^8 leaves span several blocks;
+# `t1` and `t3` are generated from one unique game by the prep calls.
+NAE32 = "3 2\n01\n02\n10\n12\n20\n21\n"
+GRAPH7 = "2 2 7 9\n" + "".join(
+    "%d %d 00 1\n" % e
+    for e in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (0, 3),
+              (2, 5)))
+NAE32_INSTANCE = "3 2 9 24\n" + "\n".join((
+    "0 1 00 1|0 2 00 2/3|0 4 00 1/2|0 5 01 2/3|0 6 02 1|0 7 01 1|0 8 00 2/3|"
+    "1 2 02 1/2|1 3 00 1|1 5 01 1/2|1 6 00 1|1 7 00 2/3|2 3 00 1|2 4 00 1|"
+    "2 6 01 2/3|2 7 00 2/3|2 8 02 1|3 4 01 2/3|3 7 00 1/2|4 5 01 1|4 6 00 1|"
+    "4 7 01 2/3|4 8 01 2/3|5 8 00 1").split("|")) + "\n"
+SEARCH_FILES = {"nae22.pred": NAE22, "nae32.pred": NAE32,
+                "graph7.csp": GRAPH7, "nae32.csp": NAE32_INSTANCE}
+SEARCH_PREP = (
+    ["lc-gen", "--kind", "unique-consistent", "--nu", "2", "--nv", "3",
+     "--labels-u", "1", "--labels-v", "1", "--seed", "7", "--out", "game.lc"],
+    ["reduce", "t1", "--source", "game.lc", "--predicate", "nae22.pred",
+     "--a", "01", "--out", "t1.csp"],
+    ["reduce", "t3", "--source", "game.lc", "--eps", "1/4", "--out",
+     "t3.csp"],
+)
+# input name -> (instance file, predicate file)
+SEARCH_INPUTS = {
+    "graph7": ("graph7.csp", "nae22.pred"),
+    "nae32": ("nae32.csp", "nae32.pred"),
+    "t1": ("t1.csp", "t1.csp.pred"),
+    "t3": ("t3.csp", "t3.csp.pred"),
+}
+
+
+def search_golden_digests(workdir):
+    """Digest of the stdout and witness file of `cover` and the stdout of
+    `mis` on each search input."""
+    for fname, text in SEARCH_FILES.items():
+        (workdir / fname).write_text(text, encoding="utf-8")
+    for argv in SEARCH_PREP:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    digests = {}
+    for name, (inst, pred) in SEARCH_INPUTS.items():
+        witness = name + ".cover"
+        for call, argv in (
+                ("cover", ["cover", inst, "--predicate", pred, "--max-c", "4",
+                           "--out", witness]),
+                ("mis", ["mis", inst, "--predicate", pred])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert code == 0, (call, name)
+            digests["%s %s stdout" % (call, name)] = _sha256(
+                out.getvalue().encode("utf-8"))
+        digests["cover %s %s" % (name, witness)] = _sha256(
+            (workdir / witness).read_bytes())
+    return digests
+
+
+GOLDEN_SEARCH = {
+    'cover graph7 graph7.cover':
+        '6da51d3125c2d833f2dda40629c271e090cc18081969875851febbbd2cad5814',
+    'cover graph7 stdout':
+        'f724e9b3a0db73928a0999654ac3384f2d36e9b250e535e60ef37123f2f84235',
+    'cover nae32 nae32.cover':
+        '6eee93435cbd7703a3249f527f851af119fd3047bd8cbcb617cc7188d8bc2644',
+    'cover nae32 stdout':
+        '1120c945a485ebdb8f041f3cde2b5557f463b6a4ad6d50db8242df7964b9f9d6',
+    'cover t1 stdout':
+        '5ce925fa8de7fbcb65386abb21437f97b73570044e9ecefb544698d1f75581d9',
+    'cover t1 t1.cover':
+        '804a47adbff8ce938cd0420cb8b3286ac7b33e1186d57c307af7042dbc61df8a',
+    'cover t3 stdout':
+        'fce00840f9a16545195c6060e40cb75e69543bfee543a423acd3d7c81ab07039',
+    'cover t3 t3.cover':
+        '70cad16dcf08fa191707135829eefc24b6f56a915d7f6588753f6e050fa6fb4a',
+    'mis graph7 stdout':
+        'ddd0ad556eb552a9e362980d3b9908faf842ab5efbcc867c6f8740099c6c3065',
+    'mis nae32 stdout':
+        'deab38fa0d75479975a69665fad892e9e550dc21a56f18567467026463ce124c',
+    'mis t1 stdout':
+        '27121ba8e221d8157d6183e28889963f3713d556c2b40d17d4c37de2d2a1118f',
+    'mis t3 stdout':
+        'f9f74c9104ecc8ffa09713117fac4d913a3183a9580209d35ba612c46826bb1a',
+}
+
+
+def test_golden_search_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert search_golden_digests(tmp_path) == GOLDEN_SEARCH

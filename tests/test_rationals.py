@@ -3,6 +3,7 @@
 form, ends in a PreconditionError at once, never in a bare ValueError or
 OverflowError, nor in building 10**exp."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,8 @@ SITES = {
 }
 
 BAD = {"nan": float("nan"), "inf": float("inf"), "text": "x",
-       "exponent": "1e-3000000"}
+       "exponent": "1e-3000000", "decimal exponent": Decimal("1e-3000000"),
+       "decimal nan": Decimal("NaN")}
 
 
 @pytest.mark.parametrize("value", BAD)
@@ -86,6 +88,20 @@ def test_the_reader_keeps_a_fraction_and_reads_plain_strings():
     with pytest.raises(PreconditionError,
                        match=r"^value '1E2' is not a rational$"):
         errors.as_rational("1E2", "value")
+
+
+def test_a_decimal_is_read_as_the_string_it_prints(deadline):
+    with deadline(0.5):
+        assert errors.as_rational(Decimal("0.25"), "value") == Fraction(1, 4)
+        assert errors.as_rational(Decimal("-2.50"), "value") == Fraction(-5, 2)
+        with pytest.raises(
+            PreconditionError,
+            match=r"^value Decimal\('1E-3000000'\) is not a rational$",
+        ):
+            errors.as_rational(Decimal("1e-3000000"), "value")
+        for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
+            with pytest.raises(PreconditionError, match=r" is not a rational$"):
+                errors.as_rational(Decimal(text), "value")
 
 
 def test_scaled_puts_rationals_over_the_lcm_of_their_denominators():
