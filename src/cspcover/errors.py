@@ -15,6 +15,10 @@ DEFAULT_BUDGET = 10**9
 # Largest product domain, in points, that is ever tabulated in full.
 MAX_TABLE = 1 << 24
 
+# Most digits plus exponent size of a Decimal that is read, as many digits
+# as int() reads from a string by default.
+MAX_DIGITS = 4300
+
 
 class BudgetExceededError(RuntimeError):
     """An exact search ran past its configured budget (never silently truncated)."""
@@ -42,15 +46,19 @@ def check_table_size(size):
 
 def as_rational(value, what):
     """value as a Fraction, a Fraction kept as it is; anything but a rational
-    is refused, naming it as `what`, and so is a string in exponent form, for
-    which Fraction would build 10**exp for any exp. A Decimal is read as the
-    string it prints, so the same rule covers it."""
+    is refused, naming it as `what`. So is a string in exponent form, for
+    which Fraction would build 10**exp for any exp, and a Decimal whose
+    digits and exponent size add up to more than MAX_DIGITS."""
     if type(value) is Fraction:
         return value
-    text = str(value) if isinstance(value, Decimal) else value
     try:
-        if not (isinstance(text, str) and "e" in text.lower()):
-            return Fraction(text)
+        if isinstance(value, Decimal):
+            _, digits, exp = value.as_tuple()
+            ok = value.is_finite() and len(digits) + abs(exp) <= MAX_DIGITS
+        else:
+            ok = not (isinstance(value, str) and "e" in value.lower())
+        if ok:
+            return Fraction(value)
     except (TypeError, ValueError, ArithmeticError):
         pass
     raise PreconditionError("%s %r is not a rational" % (what, value))

@@ -10,18 +10,25 @@ from .errors import PreconditionError, as_budget
 from .predicate import is_shift_closed, nae, sub_tuples
 
 
-# Leaves per block of `_coverage_masks`, whose bit strings take
-# O(BLOCK * constraints) memory; up to SMALL masks are filtered as a list.
+# Leaves per block of `_coverage_masks`, and rows per bit string of
+# `_transpose`, whose strings so hold at most ROWS * n characters. Up to
+# SMALL masks are filtered as a list, which measured faster than a bitset.
 BLOCK = 1 << 12
+ROWS = 1 << 9
 SMALL = 64
 
 
 def _transpose(rows, n):
-    """Bit r of column i is bit i of rows[r], for n-bit rows; the bits go
-    through one string, sliced in C."""
+    """Bit r of column i is bit i of rows[r], for n-bit rows; the bits of up
+    to ROWS rows at a time go through one string, sliced in C."""
     fmt = "0%db" % n
-    bits = "".join([format(row, fmt) for row in reversed(rows)])
-    return [int(bits[i::n], 2) for i in range(n - 1, -1, -1)]
+    columns = [0] * n
+    for start in range(0, len(rows), ROWS):
+        bits = "".join([format(row, fmt)
+                        for row in reversed(rows[start:start + ROWS])])
+        part = [int(bits[i::n], 2) for i in range(n - 1, -1, -1)]
+        columns = [c | p << start for c, p in zip(columns, part)] if start else part
+    return columns
 
 
 def _coverage_masks(inst, budget):
@@ -43,14 +50,20 @@ def _coverage_masks(inst, budget):
     integers gives each leaf's mask.
     """
     q = inst.predicate.q
-    cons = [(vars_, lits) for vars_, lits, m in zip(
-        inst.scopes, inst.literals, inst.numerators) if m]
+    cons = [
+        (vars_, lits)
+        for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)
+        if m
+    ]
     touched = sorted({v for vars_, _ in cons for v in vars_})
     t = len(touched)
     if t == 0:
         return [], []
-    radix = [1 if is_shift_closed(inst.predicate) else q] + [q] * (t - 1)
-    width, total = len(cons), math.prod(radix)
+    radix = [q] * t
+    if is_shift_closed(inst.predicate):
+        radix[0] = 1
+    width = len(cons)
+    total = math.prod(radix)
     budget.spend(width * total)
 
     depth = {v: d for d, v in enumerate(touched)}
@@ -102,6 +115,7 @@ def _coverage_masks(inst, budget):
         # first leaf.
         first.update(zip(reversed(_transpose(sets, size)), down))
     first.pop(0, None)
+    del leaves, runs, scopes, sets  # free the last block's tables
 
     # Drop masks dominated by a superset mask; lossless for minimum covers.
     # Masks are taken by popcount, ties in order of first leaf. The first
@@ -127,8 +141,9 @@ def _coverage_masks(inst, budget):
             for j in _bit_indices(full & ~k):
                 outside |= supersets[j]
             left &= outside
+        del order, supersets
     # holders[j] has bit r set when kept mask r contains constraint j.
-    holders = _transpose(kept, width) if kept else [0] * width
+    holders = _transpose(kept, width)
 
     # Decode the kept masks' first leaves digit by digit, one column per
     # touched variable; untouched variables stay 0.

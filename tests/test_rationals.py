@@ -90,15 +90,28 @@ def test_the_reader_keeps_a_fraction_and_reads_plain_strings():
         errors.as_rational("1E2", "value")
 
 
-def test_a_decimal_is_read_as_the_string_it_prints(deadline):
+def test_a_decimal_is_read_exactly_up_to_max_digits(deadline):
+    assert errors.MAX_DIGITS == 4300
     with deadline(0.5):
-        assert errors.as_rational(Decimal("0.25"), "value") == Fraction(1, 4)
-        assert errors.as_rational(Decimal("-2.50"), "value") == Fraction(-5, 2)
+        for value, expected in [
+            (Decimal("0.25"), Fraction(1, 4)),
+            (Decimal("-2.50"), Fraction(-5, 2)),
+            (Decimal("1E-7"), Fraction(1, 10**7)),
+            (Decimal("0E-7"), 0),
+            (Decimal("100").normalize(), 100),
+            (Decimal("1E-4299"), Fraction(1, 10**4299)),
+            (Decimal("9" * 4300), 10**4300 - 1),
+        ]:
+            assert errors.as_rational(value, "value") == expected
         with pytest.raises(
             PreconditionError,
             match=r"^value Decimal\('1E-3000000'\) is not a rational$",
         ):
             errors.as_rational(Decimal("1e-3000000"), "value")
+        for value in (Decimal("1E-4300"), Decimal("1E+4300"),
+                      Decimal("1" * 4301), Decimal("1" * 10**5)):
+            with pytest.raises(PreconditionError, match=r" is not a rational$"):
+                errors.as_rational(value, "value")
         for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
             with pytest.raises(PreconditionError, match=r" is not a rational$"):
                 errors.as_rational(Decimal(text), "value")
