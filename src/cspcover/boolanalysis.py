@@ -141,9 +141,6 @@ class TabulatedFunction(FrozenValue):
             self._fill(_values=tuple(Fraction(m, den) for m in self.numerators))
         return self._values
 
-    def __call__(self, point):
-        return self.values[self.domain.index(point)]
-
     def expectation(self):
         weights, den = self.domain.point_weights()
         return Fraction(sum(map(mul, weights, self.numerators)),

@@ -1,5 +1,6 @@
 """Shared error types, enumeration budgets, the immutable-record base, and
-the one reader of rationals and the one scaling of them to integers.
+the one reader of rationals and the one scaling of them to integers, and
+the reader of integer arguments.
 
 Exit-code discipline for the CLI hangs off these: GuaranteeError maps to exit
 status 1, BudgetExceededError to 2, PreconditionError (and its FormatError
@@ -7,6 +8,7 @@ subclass) to 3.
 """
 
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -62,6 +64,15 @@ def as_rational(value, what):
     except (TypeError, ValueError, ArithmeticError):
         pass
     raise PreconditionError("%s %r is not a rational" % (what, value))
+
+
+def as_int(value, what):
+    """value as an int, by `operator.index`: a float, a string or None is
+    refused, naming it as `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError("%s %r is not an integer" % (what, value)) from None
 
 
 def _scaled(values):

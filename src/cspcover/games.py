@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import PreconditionError, as_budget
+from .errors import PreconditionError, as_budget, as_int
 from .labelcover import Edge, LabelCoverInstance, Labeling
 
 
@@ -25,13 +25,12 @@ def max_satisfiable(g, budget=None):
         right = []
         hits = 0
         for v in range(g.nv):
-            edge_ids = g.edges_at_v(v)
-            best_label, best_hits = 0, -1
-            for r in range(g.nlabels_v):
-                h = sum(1 for i in edge_ids if g.edges[i].proj[r] == left[g.edges[i].u])
-                if h > best_hits:
-                    best_label, best_hits = r, h
-            right.append(best_label)
+            edges = [g.edges[i] for i in g.edges_at_v(v)]
+            # The most satisfied edges, the least label on ties.
+            best_hits, neg_label = max(
+                (sum(e.proj[r] == left[e.u] for e in edges), -r)
+                for r in range(g.nlabels_v))
+            right.append(-neg_label)
             hits += best_hits
         if hits > best[0]:
             best = (hits, Labeling(left, right))
@@ -80,6 +79,7 @@ def is_c_coverable(g, c, budget=None):
     labels of the answer are charged to the budget before they are built.
     """
     budget = as_budget(budget)
+    c = as_int(c, "c")
     if c < 1:
         raise PreconditionError("c must be at least 1")
     active = sorted(g._adj_u)
@@ -88,10 +88,9 @@ def is_c_coverable(g, c, budget=None):
     # Partition the active left vertices into at most c classes, one
     # restricted-growth string at a time in lexicographic order (so no
     # partition comes twice under renaming), and search each class alone.
-    # rgs[i] is the class of active[i]; peak[i] the largest class before i.
+    # rgs[i] is the class of active[i].
     n = len(active)
     rgs = [0] * n
-    peak = [0] * n
     while True:
         classes = [[] for _ in range(max(rgs, default=-1) + 1)]
         for u, k in zip(active, rgs):
@@ -108,13 +107,12 @@ def is_c_coverable(g, c, budget=None):
             pad = labelings[-1] if labelings else _labeling(g, {}, {})
             return labelings + [pad] * (c - len(labelings))
         i = n - 1
-        while i > 0 and (rgs[i] == c - 1 or rgs[i] > peak[i]):
+        while i > 0 and (rgs[i] == c - 1 or rgs[i] > max(rgs[:i])):
             i -= 1
         if i <= 0:
             return None
         rgs[i] += 1
         rgs[i + 1:] = [0] * (n - i - 1)
-        peak[i + 1:] = [max(peak[i], rgs[i])] * (n - i - 1)
 
 
 def smoothness_profile(g, v, alpha):
@@ -133,10 +131,8 @@ def smoothness_profile(g, v, alpha):
     edge_ids = g.edges_at_v(v)
     if not edge_ids:
         raise PreconditionError("vertex %d is isolated" % v)
-    total = Fraction(0)
-    for i in edge_ids:
-        image = {g.edges[i].proj[x] for x in alpha}
-        total += Fraction(1, len(image))
+    total = sum(Fraction(1, len({g.edges[i].proj[x] for x in alpha}))
+                for i in edge_ids)
     return total / len(edge_ids)
 
 

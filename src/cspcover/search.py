@@ -6,7 +6,7 @@ import math
 from itertools import count, product
 
 from .csp import CoverSet, _bit_indices, _check_assignment
-from .errors import PreconditionError, as_budget
+from .errors import GuaranteeError, PreconditionError, as_budget, as_int
 from .predicate import is_shift_closed, nae, sub_tuples
 
 
@@ -57,8 +57,6 @@ def _coverage_masks(inst, budget):
     ]
     touched = sorted({v for vars_, _ in cons for v in vars_})
     t = len(touched)
-    if t == 0:
-        return [], []
     radix = [q] * t
     if is_shift_closed(inst.predicate):
         radix[0] = 1
@@ -158,6 +156,7 @@ def _coverage_masks(inst, budget):
 def _cover_search(inst, max_c, budget):
     """(c, the value tuples of a cover of size c) for the smallest c <= max_c,
     or (None, None). Exact."""
+    max_c = as_int(max_c, "max_c")
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
     if not any(inst.numerators):
@@ -168,41 +167,28 @@ def _cover_search(inst, max_c, budget):
         return None, None
     masks = [m for m, _ in pairs]
     counts = [h.bit_count() for h in holders]
-    candidates = {}
+    options = [None] * len(holders)
 
-    def options(j):
-        """The masks holding constraint j, in the order of `masks`."""
-        if j not in candidates:
-            candidates[j] = [masks[r] for r in _bit_indices(holders[j])]
-        return candidates[j]
-
-    def search(covered, chosen, remaining):
+    def search(covered, remaining):
+        """The masks of a cover of what `covered` leaves, at most `remaining`
+        of them, or None."""
         budget.spend()
         if covered == full_mask:
-            return list(chosen)
+            return []
         if remaining == 0:
             return None
-        # Branch on the uncovered constraint with the fewest candidate masks.
-        scan = (~covered) & full_mask
-        best = None
-        while scan:
-            b = scan & (-scan)
-            j = b.bit_length() - 1
-            if best is None or counts[j] < counts[best]:
-                best = j
-                if counts[j] <= 1:
-                    break
-            scan ^= b
-        for m in options(best):
-            chosen.append(m)
-            found = search(covered | m, chosen, remaining - 1)
-            chosen.pop()
+        # Branch on the first uncovered constraint with the fewest masks.
+        j = min(_bit_indices(full_mask & ~covered), key=counts.__getitem__)
+        if options[j] is None:
+            options[j] = [masks[r] for r in _bit_indices(holders[j])]
+        for m in options[j]:
+            found = search(covered | m, remaining - 1)
             if found is not None:
-                return found
+                return [m] + found
         return None
 
     for c in range(1, max_c + 1):
-        found = search(0, [], c)
+        found = search(0, c)
         if found is not None:
             by_mask = dict(pairs)
             return c, [by_mask[m] for m in found]
@@ -260,8 +246,8 @@ def max_independent_set(inst, budget=None):
         if len(chosen) + (n - v) <= best_size:
             continue
         if v == n:
-            if len(chosen) > best_size:
-                best_size, best_set = len(chosen), tuple(chosen)
+            # The bound just passed: len(chosen) > best_size.
+            best_size, best_set = len(chosen), tuple(chosen)
             continue
         # v would complete a constraint whose other variables are all chosen.
         if any(inside[j] == need[j] - 1 for j in touching[v]):
@@ -302,5 +288,6 @@ def cover_to_coloring(cs, inst):
     for _, vars_ in active:
         colors = {coloring[v] for v in vars_}
         if len(colors) == 1 and len(set(vars_)) == len(vars_):
-            raise PreconditionError("coloring left a constraint monochromatic")
+            # Unreachable: a covering tuple in NAE is not constant on a scope.
+            raise GuaranteeError("coloring left a constraint monochromatic")
     return coloring

@@ -11,10 +11,11 @@ import math
 import random
 from fractions import Fraction
 
-from cspcover.csp import Assignment, Constraint
+from cspcover.csp import Assignment, Constraint, _bit_indices
 from cspcover.errors import PreconditionError, as_budget
 from cspcover.labelcover import Labeling
 from cspcover.predicate import add_tuples, is_shift_closed
+from cspcover.search import _coverage_masks
 
 
 def brute_chromatic_number(nvertices, edges):
@@ -151,6 +152,64 @@ def reference_coverage_masks(inst, budget):
         if not any((m | k) == k for k in kept):
             kept.append(m)
     return [(m, seen[m]) for m in kept], cons
+
+
+def reference_cover_search(inst, max_c, budget):
+    """The cover search over `_coverage_masks` as it stood before it returned
+    the cover it found: (c, the value tuples of a cover of size c) for the
+    smallest c <= max_c, or (None, None). It threads the chosen masks
+    through append and pop, scans the uncovered constraints bit by bit for
+    the one with the fewest holders, and memoizes each one's masks in a
+    dict."""
+    if max_c < 1:
+        raise PreconditionError("max_c must be at least 1")
+    if not any(inst.numerators):
+        return 0, [(0,) * inst.nvars] if inst.nvars else None
+    pairs, holders = _coverage_masks(inst, budget)
+    full_mask = (1 << len(holders)) - 1
+    if not all(holders):
+        return None, None
+    masks = [m for m, _ in pairs]
+    counts = [h.bit_count() for h in holders]
+    candidates = {}
+
+    def options(j):
+        """The masks holding constraint j, in the order of `masks`."""
+        if j not in candidates:
+            candidates[j] = [masks[r] for r in _bit_indices(holders[j])]
+        return candidates[j]
+
+    def search(covered, chosen, remaining):
+        budget.spend()
+        if covered == full_mask:
+            return list(chosen)
+        if remaining == 0:
+            return None
+        # Branch on the uncovered constraint with the fewest candidate masks.
+        scan = (~covered) & full_mask
+        best = None
+        while scan:
+            b = scan & (-scan)
+            j = b.bit_length() - 1
+            if best is None or counts[j] < counts[best]:
+                best = j
+                if counts[j] <= 1:
+                    break
+            scan ^= b
+        for m in options(best):
+            chosen.append(m)
+            found = search(covered | m, chosen, remaining - 1)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    for c in range(1, max_c + 1):
+        found = search(0, [], c)
+        if found is not None:
+            by_mask = dict(pairs)
+            return c, [by_mask[m] for m in found]
+    return None, None
 
 
 def reference_max_independent_set(inst, budget):

@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import networkx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspcover import (
@@ -46,7 +48,7 @@ from cspcover import (
     weaken_predicate,
 )
 from cspcover.csp import _Columns
-from cspcover.search import _coverage_masks
+from cspcover.search import _cover_search, _coverage_masks
 from cspcover import reductions
 from cspcover import textio
 from cspcover.predicate import add_tuples
@@ -363,6 +365,105 @@ class TestCoverageMasks:
         budget = Budget(12)
         _coverage_masks(TRIANGLE, budget)
         assert budget.used == 12
+
+
+@st.composite
+def search_instances(draw):
+    """Instances over q in {2, 3}, k in {1, 2, 3} and up to 8 variables, with
+    nonzero literals, repeated variables within a scope, zero weights, and
+    small predicates, shift-closed or arbitrary, so that covers of several
+    assignments are common."""
+    q = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    tuples = list(itertools.product(range(q), repeat=k))
+    pick = st.sampled_from(tuples)
+    if draw(st.booleans()):
+        seeds = draw(st.lists(pick, min_size=1, max_size=2))
+        members = {add_tuples(t, (b,) * k, q) for t in seeds for b in range(q)}
+    else:
+        members = draw(st.sets(pick, min_size=1, max_size=q))
+    scope = st.tuples(*[st.integers(0, n - 1)] * k)
+    cons = draw(st.lists(
+        st.tuples(scope, pick, st.sampled_from((0, 1, 2))),
+        min_size=2, max_size=8,
+    ))
+    if all(w == 0 for _, _, w in cons):
+        cons[0] = (cons[0][0], cons[0][1], 1)
+    return CspInstance(Predicate(q, k, members), range(n), cons)
+
+
+def cover_search_outcome(search, inst, max_c, budget):
+    try:
+        return search(inst, max_c, budget)
+    except BudgetExceededError:
+        return "budget"
+
+
+class TestCoverSearchAgainstReference:
+    """The cover search returns the covering number, the witness value tuples
+    and the budget of the search it replaced, which threads its chosen masks
+    through append and pop, down to where a small budget runs out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_instances(), st.integers(1, 3), st.integers(1, 200))
+    def test_same_cover_and_budget(self, inst, max_c, limit):
+        for budget_limit in (None, limit):
+            got, want = Budget(budget_limit), Budget(budget_limit)
+            assert cover_search_outcome(_cover_search, inst, max_c, got) == (
+                cover_search_outcome(
+                    oracles.reference_cover_search, inst, max_c, want))
+            assert got.used == want.used
+
+    def test_same_cover_and_budget_on_the_atlas(self):
+        # The 996 connected graphs of the atlas with at least one vertex.
+        count = 0
+        for G in networkx.graph_atlas_g():
+            n = G.number_of_nodes()
+            if n == 0 or not networkx.is_connected(G):
+                continue
+            inst = graph_instance(n, [tuple(sorted(e)) for e in G.edges()])
+            got, want = Budget(), Budget()
+            assert _cover_search(inst, 3, got) == (
+                oracles.reference_cover_search(inst, 3, want))
+            assert got.used == want.used
+            count += 1
+        assert count == 996
+
+
+class TestSearchLayerEdges:
+    # Constraint 0 asks x0 != x0, which no assignment satisfies.
+    UNSATISFIABLE = CspInstance(
+        nae(2, 2), range(3), [((0, 0), (0, 0), 1), ((1, 2), (0, 0), 1)])
+
+    @pytest.mark.parametrize("search", [covering_number, find_cover])
+    def test_an_unsatisfiable_constraint_ends_after_the_masks(self, search):
+        # 2 constraints on 2^2 assignments (first variable fixed) = 8.
+        budget = Budget()
+        assert search(self.UNSATISFIABLE, 3, budget) is None
+        assert budget.used == 8
+
+    @pytest.mark.parametrize("search", [covering_number, find_cover])
+    @pytest.mark.parametrize("max_c", [2.5, 2.0, "2", None, float("nan")])
+    def test_max_c_must_be_an_integer(self, search, max_c):
+        budget = Budget()
+        with pytest.raises(PreconditionError,
+                           match="max_c %s is not an integer"
+                           % re.escape(repr(max_c))):
+            search(TRIANGLE, max_c, budget)
+        assert budget.used == 0
+
+    def test_coloring_needs_a_predicate_inside_nae(self):
+        inst = CspInstance(cnf(2), range(2), [((0, 1), (0, 0), 1)])
+        cover = CoverSet([Assignment((0, 1))])
+        with pytest.raises(PreconditionError, match="not contained in NAE"):
+            cover_to_coloring(cover, inst)
+
+    def test_coloring_needs_zero_literals(self):
+        inst = CspInstance(nae(2, 2), range(2), [((0, 1), (0, 1), 1)])
+        cover = CoverSet([Assignment((0, 0))])
+        with pytest.raises(PreconditionError, match="nonzero literals"):
+            cover_to_coloring(cover, inst)
 
 
 # Weights with mixed denominators, given as ints, Fractions and strings.

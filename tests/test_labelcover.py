@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -153,6 +154,52 @@ class TestMaxSatisfiable:
         ]
         h = LabelCoverInstance(2, 2, 3, 3, edges, unique=True)
         assert max_satisfiable(g)[0] == max_satisfiable(h)[0]
+
+
+# Seeded games with max_satisfiable's value, witness labeling and budget.
+# Several right vertices tie between labels; each takes the least.
+PINNED_MAX_SATISFIABLE = [
+    (("unique-consistent", dict(nu=2, nv=3, nlabels_u=3, nlabels_v=3, seed=1)),
+     1, (0, 2), (0, 1, 0), 27),
+    (("unique-consistent", dict(nu=2, nv=3, nlabels_u=3, nlabels_v=3, seed=0)),
+     1, (1, 1), (0, 1, 2), 27),
+    (("unique-2-cover", dict(nu=2, nv=4, nlabels_u=2, nlabels_v=2, seed=8)),
+     Fraction(3, 4), (0, 0), (0, 0, 0, 0), 16),
+    (("dto1-random", dict(nu=2, nv=3, nlabels_u=2, nlabels_v=4, seed=42)),
+     1, (0, 0), (1, 2, 1), 12),
+    (("dto1-random", dict(nu=3, nv=3, nlabels_u=2, nlabels_v=4, seed=7)),
+     Fraction(8, 9), (0, 1, 0), (1, 1, 1), 24),
+    (("dto1-contradictory", dict(nu=2, nv=2, nlabels_u=2, nlabels_v=4, seed=5)),
+     Fraction(3, 4), (0, 0), (0, 2), 8),
+    (2, Fraction(7, 9), (0, 2, 2), (0, 2, 2), 81),
+    (13, Fraction(8, 9), (0, 2, 1), (0, 1, 1), 81),
+]
+
+
+@pytest.mark.parametrize("source, value, left, right, used",
+                         PINNED_MAX_SATISFIABLE)
+def test_max_satisfiable_witness_and_budget_are_pinned(
+        source, value, left, right, used):
+    if isinstance(source, int):
+        g = random_unique_game(random.Random(source), nu=3, nv=3, labels=3)
+    else:
+        kind, kwargs = source
+        g = synthesize(kind, **kwargs)
+    budget = Budget()
+    assert max_satisfiable(g, budget) == (value, Labeling(left, right))
+    assert budget.used == used
+
+
+@pytest.mark.parametrize("c", [2.5, 2.0, "2", None, float("nan")])
+def test_c_must_be_an_integer(c):
+    g = synthesize(
+        "unique-2-cover", nu=2, nv=4, nlabels_u=2, nlabels_v=2, seed=8
+    )
+    budget = Budget()
+    with pytest.raises(PreconditionError,
+                       match="c %s is not an integer" % re.escape(repr(c))):
+        is_c_coverable(g, c, budget)
+    assert budget.used == 0
 
 
 class TestCoverability:
