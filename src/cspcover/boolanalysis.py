@@ -12,7 +12,8 @@ from fractions import Fraction
 from operator import attrgetter, mul
 
 from .errors import (
-    Frozen, FrozenValue, PreconditionError, _scaled, as_rational, check_table_size)
+    Frozen, FrozenValue, PreconditionError, _scaled, as_index, as_int, as_rational,
+    check_table_size)
 
 
 class ProductDomain(FrozenValue):
@@ -26,7 +27,7 @@ class ProductDomain(FrozenValue):
     _key = attrgetter("sizes", "weights")
 
     def __init__(self, sizes, measures=None):
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(as_int(s, "coordinate size") for s in sizes)
         if any(s < 1 for s in sizes):
             raise PreconditionError("coordinate spaces must be nonempty")
         size = math.prod(sizes) if sizes else 1
@@ -63,7 +64,7 @@ class ProductDomain(FrozenValue):
 
     @classmethod
     def binary_uniform(cls, n):
-        return cls((2,) * int(n))
+        return cls((2,) * as_int(n, "n"))
 
     @property
     def n(self):
@@ -84,9 +85,7 @@ class ProductDomain(FrozenValue):
             raise PreconditionError("point has wrong dimension")
         idx = 0
         for x, s, st in zip(point, self.sizes, self._strides):
-            if x < 0 or x >= s:
-                raise PreconditionError("point coordinate out of range")
-            idx += x * st
+            idx += as_index(x, s, "point coordinate") * st
         return idx
 
     def weight(self, index):
@@ -195,7 +194,7 @@ class FourierTable(Frozen):
     __slots__ = ("n", "coefficients")
 
     def __init__(self, n, coefficients):
-        n = int(n)
+        n = as_int(n, "n")
         coefficients = tuple(as_rational(c, "coefficient") for c in coefficients)
         if len(coefficients) != 1 << n:
             raise PreconditionError("need exactly 2^n coefficients")
@@ -206,12 +205,12 @@ class FourierTable(Frozen):
 
 
 def _as_mask(alpha, n):
-    if isinstance(alpha, int):
-        mask = alpha
+    if not hasattr(alpha, "__iter__"):
+        mask = as_int(alpha, "alpha")
     else:
         mask = 0
         for i in alpha:
-            mask |= 1 << int(i)
+            mask |= 1 << as_index(i, n, "alpha index")
     if mask < 0 or mask >= 1 << n:
         raise PreconditionError("index set leaves the coordinate range")
     return mask
@@ -262,14 +261,13 @@ def noise(f, gamma):
 def _normalize_blocks(domain, blocks):
     if blocks is None:
         blocks = [(i,) for i in range(domain.n)]
-    blocks = tuple(tuple(sorted(int(c) for c in b)) for b in blocks)
+    blocks = tuple(tuple(sorted(as_index(c, domain.n, "block coordinate")
+                                for c in b)) for b in blocks)
     seen = set()
     for b in blocks:
         if not b:
             raise PreconditionError("blocks must be nonempty")
         for c in b:
-            if c < 0 or c >= domain.n:
-                raise PreconditionError("block coordinate out of range")
             if c in seen:
                 raise PreconditionError("blocks overlap at coordinate %d" % c)
             seen.add(c)
@@ -358,13 +356,6 @@ def efron_stein(f, blocks=None):
     return EfronSteinDecomposition(domain, blocks, components)
 
 
-def _block_index(i, nblocks):
-    i = int(i)
-    if i < 0 or i >= nblocks:
-        raise PreconditionError("block index out of range")
-    return i
-
-
 def _block_influence(f, block):
     """E[Var_block f] by the variance form E[E_b(f^2) - (E_b f)^2]: the
     block's coordinates summed out of f and of f^2, with no Efron-Stein
@@ -389,7 +380,7 @@ def influence(f, i, blocks=None):
     block i. With the default singleton blocks this is the usual coordinate
     influence E[Var_{x_i} f]."""
     blocks = _normalize_blocks(f.domain, blocks)
-    return _block_influence(f, blocks[_block_index(i, len(blocks))])
+    return _block_influence(f, blocks[as_index(i, len(blocks), "block index")])
 
 
 influence_variance = influence
@@ -409,7 +400,7 @@ def all_degree_d_influences(f, d, blocks=None):
     weights, wden = f.domain.point_weights()
     scale = f.denominator * wden
     out = [0] * len(blocks)
-    for m, t in _split(f.numerators, f.domain, blocks, int(d)):
+    for m, t in _split(f.numerators, f.domain, blocks, as_int(d, "d")):
         nsq = sum(map(mul, map(mul, weights, t), t))
         for b in _members(m, len(blocks)):
             out[b] += nsq
@@ -419,7 +410,7 @@ def all_degree_d_influences(f, d, blocks=None):
 def degree_d_influence(f, i, d, blocks=None):
     """Like influence, restricted to component sets of size at most d."""
     out = all_degree_d_influences(f, d, blocks)
-    return out[_block_index(i, len(out))]
+    return out[as_index(i, len(out), "block index")]
 
 
 def block_image(alpha, blocks, n):
@@ -441,13 +432,11 @@ def pi_tilde(alpha, pi):
 
     alpha is a subset of [2R]; index j and index j+R both witness pi[j].
     """
-    pi = tuple(int(x) for x in pi)
+    pi = tuple(as_int(x, "projection label") for x in pi)
     r = len(pi)
     out = set()
     for j in alpha:
-        j = int(j)
-        if j < 0 or j >= 2 * r:
-            raise PreconditionError("index %d outside [2R]" % j)
+        j = as_index(j, 2 * r, "alpha index")
         out.add(pi[j % r])
     return frozenset(out)
 
@@ -459,16 +448,12 @@ def pi_oplus(alpha, pi, nleft):
     to i; label L + i appears iff an odd number of second-half indices map to
     i. Satisfies the character identity against compose_projection.
     """
-    pi = tuple(int(x) for x in pi)
+    nleft = as_int(nleft, "nleft")
+    pi = tuple(as_index(x, nleft, "projection label") for x in pi)
     r = len(pi)
-    nleft = int(nleft)
-    if any(x < 0 or x >= nleft for x in pi):
-        raise PreconditionError("projection leaves [L]")
     out = set()
     for j in alpha:
-        j = int(j)
-        if j < 0 or j >= 2 * r:
-            raise PreconditionError("index %d outside [2R]" % j)
+        j = as_index(j, 2 * r, "alpha index")
         out ^= {pi[j % r] + (nleft if j >= r else 0)}  # toggled: parity
     return frozenset(out)
 
@@ -480,9 +465,7 @@ def compose_projection(y, pi):
     if len(y) % 2 != 0:
         raise PreconditionError("input must have even length 2L")
     half = len(y) // 2
-    pi = tuple(int(x) for x in pi)
-    if any(x < 0 or x >= half for x in pi):
-        raise PreconditionError("projection leaves [L]")
+    pi = tuple(as_index(x, half, "projection label") for x in pi)
     first = tuple(y[p] for p in pi)
     second = tuple(y[half + p] for p in pi)
     return first + second

@@ -22,6 +22,7 @@ from .errors import (
     PreconditionError,
     _scaled,
     as_budget,
+    as_int,
     as_rational,
 )
 
@@ -438,7 +439,7 @@ def invariance_gap(space, nblocks, f, g, budget=None):
     marginals, and f, g bounded in [-1, 1].
     """
     budget = as_budget(budget)
-    nblocks = int(nblocks)
+    nblocks = as_int(nblocks, "nblocks")
     if nblocks < 1:
         raise PreconditionError("need at least one column")
     if space.k_left != space.k_right:

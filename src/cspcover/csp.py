@@ -16,7 +16,8 @@ from operator import attrgetter
 
 from . import _forward
 from .errors import (
-    Frozen, FrozenValue, PreconditionError, _scaled, as_budget, as_rational)
+    Frozen, FrozenValue, PreconditionError, _scaled, as_budget, as_index, as_int,
+    as_rational, as_word)
 from .predicate import add_tuples, is_odd, sub_tuples
 
 __getattr__ = _forward(globals(), dict.fromkeys("""cover_to_coloring
@@ -214,7 +215,7 @@ class Assignment(FrozenValue):
     _key = attrgetter("values")
 
     def __init__(self, values):
-        self._fill(values=tuple(map(int, values)))
+        self._fill(values=tuple(as_int(x, "assignment value") for x in values))
 
     def __repr__(self):
         return "Assignment(%r)" % (self.values,)
@@ -256,8 +257,7 @@ def _check_assignment(a, inst):
 def covers_constraint(a, inst, idx):
     """True iff assignment a satisfies constraint idx of inst."""
     _check_assignment(a, inst)
-    if idx < 0 or idx >= len(inst.numerators):
-        raise PreconditionError("constraint index %d out of range" % idx)
+    idx = as_index(idx, len(inst.numerators), "constraint index")
     q = inst.predicate.q
     vals = tuple(a.values[v] for v in inst.scopes[idx])
     return add_tuples(vals, inst.literals[idx], q) in inst.predicate
@@ -405,9 +405,7 @@ def apply_literal_shift(inst, h):
     is the caller's reduction step, not done here.
     """
     q = inst.predicate.q
-    h = tuple(int(x) for x in h)
-    if len(h) != inst.predicate.k or any(x < 0 or x >= q for x in h):
-        raise PreconditionError("shift vector %r is not in [q]^k" % (h,))
+    h = as_word(h, inst.predicate.k, q, "shift vector")
     shifted = {lits: add_tuples(lits, h, q) for lits in set(inst.literals)}
     return CspInstance(inst.predicate, inst.variables, _Columns(
         inst.scopes, list(map(shifted.__getitem__, inst.literals)),

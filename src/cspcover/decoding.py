@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import _lazy
 from .csp import _bit_indices
-from .errors import Frozen, PreconditionError, as_rational
+from .errors import Frozen, PreconditionError, as_int, as_rational
 from .labelcover import Labeling, satisfied_fraction
 from .reductions import _as_labeling, _incident_or_error, _lift_places
 
@@ -102,7 +102,7 @@ def decode_t1(tables, source, tau, d, seed):
     tau = as_rational(tau, "threshold")
     if tau <= 0:
         raise PreconditionError("threshold must be positive")
-    d = int(d)
+    d = as_int(d, "d")
     if d < 1:
         raise PreconditionError("degree must be at least 1")
     if not source.unique:

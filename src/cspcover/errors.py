@@ -1,6 +1,6 @@
 """Shared error types, enumeration budgets, the immutable-record base, and
 the one reader of rationals and the one scaling of them to integers, and
-the reader of integer arguments.
+the readers of integer arguments, indices and digit words.
 
 Exit-code discipline for the CLI hangs off these: GuaranteeError maps to exit
 status 1, BudgetExceededError to 2, PreconditionError (and its FormatError
@@ -75,6 +75,27 @@ def as_int(value, what):
         raise PreconditionError("%s %r is not an integer" % (what, value)) from None
 
 
+def as_index(value, size, what):
+    """value as an int in [0, size), read by `as_int`; an int outside is
+    refused as "<what> out of range"."""
+    value = as_int(value, what)
+    if not 0 <= value < size:
+        raise PreconditionError("%s out of range" % what)
+    return value
+
+
+def as_word(values, length, base, what):
+    """values as a tuple of `length` ints in [0, base), each read by
+    `operator.index`; anything else is refused, naming it as `what`."""
+    try:
+        word = tuple(map(operator.index, values))
+        if len(word) == length and all(0 <= x < base for x in word):
+            return word
+    except TypeError:
+        pass
+    raise PreconditionError("%s %r is not in [%d]^%d" % (what, values, base, length))
+
+
 def _scaled(values):
     """Rationals or ints as (integers, denominator) over the lcm of their
     denominators; in lowest terms when the values are."""
@@ -138,11 +159,10 @@ class Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit=DEFAULT_BUDGET):
-        if limit is None:
-            limit = DEFAULT_BUDGET
+        limit = DEFAULT_BUDGET if limit is None else as_int(limit, "budget")
         if limit <= 0:
             raise PreconditionError("budget must be positive")
-        self.limit = int(limit)
+        self.limit = limit
         self.used = 0
 
     def spend(self, n=1):

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import PreconditionError, as_budget, as_int
+from .errors import PreconditionError, as_budget, as_index, as_int
 from .labelcover import Edge, LabelCoverInstance, Labeling
 
 
@@ -121,13 +121,10 @@ def smoothness_profile(g, v, alpha):
     alpha is a nonempty set of right labels; proj(alpha) is its image under
     the edge projection. Exact rational result.
     """
-    alpha = sorted(set(int(x) for x in alpha))
+    alpha = {as_index(x, g.nlabels_v, "alpha label") for x in alpha}
     if not alpha:
         raise PreconditionError("alpha must be nonempty")
-    if any(x < 0 or x >= g.nlabels_v for x in alpha):
-        raise PreconditionError("alpha leaves [R]")
-    if v < 0 or v >= g.nv:
-        raise PreconditionError("vertex %d out of range" % v)
+    v = as_index(v, g.nv, "vertex")
     edge_ids = g.edges_at_v(v)
     if not edge_ids:
         raise PreconditionError("vertex %d is isolated" % v)
@@ -155,15 +152,15 @@ def synthesize(kind, *, nu, nv, nlabels_u, nlabels_v, degree=None, seed):
                            satisfies every edge.
     """
     rng = random.Random(seed)
-    nu, nv = int(nu), int(nv)
-    L, R = int(nlabels_u), int(nlabels_v)
+    nu, nv = as_int(nu, "nu"), as_int(nv, "nv")
+    L, R = as_int(nlabels_u, "nlabels_u"), as_int(nlabels_v, "nlabels_v")
     if nu < 1 or nv < 1 or L < 1 or R < 1:
         raise PreconditionError("sizes must be positive")
 
     def edge_endpoints():
         if degree is None:
             return [(u, v) for u in range(nu) for v in range(nv)]
-        d = int(degree)
+        d = as_int(degree, "degree")
         if d < 1:
             raise PreconditionError("degree must be positive")
         out = []

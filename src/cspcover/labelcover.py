@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from . import _forward
-from .errors import Frozen, FrozenValue, PreconditionError
+from .errors import Frozen, FrozenValue, PreconditionError, as_int
 
 __getattr__ = _forward(globals(), dict.fromkeys("""SYNTHESIS_RETRIES
     is_c_coverable max_satisfiable smoothness_profile synthesize""".split(),
@@ -23,7 +23,8 @@ class Edge(Frozen):
     __slots__ = ("u", "v", "proj")
 
     def __init__(self, u, v, proj):
-        self._fill(u=int(u), v=int(v), proj=tuple(int(x) for x in proj))
+        self._fill(u=as_int(u, "edge vertex u"), v=as_int(v, "edge vertex v"),
+                   proj=tuple(as_int(x, "projection label") for x in proj))
 
     def __repr__(self):
         return "Edge(u=%d, v=%d, proj=%r)" % (self.u, self.v, self.proj)
@@ -36,8 +37,9 @@ class LabelCoverInstance(Frozen):
                  "_adj_u", "_adj_v")
 
     def __init__(self, nu, nv, nlabels_u, nlabels_v, edges, unique=False):
-        nu, nv = int(nu), int(nv)
-        nlabels_u, nlabels_v = int(nlabels_u), int(nlabels_v)
+        nu, nv = as_int(nu, "nu"), as_int(nv, "nv")
+        nlabels_u = as_int(nlabels_u, "nlabels_u")
+        nlabels_v = as_int(nlabels_v, "nlabels_v")
         if nu < 1 or nv < 1:
             raise PreconditionError("both sides must be nonempty")
         if nlabels_u < 1 or nlabels_v < 1:
@@ -90,8 +92,8 @@ class Labeling(FrozenValue):
     _key = attrgetter("left", "right")
 
     def __init__(self, left, right):
-        self._fill(left=tuple(int(x) for x in left),
-                   right=tuple(int(x) for x in right))
+        self._fill(left=tuple(as_int(x, "left label") for x in left),
+                   right=tuple(as_int(x, "right label") for x in right))
 
     def __repr__(self):
         return "Labeling(left=%r, right=%r)" % (self.left, self.right)

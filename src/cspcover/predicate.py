@@ -8,7 +8,7 @@ and subtracted coordinatewise mod q throughout.
 import itertools
 from operator import attrgetter
 
-from .errors import FrozenValue, PreconditionError
+from .errors import FrozenValue, PreconditionError, as_int, as_word
 
 
 class Predicate(FrozenValue):
@@ -18,20 +18,13 @@ class Predicate(FrozenValue):
     _key = attrgetter("q", "k", "members")
 
     def __init__(self, q, k, members):
-        q = int(q)
-        k = int(k)
+        q = as_int(q, "q")
+        k = as_int(k, "k")
         if q < 2:
             raise PreconditionError("alphabet size must be at least 2")
         if k < 1:
             raise PreconditionError("arity must be at least 1")
-        canon = set()
-        for m in members:
-            t = tuple(int(x) for x in m)
-            if len(t) != k:
-                raise PreconditionError("member %r does not have length %d" % (m, k))
-            if any(x < 0 or x >= q for x in t):
-                raise PreconditionError("member %r has entries outside [%d]" % (m, q))
-            canon.add(t)
+        canon = {as_word(m, k, q, "member") for m in members}
         self._fill(q=q, k=k, members=tuple(sorted(canon)),
                    _set=frozenset(canon))
 
@@ -87,9 +80,7 @@ def find_non_odd_witness(p):
 
 def shift(p, h):
     """The predicate {x - h mod q : x in p}."""
-    h = tuple(int(x) for x in h)
-    if len(h) != p.k or any(x < 0 or x >= p.q for x in h):
-        raise PreconditionError("shift vector %r is not in [%d]^%d" % (h, p.q, p.k))
+    h = as_word(h, p.k, p.q, "shift vector")
     return Predicate(p.q, p.k, (sub_tuples(x, h, p.q) for x in p.members))
 
 
@@ -104,9 +95,7 @@ def translate_closure(p):
 
 def translate_orbit(q, k, a):
     """The q translates {a + b-bar : b in [q]} of a single tuple."""
-    a = tuple(int(x) for x in a)
-    if len(a) != k or any(x < 0 or x >= q for x in a):
-        raise PreconditionError("tuple %r is not in [%d]^%d" % (a, q, k))
+    a = as_word(a, k, q, "tuple")
     return frozenset(add_tuples(a, constant_tuple(b, k), q) for b in range(q))
 
 

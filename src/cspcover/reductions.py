@@ -36,7 +36,9 @@ from .errors import (
     PreconditionError,
     _scaled,
     as_budget,
+    as_int,
     as_rational,
+    as_word,
     check_table_size,
 )
 from .labelcover import (
@@ -69,7 +71,7 @@ class T1Params(Frozen):
 
     def __init__(self, predicate, a, source):
         q, k = predicate.q, predicate.k
-        a = tuple(int(x) for x in a)
+        a = tuple(as_int(x, "a") for x in a)
         if k < 2:
             raise PreconditionError("need arity at least 2")
         naepred = nae(q, k)
@@ -91,9 +93,7 @@ class T1Params(Frozen):
 def _check_distribution(dist, k):
     out = {}
     for key, w in dict(dist).items():
-        key = tuple(int(b) for b in key)
-        if len(key) != k or any(b not in (0, 1) for b in key):
-            raise PreconditionError("distribution keys must be k-bit tuples")
+        key = as_word(key, k, 2, "distribution key")
         w = as_rational(w, "distribution weight")
         if w < 0:
             raise PreconditionError("distribution weights must be nonnegative")
@@ -250,7 +250,8 @@ def _generate(test, budget, support_cap):
     """The exact instance of a test: every draw in order, one budget unit
     each, after the left vertices and the support size are checked."""
     budget = as_budget(budget)
-    cap = DEFAULT_SUPPORT_CAP if support_cap is None else int(support_cap)
+    cap = (DEFAULT_SUPPORT_CAP if support_cap is None
+           else as_int(support_cap, "support cap"))
     if cap < 1:
         raise PreconditionError("support cap must be positive")
     g = test.source
@@ -295,7 +296,7 @@ def _generate(test, budget, support_cap):
 def _sample(test, n, seed):
     """Multiset instance of n seeded draws of a test, each of weight 1/n.
     Not exact. Every left vertex is checked before the first draw."""
-    n = int(n)
+    n = as_int(n, "n")
     if n < 1:
         raise PreconditionError("need at least one sample")
     g = test.source

@@ -160,7 +160,7 @@ def _cover_search(inst, max_c, budget):
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
     if not any(inst.numerators):
-        return 0, [(0,) * inst.nvars] if inst.nvars else None
+        return 0, [(0,) * inst.nvars]
     pairs, holders = _coverage_masks(inst, budget)
     full_mask = (1 << len(holders)) - 1
     if not all(holders):

@@ -160,11 +160,12 @@ def reference_cover_search(inst, max_c, budget):
     smallest c <= max_c, or (None, None). It threads the chosen masks
     through append and pop, scans the uncovered constraints bit by bit for
     the one with the fewest holders, and memoizes each one's masks in a
-    dict."""
+    dict. Without a positive weight it answers the one all-zero assignment,
+    an empty tuple when there are no variables, as the library does."""
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
     if not any(inst.numerators):
-        return 0, [(0,) * inst.nvars] if inst.nvars else None
+        return 0, [(0,) * inst.nvars]
     pairs, holders = _coverage_masks(inst, budget)
     full_mask = (1 << len(holders)) - 1
     if not all(holders):

@@ -34,6 +34,10 @@ and `mis` (stdout) on a 7-vertex NAE(2,2) graph, a NAE(3,2) instance with 9
 variables, shifted literals and mixed weights, and the `reduce t1` and
 `reduce t3` outputs of one unique game. Their digests were recorded before
 the coverage masks were computed from bit-parallel leaf sets.
+
+`lc-smooth` (four label sets on a hand-written game) and `connected` (a
+connected and a disconnected space) are pinned on stdout. Their digests
+were recorded before integer arguments were read through `errors`.
 """
 
 import contextlib
@@ -580,3 +584,62 @@ GOLDEN_SEARCH = {
 def test_golden_search_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert search_golden_digests(tmp_path) == GOLDEN_SEARCH
+
+
+# `lc-smooth` on a hand-written 3 + 2 vertex game with L = 2 and R = 4
+# whose right vertices see three and two edges, and `connected` on the
+# coupled space above and on a space whose two atoms differ in every
+# coordinate. Their digests were recorded before the integer arguments were
+# read through `errors`.
+SMOOTH_GAME = ("3 2 2 4 0\n0 0 0 0 1 1\n1 0 0 1 0 1\n2 0 1 1 0 0\n"
+               "0 1 0 1 1 0\n2 1 1 0 0 1\n")
+SPLIT_SPACE = "2 2 2 2\n00 00 1/2\n11 11 1/2\n"
+MISC_FILES = {"smooth.lc": SMOOTH_GAME, "coupled.sp": COUPLED_SPACE,
+              "split.sp": SPLIT_SPACE}
+MISC_CALLS = {
+    "lc-smooth 0 0,1": ["lc-smooth", "smooth.lc", "--vertex", "0",
+                        "--alpha", "0,1"],
+    "lc-smooth 0 3,1,2,0": ["lc-smooth", "smooth.lc", "--vertex", "0",
+                            "--alpha", "3,1,2,0"],
+    "lc-smooth 1 2,2,": ["lc-smooth", "smooth.lc", "--vertex", "1",
+                         "--alpha", "2,2,"],
+    "lc-smooth 1 0,3 machine": ["lc-smooth", "smooth.lc", "--vertex", "1",
+                                "--alpha", "0,3", "--format", "machine"],
+    "connected coupled": ["connected", "coupled.sp"],
+    "connected split": ["connected", "split.sp"],
+}
+
+
+def misc_golden_digests(workdir):
+    """Digest of the stdout of every `lc-smooth` and `connected` call."""
+    for fname, text in MISC_FILES.items():
+        (workdir / fname).write_text(text, encoding="utf-8")
+    digests = {}
+    for call, argv in MISC_CALLS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, call
+        digests[call + " stdout"] = _sha256(out.getvalue().encode("utf-8"))
+    return digests
+
+
+GOLDEN_MISC = {
+    'connected coupled stdout':
+        '6708dde4e6130c7270cef7556c3da4d9fc26e9a17f39ae6e7ce5e0f079f690bf',
+    'connected split stdout':
+        'bb56aecaa64854296a21f189306b85f7abd294a82fadbaa4954846f4d5f7e95f',
+    'lc-smooth 0 0,1 stdout':
+        'c4ca1dbad5fb89484fbe8b608007fe3b565cb69fc594f16be5d8453c9339ad89',
+    'lc-smooth 0 3,1,2,0 stdout':
+        '1ab25cfdeb3e5fd51a6ebaa170bb471dd4dc2f03b08831a6a2a098a9c00cd3c1',
+    'lc-smooth 1 0,3 machine stdout':
+        '7a64aaa317e35d664fa929862d24becb1b4a4a4bad67f5624ed676313f4650c8',
+    'lc-smooth 1 2,2, stdout':
+        'c40a71c8cbad683320b5e308275afdba1a3806380ff5b5a207819aa0b3d5ef0d',
+}
+
+
+def test_golden_smoothness_and_connectivity_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert misc_golden_digests(tmp_path) == GOLDEN_MISC
