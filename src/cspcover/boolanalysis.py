@@ -64,7 +64,10 @@ class ProductDomain(FrozenValue):
 
     @classmethod
     def binary_uniform(cls, n):
-        return cls((2,) * as_int(n, "n"))
+        n = as_int(n, "n")
+        if n < 0:
+            raise PreconditionError("n must be nonnegative")
+        return cls((2,) * n)
 
     @property
     def n(self):
@@ -195,6 +198,8 @@ class FourierTable(Frozen):
 
     def __init__(self, n, coefficients):
         n = as_int(n, "n")
+        if n < 0:
+            raise PreconditionError("n must be nonnegative")
         coefficients = tuple(as_rational(c, "coefficient") for c in coefficients)
         if len(coefficients) != 1 << n:
             raise PreconditionError("need exactly 2^n coefficients")
@@ -218,8 +223,8 @@ def _as_mask(alpha, n):
 
 def character(n, alpha):
     """chi_alpha as a +/-1 table on {0,1}^n uniform."""
-    mask = _as_mask(alpha, n)
     dom = ProductDomain.binary_uniform(n)
+    mask = _as_mask(alpha, dom.n)
     return TabulatedFunction._trusted(dom, tuple(
         -1 if (x & mask).bit_count() % 2 else 1 for x in range(dom.size)
     ), 1, None)

@@ -29,7 +29,7 @@ class Constraint(FrozenValue):
     _key = attrgetter("vars", "literals", "weight")
 
     def __init__(self, vars, literals, weight):
-        self._fill(vars=tuple(map(int, vars)),
+        self._fill(vars=tuple(as_int(v, "scope variable") for v in vars),
                    literals=tuple(map(int, literals)),
                    weight=as_rational(weight, "constraint weight"))
 
@@ -81,7 +81,7 @@ def _triple_columns(constraints, k, q, n):
             vars_, lits, w = (
                 (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
             )
-            vars_ = tuple(map(int, vars_))
+            vars_ = tuple(as_int(v, "scope variable") for v in vars_)
             try:
                 lits = vectors[lits]
             except (KeyError, TypeError):

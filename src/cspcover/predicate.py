@@ -95,6 +95,7 @@ def translate_closure(p):
 
 def translate_orbit(q, k, a):
     """The q translates {a + b-bar : b in [q]} of a single tuple."""
+    q, k = as_int(q, "q"), as_int(k, "k")
     a = as_word(a, k, q, "tuple")
     return frozenset(add_tuples(a, constant_tuple(b, k), q) for b in range(q))
 
@@ -110,6 +111,7 @@ def is_shift_closed(p):
 
 def nae(q, k):
     """The not-all-equal predicate: [q]^k minus the constant tuples."""
+    q, k = as_int(q, "q"), as_int(k, "k")
     if q < 2 or k < 2:
         raise PreconditionError("NAE needs q >= 2 and k >= 2")
     consts = {constant_tuple(b, k) for b in range(q)}
@@ -118,6 +120,7 @@ def nae(q, k):
 
 def lin(k):
     """Odd-parity strings of length k over bits (3-LIN at k=3, 2k-LIN at even arity)."""
+    k = as_int(k, "k")
     if k < 1:
         raise PreconditionError("arity must be at least 1")
     return Predicate(2, k, (t for t in all_tuples(2, k) if sum(t) % 2 == 1))
@@ -125,6 +128,7 @@ def lin(k):
 
 def cnf(k):
     """The k-clause predicate: every bit string except all-zeros."""
+    k = as_int(k, "k")
     if k < 1:
         raise PreconditionError("arity must be at least 1")
     return Predicate(2, k, (t for t in all_tuples(2, k) if any(t)))
@@ -132,4 +136,6 @@ def cnf(k):
 
 def full(q, k):
     """All of [q]^k."""
-    return Predicate(q, k, all_tuples(q, k))
+    q, k = as_int(q, "q"), as_int(k, "k")
+    # `Predicate` refuses k < 1; `product` would refuse k < 0 first.
+    return Predicate(q, k, all_tuples(q, k) if k > 0 else ())

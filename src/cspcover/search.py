@@ -45,9 +45,9 @@ def _coverage_masks(inst, budget):
     Leaves are numbered in mixed radix over the touched variables, the first
     most significant, and taken in blocks of at most BLOCK leaves. In a
     block, each constraint's satisfying leaves form one integer: the sum of
-    the leaf sets of the rows of its scope's variables that satisfy it, and
-    constraints on one variable set share those leaf sets. Transposing the
-    integers gives each leaf's mask.
+    the rows of its scope as written that satisfy it, where a row giving a
+    repeated variable two values is empty; constraints on one scope tuple
+    share those rows. Transposing the integers gives each leaf's mask.
     """
     q = inst.predicate.q
     cons = [
@@ -65,24 +65,16 @@ def _coverage_masks(inst, budget):
     budget.spend(width * total)
 
     depth = {v: d for d, v in enumerate(touched)}
-    cells = {}
-    plan = []
-    for vars_, lits in cons:
-        scope = tuple(sorted(set(vars_)))
-        digit = tuple(map(scope.index, vars_))
-        key = (digit, lits)
-        if key not in cells:
-            # Rows (base-q values on the scope's distinct variables, the
-            # first least significant) of the members minus the literals on
-            # which repeated variables agree.
-            cells[key] = []
-            for p in inst.predicate.members:
-                y = sub_tuples(p, lits, q)
-                x = dict(zip(digit, y))
-                if all(x[i] == yi for i, yi in zip(digit, y)):
-                    cells[key].append(sum(xi * q**i for i, xi in x.items()))
-        plan.append((scope, cells[key]))
-    scopes = dict.fromkeys(scope for scope, _ in plan)
+    # Per literal vector, the rows (base q over scope positions, the first
+    # least significant) of the members minus it; per scope, its constraints.
+    cells, on = {}, {}
+    for j, (vars_, lits) in enumerate(cons):
+        if lits not in cells:
+            cells[lits] = [
+                sum(y * q**i for i, y in enumerate(sub_tuples(p, lits, q)))
+                for p in inst.predicate.members]
+        on.setdefault(vars_, []).append((j, lits))
+    sets = [0] * width
 
     # Digits from `low` on vary inside a block of `size` leaves; the others
     # are fixed per block. runs[d][x] holds the leaves of a block where digit
@@ -102,18 +94,19 @@ def _coverage_masks(inst, budget):
     down = count(total - 1, -1)
     for high in product(*(range(r - 1, -1, -1) for r in radix[:low])):
         leaves = [[ones * (x == h) for x in range(q)] for h in high] + runs
-        for scope in scopes:
-            rows = leaves[depth[scope[0]]]
-            for v in scope[1:]:
+        # A repeated variable's rows for two values are empty, and the rows
+        # of one scope hold disjoint leaf sets, so a sum is a union.
+        for vars_, group in on.items():
+            rows = leaves[depth[vars_[0]]]
+            for v in vars_[1:]:
                 rows = [m & b for b in leaves[depth[v]] for m in rows]
-            scopes[scope] = rows
-        # The rows of one scope hold disjoint leaf sets, so a sum is a union.
-        sets = [sum(map(scopes[s].__getitem__, cell)) for s, cell in plan]
+            for j, lits in group:
+                sets[j] = sum(map(rows.__getitem__, cells[lits]))
         # Blocks and leaves are taken last first, so each mask keeps its
         # first leaf.
         first.update(zip(reversed(_transpose(sets, size)), down))
     first.pop(0, None)
-    del leaves, runs, scopes, sets  # free the last block's tables
+    del leaves, runs, rows, sets  # free the last block's tables
 
     # Drop masks dominated by a superset mask; lossless for minimum covers.
     # Masks are taken by popcount, ties in order of first leaf. The first

@@ -43,6 +43,7 @@ from cspcover import (
     rejection_identity_check,
     shift,
     sub_tuples,
+    synthesize,
     translate_assignment,
     trivial_odd_cover,
     weaken_predicate,
@@ -323,6 +324,46 @@ class TestCoverageMasks:
             for j in range(len(cons))
         ]
         assert fast.used == slow.used
+
+    # Gadget outputs as the cover-search benchmark builds them: the t1
+    # gadgets hold each scope in both orders, and 496 of the t3 gadget's 768
+    # scopes repeat a variable. Every variable is touched, so the budgets
+    # agree.
+    @pytest.mark.parametrize("test, nv", [("t1", 2), ("t1", 3), ("t3", 2)])
+    def test_matches_the_full_enumeration_on_gadgets(self, test, nv):
+        source = synthesize("unique-consistent", nu=2, nv=nv, nlabels_u=1,
+                            nlabels_v=1, seed=5201)
+        if test == "t1":
+            inst = reductions.generate_t1(T1Params(nae(2, 2), (0, 1), source))
+        else:
+            inst = reductions.generate_t3(T3Params(Fraction(1, 4), source))
+        fast, slow = Budget(10**7), Budget(10**7)
+        pairs, holders = _coverage_masks(inst, fast)
+        ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
+        assert pairs == [(m, a.values) for m, a in ref_pairs]
+        assert holders == [
+            sum(1 << i for i, (m, _) in enumerate(pairs) if m >> j & 1)
+            for j in range(len(cons))
+        ]
+        assert fast.used == slow.used
+
+    def test_memory_of_scopes_in_every_order(self):
+        # NAE(2,3) on all 1,716 ordered triples of 13 variables. The bound
+        # holds when one scope's rows are built and spent at a time; it fails
+        # when every scope's rows are kept at once (14.4 MB), or the rows of
+        # every sorted scope (9.3 MB).
+        inst = CspInstance(nae(2, 3), range(13), [
+            (s, (0, 0, 0), 1) for s in itertools.permutations(range(13), 3)])
+        tracemalloc.start()
+        try:
+            pairs, _ = _coverage_masks(inst, Budget(10**8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Every 2-coloring with variable 0 at 0 but the constant one, less
+        # the 13 with a color on one variable alone, which are dominated.
+        assert len(pairs) == 2**12 - 1 - 13
+        assert peak <= 9 * 2**20, peak
 
     def test_memory_stays_bounded_across_blocks(self):
         # 9 disjoint edges on 18 variables: 2^17 leaves.

@@ -21,6 +21,7 @@ import cspcover
 from cspcover import (
     Assignment,
     Budget,
+    Constraint,
     CspInstance,
     Edge,
     FourierTable,
@@ -38,6 +39,7 @@ from cspcover import (
     apply_literal_shift,
     block_image,
     character,
+    cnf,
     compose_projection,
     covering_number,
     covers_constraint,
@@ -45,6 +47,7 @@ from cspcover import (
     degree_d_influence,
     errors,
     find_cover,
+    full,
     generate_t1,
     influence,
     invariance_gap,
@@ -104,6 +107,20 @@ SITES = {
     "shift h": (lambda x, b: shift(NAE22, (0, x)), word("shift vector", 2, 2)),
     "translate_orbit a":
         (lambda x, b: translate_orbit(2, 2, (0, x)), word("tuple", 2, 2)),
+    "translate_orbit q":
+        (lambda x, b: translate_orbit(x, 2, (0, 1)), integer("q")),
+    "translate_orbit k":
+        (lambda x, b: translate_orbit(2, x, (0, 1)), integer("k")),
+    "nae q": (lambda x, b: nae(x, 2), integer("q")),
+    "nae k": (lambda x, b: nae(2, x), integer("k")),
+    "lin k": (lambda x, b: lin(x), integer("k")),
+    "cnf k": (lambda x, b: cnf(x), integer("k")),
+    "full q": (lambda x, b: full(x, 2), integer("q")),
+    "full k": (lambda x, b: full(2, x), integer("k")),
+    "Constraint vars": (lambda x, b: Constraint((0, x), (0, 0), 1),
+                        integer("scope variable")),
+    "CspInstance scope": (lambda x, b: CspInstance(
+        NAE22, range(2), [((0, x), (0, 0), 1)]), integer("scope variable")),
     "Assignment values":
         (lambda x, b: Assignment((0, x)), integer("assignment value")),
     "apply_literal_shift h": (lambda x, b: apply_literal_shift(INST, (0, x)),
@@ -148,6 +165,7 @@ SITES = {
     "ProductDomain.binary_uniform n":
         (lambda x, b: ProductDomain.binary_uniform(x), integer("n")),
     "FourierTable n": (lambda x, b: FourierTable(x, (0, 0)), integer("n")),
+    "character n": (lambda x, b: character(x, 0), integer("n")),
     "character alpha": (lambda x, b: character(2, x), integer("alpha")),
     "character alpha index":
         (lambda x, b: character(2, [x]), integer("alpha index")),
@@ -294,6 +312,18 @@ def test_out_of_range_indices_are_refused_by_name():
             call()
 
 
+# A negative number of binary coordinates is refused before any shift by it.
+@pytest.mark.parametrize("call", [
+    lambda: FourierTable(-1, (0,)),
+    lambda: character(-1, 0),
+    lambda: ProductDomain.binary_uniform(-1),
+])
+def test_a_negative_n_is_a_precondition_error(call, deadline):
+    with deadline(0.5):
+        with pytest.raises(PreconditionError, match="^n must be nonnegative$"):
+            call()
+
+
 # Refusals of the functions above that no other test reaches.
 @pytest.mark.parametrize("call, message", [
     (lambda: ProductDomain((2, 2), [(HALF, HALF)]),
@@ -315,6 +345,7 @@ def test_out_of_range_indices_are_refused_by_name():
      "need at least two left vertices"),
     (lambda: T1Params(Predicate(2, 1, [(0,), (1,)]), (0,), source()),
      "need arity at least 2"),
+    (lambda: full(2, -1), "arity must be at least 1"),
     (lambda: T2Params(lin(4), {(0, 0): -HALF, (1, 1): 3 * HALF}, P1, HALF,
                       source()), "distribution weights must be nonnegative"),
     (lambda: T2Params(lin(4), {(0, 0): HALF}, P1, HALF, source()),
@@ -341,15 +372,15 @@ def test_find_cover_without_constraints_is_the_trivial_cover(nvars):
 # The sites that may still convert with `int`, by module and enclosing
 # function, with how many conversions each holds. Text tokens are read as
 # `FormatError`s with line references; `Constraint` and `_triple_columns`
-# keep accepting a literal vector given as a digit string; the rest convert
-# the library's own bit strings and bools.
+# keep accepting a literal vector (not a scope) given as a digit string; the
+# rest convert the library's own bit strings and bools.
 INT_ALLOWED = {
     ("cli", "cmd_lc_smooth"): 1,
     ("textio", "_ints"): 1,
     ("textio", "_instance_columns"): 1,
     ("spectralio", "parse_tables"): 1,
-    ("csp", "Constraint.__init__"): 2,
-    ("csp", "_triple_columns"): 2,
+    ("csp", "Constraint.__init__"): 1,
+    ("csp", "_triple_columns"): 1,
     ("search", "_transpose"): 1,
     ("reductions", "_half_products"): 1,
     ("games", "synthesize"): 1,
