@@ -24,13 +24,20 @@ __getattr__ = _forward(globals(), dict.fromkeys("""cover_to_coloring
     covering_number find_cover max_independent_set""".split(), "search"))
 
 
+def _literal_vector(given):
+    """A literal vector as an int tuple read by `as_int`, a string as digits."""
+    if isinstance(given, str):
+        given = [ord(c) - ord("0") if "0" <= c <= "9" else c for c in given]
+    return tuple(as_int(x, "literal") for x in given)
+
+
 class Constraint(FrozenValue):
     __slots__ = ("vars", "literals", "weight")
     _key = attrgetter("vars", "literals", "weight")
 
     def __init__(self, vars, literals, weight):
         self._fill(vars=tuple(as_int(v, "scope variable") for v in vars),
-                   literals=tuple(map(int, literals)),
+                   literals=_literal_vector(literals),
                    weight=as_rational(weight, "constraint weight"))
 
     def __repr__(self):
@@ -69,12 +76,12 @@ def _triple_columns(constraints, k, q, n):
     """The columns of (vars, literals, weight) triples or `Constraint`
     objects, read once: int tuple scopes and literal vectors, and integer
     numerators over the lcm of the weights' denominators. A literal vector
-    is converted once per distinct value, and equal vectors share one tuple,
-    whether given hashable or not; an int weight is kept as it is. When
-    reading fails, an atom read before that fails a check is reported
-    instead. A weight that is not a rational is reported before its own
-    atom's structural checks, since their message shows it."""
-    vectors = {}  # vector as given or converted -> int tuple
+    given as a tuple is read once per tuple object, any other vector each
+    time, and equal vectors share one tuple; an int weight is kept as it
+    is. When reading fails, an atom read before that fails a check is
+    reported instead. A weight that is not a rational is reported before
+    its own atom's structural checks, since their message shows it."""
+    seen, vectors = {}, {}  # id -> (vector given, int tuple); int tuple -> it
     scopes, literals, weights = [], [], []
     try:
         for c in constraints:
@@ -82,16 +89,11 @@ def _triple_columns(constraints, k, q, n):
                 (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
             )
             vars_ = tuple(as_int(v, "scope variable") for v in vars_)
-            try:
-                lits = vectors[lits]
-            except (KeyError, TypeError):
-                given = lits
-                lits = tuple(map(int, given))
-                lits = vectors.setdefault(lits, lits)
-                try:
-                    vectors[given] = lits
-                except TypeError:
-                    pass
+            held = seen.get(id(lits))
+            if held is None or type(lits) is not tuple:
+                read = _literal_vector(lits)
+                held = seen[id(lits)] = lits, vectors.setdefault(read, read)
+            lits = held[1]
             weights.append(
                 w if type(w) is int else as_rational(w, "constraint weight"))
             scopes.append(vars_)

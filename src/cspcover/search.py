@@ -210,48 +210,31 @@ def max_independent_set(inst, budget=None):
     """
     budget = as_budget(budget)
     n = inst.nvars
-    cons = sorted(
-        {frozenset(s) for s, m in zip(inst.scopes, inst.numerators) if m},
-        key=sorted,
-    )
-    # Constraints touching each variable, for incremental violation counts.
-    touching = [[] for _ in range(n)]
-    for j, s in enumerate(cons):
-        for v in s:
-            touching[v].append(j)
-    need = [len(s) for s in cons]
-    inside = [0] * len(cons)
-    best_size, best_set = -1, ()
-    chosen = []
-    # Explicit stack: v enters the node for variable v (include v, then
-    # exclude it); ~v undoes the inclusion of v and enters the exclude branch.
-    stack = [0]
+    # Each distinct positive-weight scope, filed under its largest variable
+    # as the bitset of the others: it may not join when they are all chosen.
+    filed = [[] for _ in range(n)]
+    for s in {frozenset(s) for s, m in zip(inst.scopes, inst.numerators) if m}:
+        filed[max(s)].append(sum(1 << v for v in sorted(s)[:-1]))
+    best_size, best_set = -1, 0
+    # Explicit stack of (next variable, chosen bits, their count); the
+    # include child is pushed last, so it is searched first.
+    stack = [(0, 0, 0)]
     while stack:
-        v = stack.pop()
-        if v < 0:
-            v = ~v
-            for j in touching[v]:
-                inside[j] -= 1
-            chosen.pop()
-            stack.append(v + 1)
-            continue
+        v, chosen, size = stack.pop()
         budget.spend()
-        if len(chosen) + (n - v) <= best_size:
+        if size + (n - v) <= best_size:
             continue
         if v == n:
-            # The bound just passed: len(chosen) > best_size.
-            best_size, best_set = len(chosen), tuple(chosen)
+            # The bound just passed: size > best_size.
+            best_size, best_set = size, chosen
             continue
-        # v would complete a constraint whose other variables are all chosen.
-        if any(inside[j] == need[j] - 1 for j in touching[v]):
-            stack.append(v + 1)
-            continue
-        chosen.append(v)
-        for j in touching[v]:
-            inside[j] += 1
-        stack.append(~v)
-        stack.append(v + 1)
-    return best_size, best_set
+        stack.append((v + 1, chosen, size))
+        for rest in filed[v]:
+            if rest & chosen == rest:
+                break
+        else:
+            stack.append((v + 1, chosen | 1 << v, size + 1))
+    return best_size, tuple(_bit_indices(best_set))
 
 
 def cover_to_coloring(cs, inst):

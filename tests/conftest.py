@@ -46,3 +46,22 @@ def deadline():
             raise AssertionError("ran for more than %g s" % seconds)
 
     return limit
+
+
+@pytest.fixture(params=[
+    ([1.0, 0.75], [0.0, 0.25], "correlation paths disagree: 0.75 vs 0.5"),
+    ([1.0, 1.5], [0.0, 2.25], "correlation exceeded 1 beyond tolerance"),
+], ids=["paths disagree", "above one"])
+def rho_fault(request, monkeypatch):
+    """The two ways `correlation_rho` fails its own result: the paths
+    disagree, or they agree on a value above 1 + tol. numpy's `svd` and
+    `eigvalsh` are patched to return the case's spectra; the fixture's value
+    is the GuaranteeError message that must follow."""
+    import numpy
+
+    svals, eigs, message = request.param
+    monkeypatch.setattr(numpy.linalg, "svd",
+                        lambda mat, compute_uv: numpy.array(svals))
+    monkeypatch.setattr(numpy.linalg, "eigvalsh",
+                        lambda gram: numpy.array(eigs))
+    return message

@@ -582,6 +582,14 @@ class TestAnalysisCommands:
         assert code == 3 and "rho = " not in out
         assert err == "error: tolerance must be nonnegative, got %s\n" % shown
 
+    def test_rho_that_fails_its_cross_check_exits_one(
+        self, tmp_path, capsys, rho_fault
+    ):
+        space = write(tmp_path / "bits.sp", "2 1 2 1\n0 0 1/2\n1 1 1/2\n")
+        code, out, err = run(capsys, "rho", space)
+        assert code == 1 and "rho = " not in out
+        assert err == "error: %s\n" % rho_fault
+
     def test_rho_of_a_product_space_is_negligible(self, tmp_path, capsys):
         space = product_space_file(tmp_path)
         code, out, _ = run(capsys, "rho", space)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -281,6 +282,10 @@ class TestCorrelationRho:
     def test_rejects_a_negative_or_nan_tolerance(self, tol):
         with pytest.raises(PreconditionError, match="tolerance"):
             correlation_rho(IDENTICAL_BITS, tol=tol)
+
+    def test_a_failed_cross_check_is_a_guarantee_error(self, rho_fault):
+        with pytest.raises(GuaranteeError, match="^%s$" % re.escape(rho_fault)):
+            correlation_rho(IDENTICAL_BITS)
 
 
 class TestMarkovOperator:

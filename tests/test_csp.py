@@ -736,7 +736,8 @@ class TestColumnarInstance:
             raise error
 
         for bad in (atoms(), [((0, 1), (0, 0), 1), ((0, 5), (0, 0), 1),
-                              ((0, 1), (0, 0), "zz")]):
+                              ((0, 1), (0, 0), "zz")],
+                    [((0, 5), (0, 0), 1), ((0, 1), (None, 0), 1)]):
             with pytest.raises(PreconditionError,
                                match="references unknown variables"):
                 CspInstance(nae(2, 2), range(2), bad)
@@ -993,6 +994,17 @@ class TestMaxIndependentSet:
         size, witness = max_independent_set(inst, budget=Budget(10**5))
         assert size == 1499
         assert witness == (0,) + tuple(range(2, 1500))
+
+    # Beyond the recursive oracle's reach. The bound counts every remaining
+    # variable as choosable, so the first leaf is optimal but proving it
+    # visits this many nodes.
+    @pytest.mark.parametrize("n, nodes", [(10, 188), (20, 15_540)])
+    def test_node_counts_on_perfect_matchings(self, n, nodes):
+        inst = graph_instance(n, [(v, v + 1) for v in range(0, n, 2)])
+        budget = Budget(10**6)
+        assert max_independent_set(inst, budget) == (
+            n // 2, tuple(range(0, n, 2)))
+        assert budget.used == nodes
 
     @given(small_instances())
     def test_matches_the_recursive_search(self, inst):

@@ -121,6 +121,10 @@ SITES = {
                         integer("scope variable")),
     "CspInstance scope": (lambda x, b: CspInstance(
         NAE22, range(2), [((0, x), (0, 0), 1)]), integer("scope variable")),
+    "Constraint literals":
+        (lambda x, b: Constraint((0, 1), (0, x), 1), integer("literal")),
+    "CspInstance literals": (lambda x, b: CspInstance(
+        NAE22, range(2), [((0, 1), (0, x), 1)]), integer("literal")),
     "Assignment values":
         (lambda x, b: Assignment((0, x)), integer("assignment value")),
     "apply_literal_shift h": (lambda x, b: apply_literal_shift(INST, (0, x)),
@@ -289,6 +293,42 @@ def test_nothing_is_truncated_or_escapes_as_a_bare_error(deadline):
                 call()
 
 
+# A literal vector is read element by element through `as_int`; a string is
+# read as its digits. Floats were truncated, and other values ended in a
+# bare ValueError or TypeError.
+@pytest.mark.parametrize("call, message", [
+    (lambda: Constraint((0, 1), (0.9, 1.7), 1), "literal 0.9 is not an integer"),
+    (lambda: CspInstance(NAE22, range(3), [((0, 1), (0.9, 1.2), 1)]),
+     "literal 0.9 is not an integer"),
+    (lambda: Constraint((0, 1), ("a", 1), 1), "literal 'a' is not an integer"),
+    (lambda: Constraint((0, 1), (None, 1), 1), "literal None is not an integer"),
+    (lambda: Constraint((0, 1), "0a", 1), "literal 'a' is not an integer"),
+    (lambda: CspInstance(NAE22, range(3), [((0, 1), "0 ", 1)]),
+     "literal ' ' is not an integer"),
+    # Equal to an int vector read before, so a lookup by value took it.
+    (lambda: CspInstance(NAE22, range(3), [((0, 1), (0, 1), 1),
+                                           ((1, 2), (0.0, 1.0), 1)]),
+     "literal 0.0 is not an integer"),
+])
+def test_a_literal_that_is_no_integer_is_a_precondition_error(call, message):
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        call()
+
+
+def test_literal_vectors_are_read_as_given():
+    assert CspInstance(NAE22, range(3), [((0, 1), "01", 1)]).literals == (
+        (0, 1),)
+
+    def atoms():
+        # One list, changed between atoms, is read each time.
+        lits = [0, 0]
+        for j in range(2):
+            lits[0] = j
+            yield (j, j + 1), lits, 1
+
+    assert CspInstance(NAE22, range(3), atoms()).literals == ((0, 0), (1, 0))
+
+
 def test_out_of_range_indices_are_refused_by_name():
     for call, message in (
         (lambda: smoothness_profile(source(), 2, [0]), "vertex out of range"),
@@ -371,16 +411,13 @@ def test_find_cover_without_constraints_is_the_trivial_cover(nvars):
 
 # The sites that may still convert with `int`, by module and enclosing
 # function, with how many conversions each holds. Text tokens are read as
-# `FormatError`s with line references; `Constraint` and `_triple_columns`
-# keep accepting a literal vector (not a scope) given as a digit string; the
-# rest convert the library's own bit strings and bools.
+# `FormatError`s with line references; the rest convert the library's own
+# bit strings and bools.
 INT_ALLOWED = {
     ("cli", "cmd_lc_smooth"): 1,
     ("textio", "_ints"): 1,
     ("textio", "_instance_columns"): 1,
     ("spectralio", "parse_tables"): 1,
-    ("csp", "Constraint.__init__"): 1,
-    ("csp", "_triple_columns"): 1,
     ("search", "_transpose"): 1,
     ("reductions", "_half_products"): 1,
     ("games", "synthesize"): 1,
