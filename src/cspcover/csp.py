@@ -75,13 +75,13 @@ _Columns = collections.namedtuple(
 def _triple_columns(constraints, k, q, n):
     """The columns of (vars, literals, weight) triples or `Constraint`
     objects, read once: int tuple scopes and literal vectors, and integer
-    numerators over the lcm of the weights' denominators. A literal vector
-    given as a tuple is read once per tuple object, any other vector each
-    time, and equal vectors share one tuple; an int weight is kept as it
-    is. When reading fails, an atom read before that fails a check is
-    reported instead. A weight that is not a rational is reported before
-    its own atom's structural checks, since their message shows it."""
-    seen, vectors = {}, {}  # id -> (vector given, int tuple); int tuple -> it
+    numerators over the lcm of the weights' denominators. Each literal
+    vector is read as given, and equal vectors share one tuple; an int
+    weight is kept as it is. When reading fails, an atom read before that
+    fails a check is reported instead. A weight that is not a rational is
+    reported before its own atom's structural checks, since their message
+    shows it."""
+    vectors = {}  # int tuple -> the one tuple kept for it
     scopes, literals, weights = [], [], []
     try:
         for c in constraints:
@@ -89,11 +89,8 @@ def _triple_columns(constraints, k, q, n):
                 (c.vars, c.literals, c.weight) if isinstance(c, Constraint) else c
             )
             vars_ = tuple(as_int(v, "scope variable") for v in vars_)
-            held = seen.get(id(lits))
-            if held is None or type(lits) is not tuple:
-                read = _literal_vector(lits)
-                held = seen[id(lits)] = lits, vectors.setdefault(read, read)
-            lits = held[1]
+            read = _literal_vector(lits)
+            lits = vectors.setdefault(read, read)
             weights.append(
                 w if type(w) is int else as_rational(w, "constraint weight"))
             scopes.append(vars_)

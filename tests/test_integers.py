@@ -328,6 +328,11 @@ def test_literal_vectors_are_read_as_given():
 
     assert CspInstance(NAE22, range(3), atoms()).literals == ((0, 0), (1, 0))
 
+    # Equal vectors given as fresh objects share one tuple.
+    first, second = CspInstance(NAE22, range(3), (
+        ((v, v + 1), [0, 1], 1) for v in range(2))).literals
+    assert first == (0, 1) and first is second
+
 
 def test_out_of_range_indices_are_refused_by_name():
     for call, message in (
