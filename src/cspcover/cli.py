@@ -350,11 +350,6 @@ def cmd_decode(args, em):
     _check_seed(args.seed)
     source = textio.parse_labelcover(_read(args.source))
     tables = textio.parse_tables(_read(args.tables))
-    if len(tables) != source.nv:
-        raise PreconditionError(
-            "tables file covers %d vertices but the game has %d"
-            % (len(tables), source.nv)
-        )
     if args.test == "t1":
         if args.tau is None or args.d is None:
             raise PreconditionError("t1 decoding needs --tau and --d")

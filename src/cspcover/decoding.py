@@ -37,11 +37,19 @@ def _spectral_pick(rng, masses, R):
     return j if j < R else j - R
 
 
+def _check_tables(tables, nv):
+    """Refuse tables whose vertices are not exactly 0 .. nv - 1."""
+    if set(tables) != set(range(nv)):
+        raise PreconditionError("tables cover %d vertices but the game has %d"
+                                % (len(tables), nv))
+
+
 def _fourier_masses(tables, nv, R, rate):
     """Per right vertex, its masks beside the float running sums of their
     masses rate^|mask| * coefficient^2, and the nonzero Fourier coefficients
     of its table in the +/-1 convention as a sparse {mask: Fraction} map,
     both read off one integer transform."""
+    _check_tables(tables, nv)
     masses, spectra = {}, {}
     for v in range(nv):
         f = tables[v]
@@ -107,6 +115,7 @@ def decode_t1(tables, source, tau, d, seed):
         raise PreconditionError("degree must be at least 1")
     if not source.unique:
         raise PreconditionError("source must have bijective projections")
+    _check_tables(tables, source.nv)
     rng = random.Random(seed)
     L = source.nlabels_u
     blocks = [(i, L + i) for i in range(L)]

@@ -10,31 +10,41 @@ from .errors import PreconditionError, as_budget, as_index, as_int
 from .labelcover import Edge, LabelCoverInstance, Labeling
 
 
+def _right_pairs(g, us):
+    """Per right vertex with edges at `us`, ascending, their (proj, u) pairs."""
+    at_v = {}
+    for u in us:
+        for i in g.edges_at_u(u):
+            at_v.setdefault(g.edges[i].v, []).append((g.edges[i].proj, u))
+    return sorted(at_v.items())
+
+
 def max_satisfiable(g, budget=None):
     """Exact maximum satisfied fraction with one witness labeling.
 
-    Enumerates left labelings; each right vertex then greedily takes a best
-    label, which is optimal because right labels only see their own edges.
+    Enumerates labelings of the left vertices with edges (nv units each; the
+    rest take 0); each right vertex then takes its least best label.
     """
     budget = as_budget(budget)
     if not g.edges:
         raise PreconditionError("instance has no edges")
-    best = (-1, None)
-    for left in itertools.product(range(g.nlabels_u), repeat=g.nu):
+    active = sorted(g._adj_u)
+    at_v = _right_pairs(g, active)
+    best = (-1, None, None)
+    for choice in itertools.product(range(g.nlabels_u), repeat=len(active)):
         budget.spend(g.nv)
-        right = []
-        hits = 0
-        for v in range(g.nv):
-            edges = [g.edges[i] for i in g.edges_at_v(v)]
-            # The most satisfied edges, the least label on ties.
+        left = dict(zip(active, choice))
+        right, hits = {}, 0
+        for v, pairs in at_v:
+            # Right labels see only their own edges: most hits, least label.
             best_hits, neg_label = max(
-                (sum(e.proj[r] == left[e.u] for e in edges), -r)
+                (sum(proj[r] == left[u] for proj, u in pairs), -r)
                 for r in range(g.nlabels_v))
-            right.append(-neg_label)
+            right[v] = -neg_label
             hits += best_hits
         if hits > best[0]:
-            best = (hits, Labeling(left, right))
-    return Fraction(best[0], len(g.edges)), best[1]
+            best = (hits, left, right)
+    return Fraction(best[0], len(g.edges)), _labeling(g, *best[1:])
 
 
 def _class_labeling(g, cls, budget):
@@ -43,11 +53,7 @@ def _class_labeling(g, cls, budget):
     order of their labels, each right vertex with class edges taking its
     least label consistent with them. Only vertices with class edges are
     walked."""
-    at_v = {}
-    for u in cls:
-        for i in g.edges_at_u(u):
-            at_v.setdefault(g.edges[i].v, []).append((g.edges[i].proj, u))
-    at_v = sorted(at_v.items())
+    at_v = _right_pairs(g, cls)
     for choice in itertools.product(range(g.nlabels_u), repeat=len(cls)):
         budget.spend()
         want = dict(zip(cls, choice))

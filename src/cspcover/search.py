@@ -148,7 +148,10 @@ def _coverage_masks(inst, budget):
 
 def _cover_search(inst, max_c, budget):
     """(c, the value tuples of a cover of size c) for the smallest c <= max_c,
-    or (None, None). Exact."""
+    or (None, None). Exact. Each c is a depth-first search on an explicit
+    stack of (covered constraints, chosen kept-mask indices), one budget unit
+    per node; a node branches on the first uncovered constraint with the
+    fewest holders, pushed last first so that they are taken in order."""
     max_c = as_int(max_c, "max_c")
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
@@ -158,33 +161,19 @@ def _cover_search(inst, max_c, budget):
     full_mask = (1 << len(holders)) - 1
     if not all(holders):
         return None, None
-    masks = [m for m, _ in pairs]
     counts = [h.bit_count() for h in holders]
-    options = [None] * len(holders)
-
-    def search(covered, remaining):
-        """The masks of a cover of what `covered` leaves, at most `remaining`
-        of them, or None."""
-        budget.spend()
-        if covered == full_mask:
-            return []
-        if remaining == 0:
-            return None
-        # Branch on the first uncovered constraint with the fewest masks.
-        j = min(_bit_indices(full_mask & ~covered), key=counts.__getitem__)
-        if options[j] is None:
-            options[j] = [masks[r] for r in _bit_indices(holders[j])]
-        for m in options[j]:
-            found = search(covered | m, remaining - 1)
-            if found is not None:
-                return [m] + found
-        return None
-
     for c in range(1, max_c + 1):
-        found = search(0, c)
-        if found is not None:
-            by_mask = dict(pairs)
-            return c, [by_mask[m] for m in found]
+        stack = [(0, ())]
+        while stack:
+            covered, chosen = stack.pop()
+            budget.spend()
+            if covered == full_mask:
+                return c, [pairs[r][1] for r in chosen]
+            if len(chosen) < c:
+                j = min(_bit_indices(full_mask & ~covered),
+                        key=counts.__getitem__)
+                for r in reversed(_bit_indices(holders[j])):
+                    stack.append((covered | pairs[r][0], chosen + (r,)))
     return None, None
 
 

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import itertools
 import math
 import random
@@ -470,6 +472,43 @@ class TestCoverSearchAgainstReference:
             assert got.used == want.used
             count += 1
         assert count == 996
+
+
+# One scope of 8 variables under all 256 literal vectors, predicate {0^8}:
+# each assignment satisfies one constraint, so the covering number is 256.
+DEEP = CspInstance(Predicate(2, 8, [(0,) * 8]), range(8), [
+    (tuple(range(8)), lits, 1) for lits in itertools.product((0, 1), repeat=8)
+])
+
+
+@functools.cache
+def deep_reference():
+    """The reference search's (c, witness) and budget on DEEP, taken at the
+    default recursion limit."""
+    budget = Budget()
+    return oracles.reference_cover_search(DEEP, 300, budget), budget.used
+
+
+class TestDeepCover:
+    """A cover of 256 assignments is found with the recursion limit only 150
+    frames above the caller, with the reference's witness and budget."""
+
+    @pytest.mark.parametrize("search", [covering_number, find_cover])
+    def test_a_deep_cover_needs_no_recursion(self, search):
+        (c, witness), used = deep_reference()
+        assert (c, used) == (256, 98_688)
+        budget = Budget()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            got = search(DEEP, 300, budget)
+        finally:
+            sys.setrecursionlimit(limit)
+        if search is covering_number:
+            assert got == 256
+        else:
+            assert [a.values for a in got] == witness
+        assert budget.used == 98_688
 
 
 class TestSearchLayerEdges:

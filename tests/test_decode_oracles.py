@@ -23,6 +23,7 @@ from cspcover import (
     PreconditionError,
     ProductDomain,
     TabulatedFunction,
+    binary_dictator_tables,
     decode_t1,
     decode_t2,
     decode_t3,
@@ -182,3 +183,19 @@ def test_refusals_are_the_oracles(faults, decoders, message):
         want = outcome(ref, tables, g, *extra, 9)
         assert want == (PreconditionError, message)
         assert outcome(fn, tables, g, *extra, 9) == want
+
+
+@pytest.mark.parametrize("vertices, count", [((0,), 1), ((0, 1, 2), 3)])
+@pytest.mark.parametrize("decode, extra", [
+    (decode_t1, (Fraction(1, 4), 2)), (decode_t2, (Fraction(1, 4),)),
+    (decode_t3, ()),
+])
+def test_tables_must_cover_the_game(vertices, count, decode, extra):
+    # A missing table, or one for a vertex the game lacks, is refused.
+    g = two_edge_game()
+    tables = binary_dictator_tables(g, ([0], [0, 1]))
+    tables = {v: tables[min(v, 1)] for v in vertices}
+    with pytest.raises(PreconditionError) as exc:
+        decode(tables, g, *extra, 9)
+    assert str(exc.value) == (
+        "tables cover %d vertices but the game has 2" % count)

@@ -155,6 +155,15 @@ class TestMaxSatisfiable:
         h = LabelCoverInstance(2, 2, 3, 3, edges, unique=True)
         assert max_satisfiable(g)[0] == max_satisfiable(h)[0]
 
+    def test_only_vertices_with_edges_are_walked(self, deadline):
+        # One edge among 2M + 2M declared vertices: the two labelings of
+        # its left vertex are walked, not 2^2M.
+        g = LabelCoverInstance(2_000_000, 2_000_000, 2, 2, [Edge(0, 0, (0, 1))])
+        with deadline(2):
+            value, witness = max_satisfiable(g)
+        assert value == 1
+        assert not any(witness.left) and not any(witness.right)
+
 
 # Seeded games with max_satisfiable's value, witness labeling and budget.
 # Several right vertices tie between labels; each takes the least.
