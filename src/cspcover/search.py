@@ -5,7 +5,8 @@ cover, the maximum independent set, and the cover-to-coloring translation.
 import math
 from itertools import count, product
 
-from .csp import CoverSet, _bit_indices, _check_assignment
+from .csp import (Assignment, CoverSet, _bit_indices, _check_assignment,
+                  covered_fractions)
 from .errors import GuaranteeError, PreconditionError, as_budget, as_int
 from .predicate import is_shift_closed, nae, sub_tuples
 
@@ -31,6 +32,25 @@ def _transpose(rows, n):
     return columns
 
 
+def _prepare(inst):
+    """The positive-weight constraints as (scope, literals) pairs, the
+    variables they touch in index order, the values each touched variable
+    takes (q, but 1 for the first when the predicate is closed under global
+    translation: translates cover alike) and their product times the number
+    of constraints, which is what the coverage masks cost."""
+    q = inst.predicate.q
+    cons = [
+        (vars_, lits)
+        for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)
+        if m
+    ]
+    touched = sorted({v for vars_, _ in cons for v in vars_})
+    radix = [q] * len(touched)
+    if is_shift_closed(inst.predicate):
+        radix[0] = 1
+    return cons, touched, radix, len(cons) * math.prod(radix)
+
+
 def _coverage_masks(inst, budget):
     """Undominated (mask, value tuple) pairs over positive-weight constraints,
     and per constraint j the set of indices of the pairs whose mask holds j,
@@ -50,19 +70,11 @@ def _coverage_masks(inst, budget):
     share those rows. Transposing the integers gives each leaf's mask.
     """
     q = inst.predicate.q
-    cons = [
-        (vars_, lits)
-        for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)
-        if m
-    ]
-    touched = sorted({v for vars_, _ in cons for v in vars_})
+    cons, touched, radix, cost = _prepare(inst)
+    budget.spend(cost)
     t = len(touched)
-    radix = [q] * t
-    if is_shift_closed(inst.predicate):
-        radix[0] = 1
     width = len(cons)
-    total = math.prod(radix)
-    budget.spend(width * total)
+    total = cost // width
 
     depth = {v: d for d, v in enumerate(touched)}
     # Per literal vector, the rows (base q over scope positions, the first
@@ -146,44 +158,165 @@ def _coverage_masks(inst, budget):
     return list(zip(kept, zip(*columns))), holders
 
 
-def _cover_search(inst, max_c, budget):
-    """(c, the value tuples of a cover of size c) for the smallest c <= max_c,
-    or (None, None). Exact. Each c is a depth-first search on an explicit
-    stack of (covered constraints, chosen kept-mask indices), one budget unit
-    per node; a node branches on the first uncovered constraint with the
-    fewest holders, pushed last first so that they are taken in order."""
+def _max_c(max_c):
+    """max_c read as an integer of at least 1."""
     max_c = as_int(max_c, "max_c")
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
+    return max_c
+
+
+def _fold(inst):
+    """What the c-fold search reads at every c: the touched variables and
+    their radix, as `_prepare` gives them; per touched variable, the
+    constraints whose last variable it is, as (scope, accepted tuples,
+    verdict cache); and the cost of the coverage masks. The caches serve
+    every c, since keys of different c differ in length."""
+    cons, touched, radix, cost = _prepare(inst)
+    q = inst.predicate.q
+    depth = {v: d for d, v in enumerate(touched)}
+    checks = [[] for _ in touched]
+    accepts = {}
+    for vars_, lits in cons:
+        if lits not in accepts:
+            accepts[lits] = frozenset(
+                sub_tuples(p, lits, q) for p in inst.predicate.members), {}
+        checks[depth[max(vars_)]].append((vars_, *accepts[lits]))
+    return touched, radix, checks, cost
+
+
+def _coverable(inst, fold, c, budget, allowance):
+    """Whether c assignments cover the positive-weight constraints: True,
+    False, or None when `allowance` nodes ran out first; and the nodes spent.
+
+    c assignments cover exactly when the c-fold instance is satisfiable: each
+    variable takes a value in [q]^c, and a constraint holds when some
+    coordinate satisfies it. A depth-first search sets the touched variables
+    in index order, on an explicit stack of iterators over their values in
+    lexicographic order (the first touched variable fixed to the zero tuple
+    under shift closure), one budget unit per value taken. Each constraint
+    is checked when its last variable is set, with verdicts cached per
+    (values, literals). A yes is read back as c assignments and checked with
+    `covered_fractions`.
+    """
+    touched, radix, checks, _ = fold
+    last = len(touched) - 1
+    values = [(0,) * c] * inst.nvars
+    stack = [product(range(radix[0]), repeat=c)]
+    spent = 0
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            continue
+        if spent == allowance:
+            return None, spent
+        spent += 1
+        budget.spend()
+        d = len(stack) - 1
+        values[touched[d]] = x
+        for vars_, accept, cache in checks[d]:
+            key = tuple(map(values.__getitem__, vars_))
+            holds = cache.get(key)
+            if holds is None:
+                holds = cache[key] = not accept.isdisjoint(zip(*key))
+            if not holds:
+                break
+        else:
+            if d < last:
+                stack.append(product(range(radix[d + 1]), repeat=c))
+                continue
+            rows = map(Assignment, zip(*values))
+            if covered_fractions(rows, inst)[1] != 1:
+                raise GuaranteeError("the c-fold search accepted a non-cover")
+            return True, spent
+    return False, spent
+
+
+def _cover_search(inst, max_c, budget, start=1):
+    """(c, the value tuples of a cover of size c) for the smallest c <= max_c
+    from `start` on, or (None, None). Exact. Each c is a depth-first search
+    over kept masks, one budget unit per node. A node branches on the first
+    uncovered constraint with the fewest holders and takes them in order.
+    The stack holds one entry per node whose children branch in turn: its
+    covered constraints, its chosen mask indices as an (index, parent)
+    chain, how many masks its children choose, and a cursor over its
+    holders. Children that choose the c-th mask are leaves, decided at once:
+    the first holder that holds every uncovered constraint covers, and the
+    leaves up to it, or all of them, are charged."""
+    max_c = _max_c(max_c)
     if not any(inst.numerators):
         return 0, [(0,) * inst.nvars]
     pairs, holders = _coverage_masks(inst, budget)
     full_mask = (1 << len(holders)) - 1
     if not all(holders):
         return None, None
+    masks = [m for m, _ in pairs]
     counts = [h.bit_count() for h in holders]
-    for c in range(1, max_c + 1):
-        stack = [(0, ())]
-        while stack:
-            covered, chosen = stack.pop()
+    for c in range(start, max_c + 1):
+        budget.spend()  # the root
+        now, chain, size, stack = 0, None, 0, []
+        while now != full_mask:
+            # Expand the node just taken, which has chosen size < c masks.
+            uncovered = _bit_indices(full_mask & ~now)
+            j = min(uncovered, key=counts.__getitem__)
+            if size + 1 < c:
+                stack.append(
+                    (now, chain, size + 1, iter(_bit_indices(holders[j]))))
+            else:
+                common = holders[j]
+                for i in uncovered:
+                    common &= holders[i]
+                    if not common:
+                        break
+                if common:
+                    r = (common & -common).bit_length() - 1
+                    budget.spend_each((holders[j] & (2 << r) - 1).bit_count())
+                    now, chain = full_mask, (r, chain)
+                    continue
+                budget.spend_each(counts[j])
+            # Take the next child of the deepest entry that has one left.
+            while stack:
+                covered, parent, size, rest = stack[-1]
+                r = next(rest, None)
+                if r is not None:
+                    break
+                stack.pop()
+            else:
+                break  # c is refuted
             budget.spend()
-            if covered == full_mask:
-                return c, [pairs[r][1] for r in chosen]
-            if len(chosen) < c:
-                j = min(_bit_indices(full_mask & ~covered),
-                        key=counts.__getitem__)
-                for r in reversed(_bit_indices(holders[j])):
-                    stack.append((covered | pairs[r][0], chosen + (r,)))
+            now, chain = covered | masks[r], (r, parent)
+        else:
+            found = []
+            while chain:
+                r, chain = chain
+                found.append(pairs[r][1])
+            return c, found[::-1]
     return None, None
 
 
 def covering_number(inst, max_c, budget=None):
     """Smallest c <= max_c with a covering c-set of assignments, or None.
 
-    Exact enumeration with pruning; empty instances have covering number 0.
+    Exact; empty instances have covering number 0. The c-fold search decides
+    c = 1, 2, ... within an allowance of as many nodes as the coverage masks
+    cost; if that runs out at some c, the mask search goes on from there.
     Raises BudgetExceededError (distinct from returning None) past the budget.
     """
-    return _cover_search(inst, max_c, as_budget(budget))[0]
+    budget = as_budget(budget)
+    max_c = _max_c(max_c)
+    if not any(inst.numerators):
+        return 0
+    fold = _fold(inst)
+    allowance = fold[3]
+    for c in range(1, max_c + 1):
+        found, spent = _coverable(inst, fold, c, budget, allowance)
+        if found is None:
+            return _cover_search(inst, max_c, budget, c)[0]
+        if found:
+            return c
+        allowance -= spent
+    return None
 
 
 def find_cover(inst, max_c, budget=None):

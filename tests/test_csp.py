@@ -50,7 +50,9 @@ from cspcover import (
     trivial_odd_cover,
     weaken_predicate,
 )
+import cspcover.search as search_module
 from cspcover.csp import _Columns
+from cspcover.errors import GuaranteeError
 from cspcover.search import _cover_search, _coverage_masks
 from cspcover import reductions
 from cspcover import textio
@@ -396,10 +398,12 @@ class TestCoverageMasks:
             assert a.values[2] == 0  # first touched variable, shift-closed
 
     def test_astronomical_enumeration_exceeds_the_budget(self):
-        # 2^15999 assignments: the cost has too many digits to print.
+        # 2^15999 assignments: the cost has too many digits to print. The
+        # c-fold search answers within its allowance, which is that cost.
         inst = graph_instance(16000, [(v, v + 1) for v in range(0, 16000, 2)])
         with pytest.raises(BudgetExceededError, match="at least 2"):
-            covering_number(inst, 2)
+            find_cover(inst, 2)
+        assert covering_number(inst, 2) == 1
 
     def test_budget_is_spent_before_enumerating(self):
         # 3 constraints on 2^2 assignments (first variable fixed) = 12.
@@ -491,12 +495,17 @@ def deep_reference():
 
 class TestDeepCover:
     """A cover of 256 assignments is found with the recursion limit only 150
-    frames above the caller, with the reference's witness and budget."""
+    frames above the caller, with the reference's witness and budget.
+    `covering_number` first spends the c-fold search's allowance of
+    2^8 * 256 = 65,536 nodes, refuting c = 1 only, then the mask search
+    from c = 2, which skips the 2 nodes of c = 1."""
 
-    @pytest.mark.parametrize("search", [covering_number, find_cover])
-    def test_a_deep_cover_needs_no_recursion(self, search):
-        (c, witness), used = deep_reference()
-        assert (c, used) == (256, 98_688)
+    @pytest.mark.parametrize("search, used", [
+        (covering_number, 65_536 + 98_688 - 2), (find_cover, 98_688),
+    ], ids=["covering_number", "find_cover"])
+    def test_a_deep_cover_needs_no_recursion(self, search, used):
+        (c, witness), reference_used = deep_reference()
+        assert (c, reference_used) == (256, 98_688)
         budget = Budget()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 150)
@@ -508,7 +517,120 @@ class TestDeepCover:
             assert got == 256
         else:
             assert [a.values for a in got] == witness
-        assert budget.used == 98_688
+        assert budget.used == used
+
+
+@st.composite
+def fold_instances(draw):
+    """Instances over q in {2, 3, 4} and k in {1, 2, 3} with at most 64
+    assignments, nonzero literals, repeated variables within a scope, zero
+    weights, and predicates shift-closed or arbitrary."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {2: 5, 3: 3, 4: 3}[q]))
+    tuples = list(itertools.product(range(q), repeat=k))
+    pick = st.sampled_from(tuples)
+    if draw(st.booleans()):
+        seeds = draw(st.lists(pick, min_size=1, max_size=2))
+        members = {add_tuples(t, (b,) * k, q) for t in seeds for b in range(q)}
+    else:
+        members = draw(st.sets(pick, min_size=1, max_size=q + 1))
+    scope = st.tuples(*[st.integers(0, n - 1)] * k)
+    cons = draw(st.lists(
+        st.tuples(scope, pick, st.sampled_from((0, 1, 2))),
+        min_size=1, max_size=6,
+    ))
+    if all(w == 0 for _, _, w in cons):
+        cons[0] = (cons[0][0], cons[0][1], 1)
+    return CspInstance(Predicate(q, k, members), range(n), cons)
+
+
+def nu3_instance():
+    """Random NAE(2,3) on 16 variables: 400 of the 560 sorted triples, drawn
+    with seed 1. Its covering number is 3."""
+    triples = list(itertools.combinations(range(16), 3))
+    scopes = sorted(random.Random(1).sample(triples, 400))
+    return CspInstance(nae(2, 3), range(16), [(s, (0, 0, 0), 1) for s in scopes])
+
+
+class TestCfoldRoute:
+    """`covering_number` decides c = 1, 2, ... by the c-fold search within an
+    allowance of the masks' cost, and past it by the mask search; each yes
+    is checked by `covered_fractions`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fold_instances(), st.integers(1, 3))
+    def test_matches_the_brute_force(self, inst, max_c):
+        assert covering_number(inst, max_c) == (
+            oracles.brute_covering_number(inst, max_c))
+
+    def test_both_routes_are_taken_and_agree(self, monkeypatch):
+        fallbacks = []
+
+        def mask_search(inst, max_c, budget, start=1):
+            fallbacks.append(start)
+            return _cover_search(inst, max_c, budget, start)
+
+        monkeypatch.setattr(search_module, "_cover_search", mask_search)
+        rng = random.Random(27)
+        routes = {True: 0, False: 0}
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            k = rng.choice((2, 3))
+            tuples = list(itertools.product(range(2), repeat=k))
+            pred = Predicate(2, k, rng.sample(tuples, rng.randint(1, 3)))
+            inst = CspInstance(pred, range(n), [
+                (tuple(rng.randrange(n) for _ in range(k)),
+                 rng.choice(tuples), 1 - (i and rng.randrange(2)))
+                for i in range(rng.randint(2, 7))])
+            del fallbacks[:]
+            got = covering_number(inst, 3)
+            routes[bool(fallbacks)] += 1
+            assert got == _cover_search(inst, 3, Budget())[0]
+            assert got == oracles.brute_covering_number(inst, 3)
+        assert min(routes.values()) >= 10, routes
+
+    @given(search_instances(), st.integers(1, 3))
+    def test_matches_the_size_of_the_witness(self, inst, max_c):
+        cover = find_cover(inst, max_c)
+        assert covering_number(inst, max_c) == (
+            None if cover is None else len(cover))
+
+    def test_disjoint_edges_need_one_assignment(self, deadline):
+        # The masks would cost 20 * 2^39 units, past the default budget.
+        inst = graph_instance(40, [(v, v + 1) for v in range(0, 40, 2)])
+        with deadline(0.05):
+            assert covering_number(inst, 2) == 1
+
+    def test_a_covering_number_of_three(self, deadline):
+        inst = nu3_instance()
+        budget = Budget()
+        with deadline(5):
+            assert covering_number(inst, 4, budget) == 3
+        assert budget.used == 48_843
+
+    def test_a_yes_that_does_not_cover_is_refused(self, monkeypatch):
+        monkeypatch.setattr(search_module, "covered_fractions",
+                            lambda rows, inst: ([], Fraction(1, 2)))
+        with pytest.raises(GuaranteeError, match="accepted a non-cover"):
+            covering_number(TRIANGLE, 4)
+
+
+class TestLeavesAtOnce:
+    """The mask search decides the children that choose the c-th mask at
+    once, with the units and the witness of taking them one at a time."""
+
+    def test_a_refutation_heavy_cover(self, deadline):
+        # Refuting c = 2 takes about 596 M nodes, nearly all of them leaves.
+        budget = Budget()
+        with deadline(30):
+            cover = find_cover(nu3_instance(), 4, budget)
+        assert [a.values for a in cover] == [
+            (0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0),
+            (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0),
+            (0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0),
+        ]
+        assert budget.used == 609_665_223
 
 
 class TestSearchLayerEdges:
@@ -516,12 +638,17 @@ class TestSearchLayerEdges:
     UNSATISFIABLE = CspInstance(
         nae(2, 2), range(3), [((0, 0), (0, 0), 1), ((1, 2), (0, 0), 1)])
 
-    @pytest.mark.parametrize("search", [covering_number, find_cover])
-    def test_an_unsatisfiable_constraint_ends_after_the_masks(self, search):
-        # 2 constraints on 2^2 assignments (first variable fixed) = 8.
+    # The masks cost 2 constraints on 2^2 assignments (first variable fixed)
+    # = 8; the c-fold search refutes each c at its first node, where
+    # constraint 0 is checked.
+    @pytest.mark.parametrize("search, used", [
+        (covering_number, 3), (find_cover, 8),
+    ], ids=["covering_number", "find_cover"])
+    def test_an_unsatisfiable_constraint_ends_after_the_masks(
+            self, search, used):
         budget = Budget()
         assert search(self.UNSATISFIABLE, 3, budget) is None
-        assert budget.used == 8
+        assert budget.used == used
 
     @pytest.mark.parametrize("search", [covering_number, find_cover])
     @pytest.mark.parametrize("max_c", [2.5, 2.0, "2", None, float("nan")])
