@@ -12,11 +12,9 @@ from .predicate import is_shift_closed, nae, sub_tuples
 
 
 # Leaves per block of `_coverage_masks`, and rows per bit string of
-# `_transpose`, whose strings so hold at most ROWS * n characters. Up to
-# SMALL masks are filtered as a list, which measured faster than a bitset.
+# `_transpose`, whose strings so hold at most ROWS * n characters.
 BLOCK = 1 << 12
 ROWS = 1 << 9
-SMALL = 64
 
 
 def _transpose(rows, n):
@@ -52,9 +50,11 @@ def _prepare(inst):
 
 
 def _coverage_masks(inst, budget):
-    """Undominated (mask, value tuple) pairs over positive-weight constraints,
-    and per constraint j the set of indices of the pairs whose mask holds j,
-    as a bitset.
+    """The distinct nonzero masks over positive-weight constraints, sorted by
+    popcount descending, ties in order of first leaf; per constraint j the
+    positions of the undominated masks that hold j, as a bitset; and the
+    leaves: each mask's first leaf, and the touched variables and their
+    radix, by which to decode it.
 
     Only variables in some positive-weight scope are enumerated, in index
     order and lexicographically, so each mask keeps its lex-least assignment:
@@ -121,41 +121,23 @@ def _coverage_masks(inst, budget):
     del leaves, runs, rows, sets  # free the last block's tables
 
     # Drop masks dominated by a superset mask; lossless for minimum covers.
-    # Masks are taken by popcount, ties in order of first leaf. The first
-    # mask left is never dominated: keep it and drop every mask it contains.
-    # Few masks are dropped from a list; more, from a bitset over `order`,
-    # where supersets[j] has bit r set when order[r] contains constraint j.
+    # holders[j] has bit r set when order[r] contains constraint j. The first
+    # mask left is never dominated: keep it and drop every mask it contains,
+    # which lies in no holders[j] for a constraint j outside it. Then only
+    # the kept masks' bits stay set.
     order = sorted(first, key=first.__getitem__)
     order.sort(key=int.bit_count, reverse=True)
-    kept = []
-    if len(order) <= SMALL:
-        while order:
-            k = order[0]
-            kept.append(k)
-            order = [m for m in order if m | k != k]
-    else:
-        supersets = _transpose(order, width)
-        full = (1 << width) - 1
-        left = (1 << len(order)) - 1
-        while left:
-            k = order[(left & -left).bit_length() - 1]
-            kept.append(k)
-            outside = 0
-            for j in _bit_indices(full & ~k):
-                outside |= supersets[j]
-            left &= outside
-        del order, supersets
-    # holders[j] has bit r set when kept mask r contains constraint j.
-    holders = _transpose(kept, width)
-
-    # Decode the kept masks' first leaves digit by digit, one column per
-    # touched variable; untouched variables stay 0.
-    index = [first[m] for m in kept]
-    columns = [[0] * len(kept)] * inst.nvars
-    for v, r in zip(reversed(touched), reversed(radix)):
-        columns[v] = [i % r for i in index]
-        index = [i // r for i in index]
-    return list(zip(kept, zip(*columns))), holders
+    holders = _transpose(order, width)
+    full = (1 << width) - 1
+    left, kept = (1 << len(order)) - 1, 0
+    while left:
+        bit = left & -left
+        kept |= bit
+        outside = 0
+        for j in _bit_indices(full & ~order[bit.bit_length() - 1]):
+            outside |= holders[j]
+        left &= outside
+    return order, [h & kept for h in holders], (first, touched, radix)
 
 
 def _max_c(max_c):
@@ -239,19 +221,19 @@ def _cover_search(inst, max_c, budget, start=1):
     over kept masks, one budget unit per node. A node branches on the first
     uncovered constraint with the fewest holders and takes them in order.
     The stack holds one entry per node whose children branch in turn: its
-    covered constraints, its chosen mask indices as an (index, parent)
+    covered constraints, its chosen mask positions as a (position, parent)
     chain, how many masks its children choose, and a cursor over its
     holders. Children that choose the c-th mask are leaves, decided at once:
     the first holder that holds every uncovered constraint covers, and the
-    leaves up to it, or all of them, are charged."""
+    leaves up to it, or all of them, are charged. Only the chosen masks'
+    first leaves are decoded, digit by digit; untouched variables are 0."""
     max_c = _max_c(max_c)
     if not any(inst.numerators):
         return 0, [(0,) * inst.nvars]
-    pairs, holders = _coverage_masks(inst, budget)
+    masks, holders, (first, touched, radix) = _coverage_masks(inst, budget)
     full_mask = (1 << len(holders)) - 1
     if not all(holders):
         return None, None
-    masks = [m for m, _ in pairs]
     counts = [h.bit_count() for h in holders]
     for c in range(start, max_c + 1):
         budget.spend()  # the root
@@ -290,7 +272,10 @@ def _cover_search(inst, max_c, budget, start=1):
             found = []
             while chain:
                 r, chain = chain
-                found.append(pairs[r][1])
+                i, values = first[masks[r]], [0] * inst.nvars
+                for v, x in zip(reversed(touched), reversed(radix)):
+                    i, values[v] = divmod(i, x)
+                found.append(tuple(values))
             return c, found[::-1]
     return None, None
 

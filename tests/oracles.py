@@ -154,19 +154,47 @@ def reference_coverage_masks(inst, budget):
     return [(m, seen[m]) for m in kept], cons
 
 
+def kept_pairs(inst, coverage):
+    """The result of `_coverage_masks` read as the kept masks alone: the
+    (mask, value tuple of its first leaf) pairs in order, and per constraint
+    j the set of ranks of the pairs whose mask holds j, as a bitset. Each
+    first leaf is decoded here, one digit per touched variable, the last
+    least significant; untouched variables are 0."""
+    masks, holders, (first, touched, radix) = coverage
+    kept = 0
+    for h in holders:
+        kept |= h
+    kept = list(_bit_indices(kept))
+    pairs = []
+    for r in kept:
+        leaf, values = first[masks[r]], [0] * inst.nvars
+        for v, x in reversed(list(zip(touched, radix))):
+            values[v] = leaf % x
+            leaf //= x
+        pairs.append((masks[r], tuple(values)))
+    # Rank i's bit of a holder is read from the binary digit of position
+    # kept[i], least significant first.
+    by_rank = []
+    for h in holders:
+        digits = format(h, "0%db" % len(masks))[::-1]
+        by_rank.append(int("".join([digits[r] for r in kept])[::-1] or "0", 2))
+    return pairs, by_rank
+
+
 def reference_cover_search(inst, max_c, budget):
-    """The cover search over `_coverage_masks` as it stood before it returned
-    the cover it found: (c, the value tuples of a cover of size c) for the
-    smallest c <= max_c, or (None, None). It threads the chosen masks
-    through append and pop, scans the uncovered constraints bit by bit for
-    the one with the fewest holders, and memoizes each one's masks in a
-    dict. Without a positive weight it answers the one all-zero assignment,
-    an empty tuple when there are no variables, as the library does."""
+    """The cover search over the kept masks of `_coverage_masks`, read
+    through `kept_pairs`, as it stood before it returned the cover it found:
+    (c, the value tuples of a cover of size c) for the smallest c <= max_c,
+    or (None, None). It threads the chosen masks through append and pop,
+    scans the uncovered constraints bit by bit for the one with the fewest
+    holders, and memoizes each one's masks in a dict. Without a positive
+    weight it answers the one all-zero assignment, an empty tuple when there
+    are no variables, as the library does."""
     if max_c < 1:
         raise PreconditionError("max_c must be at least 1")
     if not any(inst.numerators):
         return 0, [(0,) * inst.nvars]
-    pairs, holders = _coverage_masks(inst, budget)
+    pairs, holders = kept_pairs(inst, _coverage_masks(inst, budget))
     full_mask = (1 << len(holders)) - 1
     if not all(holders):
         return None, None

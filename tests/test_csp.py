@@ -305,7 +305,7 @@ class TestCoverageMasks:
     @given(small_instances())
     def test_matches_the_full_enumeration(self, inst):
         fast, slow = Budget(10**7), Budget(10**7)
-        pairs, holders = _coverage_masks(inst, fast)
+        pairs, holders = oracles.kept_pairs(inst, _coverage_masks(inst, fast))
         ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
         assert pairs == [(m, a.values) for m, a in ref_pairs]
         assert holders == [
@@ -319,7 +319,7 @@ class TestCoverageMasks:
     def test_matches_the_full_enumeration_past_one_block(self, name):
         inst = PAST_ONE_BLOCK[name]
         fast, slow = Budget(10**6), Budget(10**6)
-        pairs, holders = _coverage_masks(inst, fast)
+        pairs, holders = oracles.kept_pairs(inst, _coverage_masks(inst, fast))
         ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
         assert len(pairs) > 1
         assert pairs == [(m, a.values) for m, a in ref_pairs]
@@ -342,7 +342,7 @@ class TestCoverageMasks:
         else:
             inst = reductions.generate_t3(T3Params(Fraction(1, 4), source))
         fast, slow = Budget(10**7), Budget(10**7)
-        pairs, holders = _coverage_masks(inst, fast)
+        pairs, holders = oracles.kept_pairs(inst, _coverage_masks(inst, fast))
         ref_pairs, cons = oracles.reference_coverage_masks(inst, slow)
         assert pairs == [(m, a.values) for m, a in ref_pairs]
         assert holders == [
@@ -350,6 +350,33 @@ class TestCoverageMasks:
             for j in range(len(cons))
         ]
         assert fast.used == slow.used
+
+    @given(small_instances())
+    def test_kept_masks_are_the_maximal_ones(self, inst):
+        # Every assignment's mask by brute force, without the oracle's
+        # dominance scan; the lex-least assignment with a mask comes first.
+        q, pred = inst.predicate.q, inst.predicate
+        cons = [c for c in inst.constraints if c.weight > 0]
+        least = {}
+        for a in itertools.product(range(q), repeat=inst.nvars):
+            least.setdefault(sum(
+                1 << j for j, c in enumerate(cons)
+                if add_tuples(tuple(a[v] for v in c.vars), c.literals, q)
+                in pred), a)
+        least.pop(0, None)
+        maximal = [m for m in sorted(
+            least, key=lambda m: (-m.bit_count(), least[m]))
+            if not any(m != o and m | o == o for o in least)]
+        masks, holders, _ = coverage = _coverage_masks(inst, Budget(10**7))
+        kept = functools.reduce(lambda a, b: a | b, holders)
+        assert [masks[r] for r in range(len(masks)) if kept >> r & 1] == maximal
+        assert holders == [
+            sum(1 << r for r, m in enumerate(masks)
+                if m in maximal and m >> j & 1)
+            for j in range(len(cons))
+        ]
+        pairs, _ = oracles.kept_pairs(inst, coverage)
+        assert [values for _, values in pairs] == [least[m] for m in maximal]
 
     def test_memory_of_scopes_in_every_order(self):
         # NAE(2,3) on all 1,716 ordered triples of 13 variables. The bound
@@ -360,10 +387,11 @@ class TestCoverageMasks:
             (s, (0, 0, 0), 1) for s in itertools.permutations(range(13), 3)])
         tracemalloc.start()
         try:
-            pairs, _ = _coverage_masks(inst, Budget(10**8))
+            coverage = _coverage_masks(inst, Budget(10**8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        pairs, _ = oracles.kept_pairs(inst, coverage)
         # Every 2-coloring with variable 0 at 0 but the constant one, less
         # the 13 with a color on one variable alone, which are dominated.
         assert len(pairs) == 2**12 - 1 - 13
@@ -374,10 +402,11 @@ class TestCoverageMasks:
         inst = graph_instance(18, [(v, v + 1) for v in range(0, 18, 2)])
         tracemalloc.start()
         try:
-            pairs, _ = _coverage_masks(inst, Budget(10**7))
+            coverage = _coverage_masks(inst, Budget(10**7))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        pairs, _ = oracles.kept_pairs(inst, coverage)
         assert [m for m, _ in pairs] == [2**9 - 1]
         assert peak <= 4 * 2**20
 
