@@ -253,6 +253,13 @@ def _check_assignment(a, inst):
         raise PreconditionError("assignment values outside [%d]" % q)
 
 
+def _holds_on(predicate, literals):
+    """The value tuples x with x + literals in the predicate: those on which
+    a constraint with these literals holds."""
+    q = predicate.q
+    return frozenset(sub_tuples(p, literals, q) for p in predicate.members)
+
+
 def covers_constraint(a, inst, idx):
     """True iff assignment a satisfies constraint idx of inst."""
     _check_assignment(a, inst)
@@ -267,25 +274,21 @@ def covered_fractions(assignments, inst):
     pass over the constraints: (list of fractions, union fraction).
 
     An empty constraint list counts as fully covered. Membership is tested
-    against the predicate minus each distinct literal vector.
+    against `_holds_on` of each distinct literal vector.
     """
     assignments = list(assignments)
-    if not inst.numerators:
-        return [Fraction(1)] * len(assignments), Fraction(1)
     for a in assignments:
         _check_assignment(a, inst)
+    if not inst.numerators:
+        return [Fraction(1)] * len(assignments), Fraction(1)
     rows = [a.values for a in assignments]
-    q = inst.predicate.q
-    members = inst.predicate.members
     accepted = {}
     hits = [0] * len(rows)
     union = 0
     for vars_, lits, w in zip(inst.scopes, inst.literals, inst.numerators):
         accept = accepted.get(lits)
         if accept is None:
-            accept = accepted[lits] = frozenset(
-                sub_tuples(p, lits, q) for p in members
-            )
+            accept = accepted[lits] = _holds_on(inst.predicate, lits)
         covered = False
         for i, values in enumerate(rows):
             if tuple(map(values.__getitem__, vars_)) in accept:

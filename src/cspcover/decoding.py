@@ -3,33 +3,25 @@ tables they decode. Tables are stored over {0,1} (or [q]); conversions to
 the +/-1 convention happen inside the decoders.
 """
 
-import itertools
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 
 from . import _lazy
 from .csp import _bit_indices
-from .errors import Frozen, PreconditionError, as_int, as_rational
+from .errors import (Frozen, PreconditionError, _scaled, as_int,
+                     as_rational)
 from .labelcover import Labeling, satisfied_fraction
-from .reductions import _as_labeling, _incident_or_error, _lift_places
+from .reductions import (_as_labeling, _incident_or_error, _lift_places,
+                         _weighted)
 
 boolanalysis = _lazy("boolanalysis")
 
 
-def _sample_mask(rng, masses):
-    """The first mask whose float running mass exceeds a uniform float, or
-    None (the fallback) when the draw is above the total mass."""
-    masks, sums = masses
-    i = bisect_right(sums, rng.random())
-    return masks[i] if i < len(masks) else None
-
-
 def _spectral_pick(rng, masses, R):
-    """A mask drawn by `_sample_mask`, then a uniform member of it folded
-    below R; None when the draw gives the empty mask or the fallback."""
-    mask = _sample_mask(rng, masses)
+    """A mask drawn from `masses`, then a uniform member of it folded below
+    R; None when the draw gives the empty mask or the fallback."""
+    mask = masses.draw(rng)
     if not mask:
         return None
     bits = _bit_indices(mask)
@@ -45,8 +37,9 @@ def _check_tables(tables, nv):
 
 
 def _fourier_masses(tables, nv, R, rate):
-    """Per right vertex, its masks beside the float running sums of their
-    masses rate^|mask| * coefficient^2, and the nonzero Fourier coefficients
+    """Per right vertex, a weighted draw (`reductions._weighted`) of its
+    masks by their masses rate^|mask| * coefficient^2, the mass they leave
+    of 1 drawing None (the fallback), and the nonzero Fourier coefficients
     of its table in the +/-1 convention as a sparse {mask: Fraction} map,
     both read off one integer transform."""
     _check_tables(tables, nv)
@@ -65,9 +58,9 @@ def _fourier_masses(tables, nv, R, rate):
             m: Fraction(c, len(nums))
             for m, c in enumerate(boolanalysis.wht(map(sign.get, nums))) if c
         }
-        masses[v] = list(coeffs), list(itertools.accumulate(
-            float(rate ** m.bit_count() * c * c) for m, c in coeffs.items()
-        ))
+        mass, unit = _scaled(
+            [rate ** m.bit_count() * c * c for m, c in coeffs.items()])
+        masses[v] = _weighted([*coeffs, None], mass + [unit - sum(mass)], unit)
     return masses, spectra
 
 
@@ -239,7 +232,7 @@ def decode_t3(tables, source, seed):
     for u in range(source.nu):
         eids = _incident_or_error(source, u)
         e = source.edges[eids[rng.randrange(len(eids))]]
-        mask = _sample_mask(rng, masses[e.v])
+        mask = masses[e.v].draw(rng)
         if not mask:
             left.append(0)
             continue

@@ -73,7 +73,7 @@ def find_non_odd_witness(p):
     Returns None exactly when p is odd.
     """
     for h in all_tuples(p.q, p.k):
-        if all(add_tuples(h, constant_tuple(b, p.k), p.q) not in p for b in range(p.q)):
+        if all(t not in p for t in _orbit(h, p.q)):
             return h
     return None
 
@@ -84,29 +84,25 @@ def shift(p, h):
     return Predicate(p.q, p.k, (sub_tuples(x, h, p.q) for x in p.members))
 
 
+def _orbit(a, q):
+    """The q translates a + b-bar of a tuple over [q], for b = 0 .. q - 1."""
+    return [tuple([(x + b) % q for x in a]) for b in range(q)]
+
+
 def translate_closure(p):
     """The predicate {a + b-bar : a in p, b in [q]}."""
-    closed = set()
-    for a in p.members:
-        for b in range(p.q):
-            closed.add(add_tuples(a, constant_tuple(b, p.k), p.q))
-    return Predicate(p.q, p.k, closed)
+    return Predicate(p.q, p.k, (t for a in p.members for t in _orbit(a, p.q)))
 
 
 def translate_orbit(q, k, a):
     """The q translates {a + b-bar : b in [q]} of a single tuple."""
     q, k = as_int(q, "q"), as_int(k, "k")
-    a = as_word(a, k, q, "tuple")
-    return frozenset(add_tuples(a, constant_tuple(b, k), q) for b in range(q))
+    return frozenset(_orbit(as_word(a, k, q, "tuple"), q))
 
 
 def is_shift_closed(p):
     """True iff p is invariant under adding any constant tuple."""
-    return all(
-        add_tuples(m, constant_tuple(b, p.k), p.q) in p
-        for m in p.members
-        for b in range(p.q)
-    )
+    return all(t in p for m in p.members for t in _orbit(m, p.q))
 
 
 def nae(q, k):

@@ -3,12 +3,14 @@ cover, the maximum independent set, and the cover-to-coloring translation.
 """
 
 import math
-from itertools import count, product
+from functools import reduce
+from itertools import compress, count, product
+from operator import or_
 
-from .csp import (Assignment, CoverSet, _bit_indices, _check_assignment,
+from .csp import (Assignment, CoverSet, _bit_indices, _holds_on,
                   covered_fractions)
 from .errors import GuaranteeError, PreconditionError, as_budget, as_int
-from .predicate import is_shift_closed, nae, sub_tuples
+from .predicate import is_shift_closed, nae
 
 
 # Leaves per block of `_coverage_masks`, and rows per bit string of
@@ -31,22 +33,25 @@ def _transpose(rows, n):
 
 
 def _prepare(inst):
-    """The positive-weight constraints as (scope, literals) pairs, the
-    variables they touch in index order, the values each touched variable
-    takes (q, but 1 for the first when the predicate is closed under global
-    translation: translates cover alike) and their product times the number
-    of constraints, which is what the coverage masks cost."""
-    q = inst.predicate.q
+    """What both cover routes read: the positive-weight constraints as
+    (scope, literals) pairs; the variables they touch in index order, with
+    their depths; the values each takes (q, but 1 for the first when the
+    predicate is closed under global translation: translates cover alike);
+    `_holds_on` per literal vector; and the product of the radix times the
+    number of constraints, which is what the coverage masks cost."""
+    pred = inst.predicate
     cons = [
         (vars_, lits)
         for vars_, lits, m in zip(inst.scopes, inst.literals, inst.numerators)
         if m
     ]
     touched = sorted({v for vars_, _ in cons for v in vars_})
-    radix = [q] * len(touched)
-    if is_shift_closed(inst.predicate):
+    radix = [pred.q] * len(touched)
+    if is_shift_closed(pred):
         radix[0] = 1
-    return cons, touched, radix, len(cons) * math.prod(radix)
+    holds = {lits: _holds_on(pred, lits) for lits in {lits for _, lits in cons}}
+    return (cons, touched, {v: d for d, v in enumerate(touched)}, radix,
+            holds, len(cons) * math.prod(radix))
 
 
 def _coverage_masks(inst, budget):
@@ -70,21 +75,19 @@ def _coverage_masks(inst, budget):
     share those rows. Transposing the integers gives each leaf's mask.
     """
     q = inst.predicate.q
-    cons, touched, radix, cost = _prepare(inst)
+    cons, touched, depth, radix, holds, cost = _prepare(inst)
     budget.spend(cost)
     t = len(touched)
     width = len(cons)
     total = cost // width
 
-    depth = {v: d for d, v in enumerate(touched)}
     # Per literal vector, the rows (base q over scope positions, the first
-    # least significant) of the members minus it; per scope, its constraints.
-    cells, on = {}, {}
+    # least significant) of the tuples it holds on; per scope, its
+    # constraints.
+    cells = {lits: [sum(y * q**i for i, y in enumerate(x)) for x in xs]
+             for lits, xs in holds.items()}
+    on = {}
     for j, (vars_, lits) in enumerate(cons):
-        if lits not in cells:
-            cells[lits] = [
-                sum(y * q**i for i, y in enumerate(sub_tuples(p, lits, q)))
-                for p in inst.predicate.members]
         on.setdefault(vars_, []).append((j, lits))
     sets = [0] * width
 
@@ -123,20 +126,20 @@ def _coverage_masks(inst, budget):
     # Drop masks dominated by a superset mask; lossless for minimum covers.
     # holders[j] has bit r set when order[r] contains constraint j. The first
     # mask left is never dominated: keep it and drop every mask it contains,
-    # which lies in no holders[j] for a constraint j outside it. Then only
-    # the kept masks' bits stay set.
+    # which lies in no holders[j] for a constraint j outside it; `compress`
+    # picks those by the mask's bits, highest first, as 1 where it lacks j.
+    # Then only the kept masks' bits stay set.
     order = sorted(first, key=first.__getitem__)
     order.sort(key=int.bit_count, reverse=True)
     holders = _transpose(order, width)
-    full = (1 << width) - 1
+    fmt, lacks = "0%db" % width, bytes.maketrans(b"01", b"\1\0")
     left, kept = (1 << len(order)) - 1, 0
     while left:
         bit = left & -left
         kept |= bit
-        outside = 0
-        for j in _bit_indices(full & ~order[bit.bit_length() - 1]):
-            outside |= holders[j]
-        left &= outside
+        outside = format(order[bit.bit_length() - 1], fmt).encode()
+        left &= reduce(
+            or_, compress(reversed(holders), outside.translate(lacks)), 0)
     return order, [h & kept for h in holders], (first, touched, radix)
 
 
@@ -151,19 +154,14 @@ def _max_c(max_c):
 def _fold(inst):
     """What the c-fold search reads at every c: the touched variables and
     their radix, as `_prepare` gives them; per touched variable, the
-    constraints whose last variable it is, as (scope, accepted tuples,
-    verdict cache); and the cost of the coverage masks. The caches serve
-    every c, since keys of different c differ in length."""
-    cons, touched, radix, cost = _prepare(inst)
-    q = inst.predicate.q
-    depth = {v: d for d, v in enumerate(touched)}
+    constraints whose last variable it is, as (scope, tuples they hold on,
+    verdict cache per literal vector); and the cost of the coverage masks.
+    The caches serve every c, since keys of different c differ in length."""
+    cons, touched, depth, radix, holds, cost = _prepare(inst)
     checks = [[] for _ in touched]
-    accepts = {}
+    caches = {lits: {} for lits in holds}
     for vars_, lits in cons:
-        if lits not in accepts:
-            accepts[lits] = frozenset(
-                sub_tuples(p, lits, q) for p in inst.predicate.members), {}
-        checks[depth[max(vars_)]].append((vars_, *accepts[lits]))
+        checks[depth[max(vars_)]].append((vars_, holds[lits], caches[lits]))
     return touched, radix, checks, cost
 
 
@@ -355,22 +353,16 @@ def cover_to_coloring(cs, inst):
         raise PreconditionError("predicate is not contained in NAE")
     if any(x != 0 for lits in inst.literals for x in lits):
         raise PreconditionError("instance has nonzero literals")
-    for a in cs:
-        _check_assignment(a, inst)
-    active = [
-        (idx, vars_)
-        for idx, (vars_, m) in enumerate(zip(inst.scopes, inst.numerators))
-        if m
-    ]
-    for idx, vars_ in active:
-        if not any(tuple(a.values[v] for v in vars_) in pred for a in cs):
-            raise PreconditionError("cover set does not cover constraint %d" % idx)
+    covered = covered_fractions(cs, inst)[1]
+    if covered != 1:
+        raise PreconditionError(
+            "cover set covers %s of the constraint weight, not all" % covered)
     coloring = {
         i: tuple(a.values[i] for a in cs) for i in range(inst.nvars)
     }
-    for _, vars_ in active:
+    for vars_, m in zip(inst.scopes, inst.numerators):
         colors = {coloring[v] for v in vars_}
-        if len(colors) == 1 and len(set(vars_)) == len(vars_):
+        if m and len(colors) == 1 and len(set(vars_)) == len(vars_):
             # Unreachable: a covering tuple in NAE is not constant on a scope.
             raise GuaranteeError("coloring left a constraint monochromatic")
     return coloring

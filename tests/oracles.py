@@ -783,6 +783,25 @@ def _reference_pm_values(f):
     raise PreconditionError("table values must be bits or signs")
 
 
+def _sample_mask(rng, masses):
+    """The first mask whose float running mass exceeds a uniform float, or
+    None (the fallback) when the draw is above the total mass."""
+    masks, sums = masses
+    i = bisect.bisect_right(sums, rng.random())
+    return masks[i] if i < len(masks) else None
+
+
+def _spectral_pick(rng, masses, R):
+    """A mask drawn by `_sample_mask`, then a uniform member of it folded
+    below R; None when the draw gives the empty mask or the fallback."""
+    mask = _sample_mask(rng, masses)
+    if not mask:
+        return None
+    bits = _bit_indices(mask)
+    j = bits[rng.randrange(len(bits))]
+    return j if j < R else j - R
+
+
 def _reference_fourier_masses(tables, nv, R, rate):
     """Per right vertex, the masks with a nonzero coefficient in its full
     `fourier` table beside the float running sums of their masses, and the
@@ -868,7 +887,7 @@ def reference_decode_t2(tables, source, gamma, seed):
 
     from cspcover.boolanalysis import pi_tilde
     from cspcover.csp import _bit_indices
-    from cspcover.decoding import T2DecodeResult, _spectral_pick
+    from cspcover.decoding import T2DecodeResult
     from cspcover.labelcover import satisfied_fraction
     from cspcover.reductions import _incident_or_error
 
@@ -923,7 +942,7 @@ def reference_decode_t3(tables, source, seed):
 
     from cspcover.boolanalysis import pi_tilde
     from cspcover.csp import _bit_indices
-    from cspcover.decoding import T3DecodeResult, _sample_mask, _spectral_pick
+    from cspcover.decoding import T3DecodeResult
     from cspcover.labelcover import satisfied_fraction
     from cspcover.reductions import _incident_or_error
 

@@ -51,7 +51,7 @@ from cspcover import (
     weaken_predicate,
 )
 import cspcover.search as search_module
-from cspcover.csp import _Columns
+from cspcover.csp import _Columns, _holds_on
 from cspcover.errors import GuaranteeError
 from cspcover.search import _cover_search, _coverage_masks
 from cspcover import reductions
@@ -151,6 +151,24 @@ class TestCoversConstraint:
     def test_literal_flips_parity(self):
         inst = CspInstance(lin(3), range(3), [((0, 1, 2), (1, 0, 0), 1)])
         assert not covers_constraint(Assignment((1, 0, 0)), inst, 0)
+
+    @given(st.data())
+    def test_holds_on_is_the_one_tuple_test(self, data):
+        """`_holds_on(P, l)` holds x exactly when an assignment giving the
+        scope the values x covers the one constraint of literals l."""
+        q, k = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        universe = list(itertools.product(range(q), repeat=k))
+        pred = Predicate(q, k, data.draw(st.sets(st.sampled_from(universe))))
+        lits = data.draw(st.sampled_from(universe))
+        scope = data.draw(st.permutations(range(k)))
+        inst = CspInstance(pred, range(k), [(scope, lits, 1)])
+        holds = _holds_on(pred, lits)
+        for x in universe:
+            values = [0] * k
+            for v, y in zip(scope, x):
+                values[v] = y
+            assert (x in holds) == covers_constraint(
+                Assignment(values), inst, 0)
 
     def test_literals_shift_values_into_membership(self):
         inst = CspInstance(nae(2, 2), range(2), [((0, 1), (0, 1), 1)])
@@ -1228,6 +1246,19 @@ class TestCoverToColoring:
     def test_rejects_non_covering_set(self):
         with pytest.raises(PreconditionError):
             cover_to_coloring(CoverSet([Assignment((0, 0, 0))]), TRIANGLE)
+
+    def test_misses_of_zero_weight_constraints_are_allowed(self):
+        inst = CspInstance(nae(2, 2), range(3), [
+            ((0, 1), (0, 0), 1), ((1, 2), (0, 0), 1), ((0, 2), (0, 0), 0)])
+        cover = CoverSet([Assignment((0, 1, 0))])
+        assert cover_to_coloring(cover, inst) == {0: (0,), 1: (1,), 2: (0,)}
+
+    def test_a_missed_positive_weight_constraint_is_refused(self):
+        with pytest.raises(
+                PreconditionError,
+                match="^cover set covers 2/3 of the constraint weight, "
+                      "not all$"):
+            cover_to_coloring(CoverSet([Assignment((0, 1, 0))]), TRIANGLE)
 
     def test_log_chromatic_matches_cover_number_on_random_graphs(self):
         rng = random.Random(23)

@@ -185,6 +185,27 @@ class TestTranslateClosure:
             if p.issubset(nae(2, 2)):
                 assert translate_closure(p).issubset(nae(2, 2))
 
+    @pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2)])
+    def test_translation_tests_are_their_definitions(self, q, k):
+        """Over every predicate on [q]^k, the empty one included, the
+        translation tests equal their definitions written out: P is shift
+        closed when each translate of P is P; its closure is the union of
+        its translates; its non-odd witness is the least tuple (tuples
+        compare lexicographically) none of whose translates lies in P."""
+        universe = list(itertools.product(range(q), repeat=k))
+        for chosen in range(1 << len(universe)):
+            members = {x for i, x in enumerate(universe) if chosen >> i & 1}
+            p = Predicate(q, k, members)
+            translates = [{tuple((y + b) % q for y in x) for x in members}
+                          for b in range(q)]
+            assert is_shift_closed(p) == all(t == members for t in translates)
+            assert set(translate_closure(p).members) == set().union(*translates)
+            assert find_non_odd_witness(p) == min(
+                (h for h in universe
+                 if all(tuple((y + b) % q for y in h) not in members
+                        for b in range(q))),
+                default=None)
+
     def test_shift_closed_detection(self):
         assert is_shift_closed(nae(2, 2))
         assert is_shift_closed(lin(4))  # translating flips parity 4 times
